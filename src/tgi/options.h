@@ -66,9 +66,9 @@ struct TGIOptions {
   /// rows and partition scans are cached keyed by their (table, partition,
   /// row) coordinates, with LRU byte-budget eviction, so repeated and
   /// overlapping retrievals skip the simulated fetch round trips entirely.
-  /// The cache is invalidated whenever index metadata is re-published
-  /// (BuildFrom / AppendBatch), keeping batched updates correct. 0 disables
-  /// caching.
+  /// A re-publish (BuildFrom / AppendBatch) evicts only the entries of the
+  /// (table, partition) scopes it wrote, keeping batched updates correct
+  /// while untouched scopes stay warm. 0 disables caching.
   size_t read_cache_bytes = 64ull << 20;
 
   /// Shard count of the read cache; each shard has its own lock, so this
@@ -81,8 +81,8 @@ struct TGIOptions {
   /// keyed by the same epoch-scoped row coordinates, so a repeated read
   /// costs neither a fetch nor a Deserialize — the dominant term once
   /// fetches are batched and cached. Budgeted by decoded footprint
-  /// (SerializedSizeBytes), invalidated with the byte cache on republish,
-  /// sharded like read_cache_shards. 0 disables the tier.
+  /// (SerializedSizeBytes), swept with the byte cache on republish (same
+  /// scoped eviction), sharded like read_cache_shards. 0 disables the tier.
   size_t decoded_cache_bytes = 32ull << 20;
 
   /// Worker parallelism of the ingest pipeline. The event stream of a

@@ -1,8 +1,9 @@
 #include "tgi/query.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <functional>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -28,106 +29,29 @@ class WallTimer {
       std::chrono::steady_clock::now();
 };
 
-// Folds one cluster read's resilience accounting into the query's stats.
-void MergeCallStats(FetchStats* stats, const ReadCallStats& call) {
-  if (stats == nullptr) return;
-  stats->failovers += call.failovers;
-  stats->retries += call.retries;
-  stats->hedges += call.hedges;
-  stats->hedge_wins += call.hedge_wins;
-  stats->checksum_failures += call.checksum_failures;
+// Runs fn(i, &task_stats) for i in [0, n) on up to `parallelism` workers.
+// Every task counts into its own FetchStats, and after the join all of them
+// fold into `stats` through FetchStats::Merge, so no counter can be
+// dropped. Returns the failure with the lowest index.
+Status RunTasks(size_t n, size_t parallelism, FetchStats* stats,
+                const std::function<Status(size_t, FetchStats*)>& fn) {
+  std::vector<FetchStats> task_stats(n);
+  Status status = StatusParallelFor(
+      n, parallelism, [&](size_t i) { return fn(i, &task_stats[i]); });
+  if (stats != nullptr) {
+    for (const FetchStats& s : task_stats) stats->Merge(s);
+  }
+  return status;
 }
 
-// Thread-safe accumulation of fetch counters during a parallel fetch.
-struct AtomicStats {
-  std::atomic<uint64_t> kv_requests{0};
-  std::atomic<uint64_t> kv_batches{0};
-  std::atomic<uint64_t> cache_hits{0};
-  std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> micro_deltas{0};
-  std::atomic<uint64_t> bytes{0};
-  std::atomic<uint64_t> node_requests{0};
-  std::atomic<uint64_t> version_scans{0};
-  std::atomic<uint64_t> eventlist_refs{0};
-  std::atomic<uint64_t> eventlist_fetches{0};
-  std::atomic<uint64_t> decode_hits{0};
-  std::atomic<uint64_t> decodes{0};
-  std::atomic<uint64_t> decoded_bytes{0};
-  std::atomic<uint64_t> value_copies{0};
-
-  /// Accumulates a task-local FetchStats (wall_seconds is ignored; the
-  /// caller's WallTimer covers the whole query).
-  void Add(const FetchStats& s) {
-    kv_requests.fetch_add(s.kv_requests, std::memory_order_relaxed);
-    kv_batches.fetch_add(s.kv_batches, std::memory_order_relaxed);
-    cache_hits.fetch_add(s.cache_hits, std::memory_order_relaxed);
-    cache_misses.fetch_add(s.cache_misses, std::memory_order_relaxed);
-    micro_deltas.fetch_add(s.micro_deltas, std::memory_order_relaxed);
-    bytes.fetch_add(s.bytes, std::memory_order_relaxed);
-    node_requests.fetch_add(s.node_requests, std::memory_order_relaxed);
-    version_scans.fetch_add(s.version_scans, std::memory_order_relaxed);
-    eventlist_refs.fetch_add(s.eventlist_refs, std::memory_order_relaxed);
-    eventlist_fetches.fetch_add(s.eventlist_fetches,
-                                std::memory_order_relaxed);
-    decode_hits.fetch_add(s.decode_hits, std::memory_order_relaxed);
-    decodes.fetch_add(s.decodes, std::memory_order_relaxed);
-    decoded_bytes.fetch_add(s.decoded_bytes, std::memory_order_relaxed);
-    value_copies.fetch_add(s.value_copies, std::memory_order_relaxed);
-  }
-
-  void FlushInto(FetchStats* stats) const {
-    if (stats == nullptr) return;
-    stats->kv_requests += kv_requests.load();
-    stats->kv_batches += kv_batches.load();
-    stats->cache_hits += cache_hits.load();
-    stats->cache_misses += cache_misses.load();
-    stats->micro_deltas += micro_deltas.load();
-    stats->bytes += bytes.load();
-    stats->node_requests += node_requests.load();
-    stats->version_scans += version_scans.load();
-    stats->eventlist_refs += eventlist_refs.load();
-    stats->eventlist_fetches += eventlist_fetches.load();
-    stats->decode_hits += decode_hits.load();
-    stats->decodes += decodes.load();
-    stats->decoded_bytes += decoded_bytes.load();
-    stats->value_copies += value_copies.load();
-  }
-};
-
-// Runs fn(i, &local_stats) for i in [0, n) on the shared pool, accumulates
-// every task's local FetchStats into `stats`, and returns the first non-OK
-// status (remaining iterations are skipped once a task fails). Factors out
-// the AtomicStats / first-error plumbing shared by the parallel fetch
-// stages.
-Status ParallelStatusFor(
-    size_t n, size_t parallelism, FetchStats* stats,
-    const std::function<Status(size_t, FetchStats*)>& fn) {
-  AtomicStats astats;
-  std::atomic<bool> failed{false};
-  Status first_error;
-  Mutex error_mu;
-  ParallelFor(n, parallelism, [&](size_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    FetchStats local;
-    Status s = fn(i, &local);
-    astats.Add(local);
-    if (!s.ok()) {
-      MutexLock lock(error_mu);
-      if (!failed.exchange(true)) first_error = s;
-    }
-  });
-  astats.FlushInto(stats);
-  if (failed.load()) return first_error;
-  return Status::OK();
-}
-
-// Cache key of one read: kind byte ('G' point read / 'S' scan), the
-// (table, partition) scope's SUB-epoch under the reading query's pinned
-// epoch map, table, partition token, then the row key or scan prefix.
-// Sub-epoch-tagged keys make late inserts from an in-flight old-epoch
-// query invisible to queries running after an invalidation, and leave a
-// publish that touched other scopes unable to cold this entry: its
-// sub-epoch — and therefore its key — is unchanged.
+// Cache key of one read: kind byte ('G' point read / 'S' scan in the byte
+// tier, the Read kind in the decoded tier), the (table, partition) scope's
+// SUB-epoch under the reading query's pinned epoch map, table, partition
+// token, then the row key or scan prefix. Sub-epoch-tagged keys make late
+// inserts from an in-flight old-epoch query invisible to queries running
+// after an invalidation, and leave a publish that touched other scopes
+// unable to cold this entry: its sub-epoch — and therefore its key — is
+// unchanged.
 std::string ReadCacheKey(char kind, uint64_t epoch, std::string_view table,
                          uint64_t partition, std::string_view row) {
   std::string out;
@@ -159,47 +83,47 @@ size_t CacheCharge(const std::string& key, const SharedValue& value) {
 
 // -- decoded tier ----------------------------------------------------------
 
-// Kind byte of each decoded type (the first byte of its cache key), so two
-// types can never alias under one key and a cached object is always cast
-// back to the type that produced it. Beyond the per-row kinds there are two
-// aggregate kinds: 'C' caches the decoded rows of one whole scan prefix
-// (TGIQueryManager::DecodedScan) and 'V' a node's merged version chain
-// (TGIQueryManager::MergedVersionChain).
-template <typename T>
-struct DecodedKindOf;
-template <>
-struct DecodedKindOf<Delta> {
-  static constexpr char kKind = 'd';
-};
-template <>
-struct DecodedKindOf<EventList> {
-  static constexpr char kKind = 'e';
-};
-constexpr char kDecodedScanKind = 'C';
-constexpr char kVersionChainKind = 'V';
+// Kind byte of each read (the first byte of its decoded-tier key), so two
+// decoded types can never alias under one key and a cached object is always
+// cast back to the type that produced it.
+constexpr char kDeltaKind = 'd';      // one Delta row
+constexpr char kEventListKind = 'e';  // one EventList row
+constexpr char kScanKind = 'C';       // TGIQueryManager::DecodedScan
+constexpr char kChainKind = 'V';      // TGIQueryManager::MergedVersionChain
+constexpr char kMicropartKind = 'M';  // one Micropartitions bucket
 
-// Decoded heap footprint estimates for byte-budget eviction. Delta and
-// EventList charge their wire size (the paper's Σ|Δ| currency, and a close
-// proxy for the decoded maps' payload).
-size_t DecodedCharge(const Delta& d) { return d.SerializedSizeBytes(); }
-size_t DecodedCharge(const EventList& e) { return e.SerializedSizeBytes(); }
+using MicropartEntries = std::vector<std::pair<NodeId, MicroPartitionId>>;
 
-// Decodes one raw value according to its kind byte. Returns the shared
-// immutable object plus its eviction charge.
-Result<std::pair<std::shared_ptr<const void>, size_t>> DecodeByKind(
-    char kind, std::string_view raw) {
+bool IsEventlist(DeltaId did) { return did >= tgi::kEventlistDidBase; }
+
+// Decodes one raw row by its kind byte, counting the decode and the value
+// consumed. Returns the shared immutable object plus its eviction charge:
+// Delta and EventList charge their wire size (the paper's Σ|Δ| currency,
+// and a close proxy for the decoded maps' payload).
+Result<std::pair<std::shared_ptr<const void>, size_t>> DecodeRow(
+    char kind, std::string_view raw, FetchStats* stats) {
+  ++stats->decodes;
+  stats->decoded_bytes += raw.size();
+  ++stats->micro_deltas;
+  stats->bytes += raw.size();
   switch (kind) {
-    case DecodedKindOf<Delta>::kKind: {
+    case kDeltaKind: {
       HGS_ASSIGN_OR_RETURN(Delta d, Delta::Deserialize(raw));
-      size_t charge = DecodedCharge(d);
+      size_t charge = d.SerializedSizeBytes();
       return std::pair<std::shared_ptr<const void>, size_t>(
           std::make_shared<Delta>(std::move(d)), charge);
     }
-    case DecodedKindOf<EventList>::kKind: {
+    case kEventListKind: {
       HGS_ASSIGN_OR_RETURN(EventList e, EventList::Deserialize(raw));
-      size_t charge = DecodedCharge(e);
+      size_t charge = e.SerializedSizeBytes();
       return std::pair<std::shared_ptr<const void>, size_t>(
           std::make_shared<EventList>(std::move(e)), charge);
+    }
+    case kMicropartKind: {
+      HGS_ASSIGN_OR_RETURN(MicropartEntries m,
+                           tgi::DeserializeMicropartBucket(raw));
+      return std::pair<std::shared_ptr<const void>, size_t>(
+          std::make_shared<MicropartEntries>(std::move(m)), 0);
     }
     default:
       return Status::InvalidArgument("unknown decoded kind");
@@ -237,6 +161,35 @@ void MergeEventListUpTo(Delta* acc, std::shared_ptr<const EventList>&& e,
     e->ApplyUpTo(t, acc);
   }
   e.reset();
+}
+
+// Applies one decoded merge slot: a tree delta is added, an eventlist is
+// replayed up to t.
+void MergeRow(Delta* acc, std::shared_ptr<const void>&& obj, bool eventlist,
+              Timestamp t, bool exclusive) {
+  if (eventlist) {
+    MergeEventListUpTo(
+        acc, std::static_pointer_cast<const EventList>(std::move(obj)), t,
+        exclusive);
+  } else {
+    MergeDelta(acc, std::static_pointer_cast<const Delta>(std::move(obj)),
+               exclusive);
+  }
+}
+
+// The merge-slot sequence that rebuilds a span's state at t: the tree
+// deltas root-to-leaf down to the checkpoint before t, then the eventlists
+// from that checkpoint through the one covering t.
+std::vector<DeltaId> DidPath(const tgi::TimespanMeta& span, Timestamp t) {
+  const int32_t cpi = std::max<int32_t>(span.CheckpointBefore(t), 0);
+  std::vector<DeltaId> dids = span.PathToCheckpoint(cpi);
+  const int32_t evl_to = span.EventlistCovering(t);
+  for (size_t j = static_cast<size_t>(cpi) * span.checkpoint_interval /
+                  span.eventlist_size;
+       evl_to >= 0 && j <= static_cast<size_t>(evl_to); ++j) {
+    dids.push_back(tgi::EventlistDid(j));
+  }
+  return dids;
 }
 
 }  // namespace
@@ -439,484 +392,455 @@ const tgi::TimespanMeta* TGIQueryManager::SpanFor(const MetaState& meta,
   return best;
 }
 
-Result<std::vector<std::optional<SharedValue>>> TGIQueryManager::FetchValues(
-    const MetaState& meta, std::string_view table,
-    const std::vector<MultiGetKey>& keys, FetchStats* stats) {
-  std::vector<std::optional<SharedValue>> out(keys.size());
-  if (stats != nullptr) stats->kv_requests += keys.size();
-  if (keys.empty()) return out;
+// -- the read executor -----------------------------------------------------
 
-  if (read_cache_ == nullptr) {
-    size_t batches = 0;
-    size_t copies = 0;
-    ReadCallStats call;
-    auto fetched = cluster_->MultiGet(table, keys, &batches, &copies, &call);
-    if (!fetched.ok()) return fetched.status();
-    MergeCallStats(stats, call);
-    if (stats != nullptr) {
-      stats->kv_batches += batches;
-      stats->value_copies += copies;
+Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
+    const MetaState& meta, const std::vector<Read>& reads, FetchStats* stats) {
+  FetchStats discarded;
+  if (stats == nullptr) stats = &discarded;
+  const size_t parallelism = fetch_parallelism();
+  const size_t n = reads.size();
+  std::vector<DecodedEntry> out(n);
+  auto is_scan = [&](size_t i) {
+    return reads[i].kind == kScanKind || reads[i].kind == kChainKind;
+  };
+  // What the cluster client did for one MultiGet or Scan.
+  auto count_call = [](FetchStats* s, size_t batches, size_t copies,
+                       const ReadCallStats& call) {
+    s->kv_batches += batches;
+    s->value_copies += copies;
+    s->failovers += call.failovers;
+    s->retries += call.retries;
+    s->hedges += call.hedges;
+    s->hedge_wins += call.hedge_wins;
+    s->checksum_failures += call.checksum_failures;
+  };
+
+  // (1) Decoded probe. A hit needs neither bytes nor a decode, and counts
+  // the logical work the cold path would, so Table 1's logical columns are
+  // identical between cold and warm runs.
+  std::vector<std::string> ckeys(n);
+  std::vector<size_t> misses;
+  std::vector<bool> served(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    const Read& r = reads[i];
+    std::optional<DecodedEntry> hit;
+    if (decoded_cache_ != nullptr && r.kind != kMicropartKind) {
+      ckeys[i] = ReadCacheKey(r.kind, meta.SubEpochFor(r.table, r.partition),
+                              r.table, r.partition, r.key);
+      hit = decoded_cache_->Get(ckeys[i]);
     }
-    return std::move(*fetched);
-  }
-
-  // Serve what we can from the partition-delta cache (including cached
-  // "absent" results), then batch the misses into one MultiGet. A hit
-  // hands out a view of the cached shared buffer — no bytes move.
-  std::vector<size_t> miss_index;
-  std::vector<MultiGetKey> misses;
-  std::vector<std::string> miss_ckeys;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    std::string ckey =
-        ReadCacheKey('G', meta.SubEpochFor(table, keys[i].partition), table,
-                     keys[i].partition, keys[i].key);
-    auto entry = read_cache_->Get(ckey);
-    if (entry.has_value()) {
-      if (stats != nullptr) ++stats->cache_hits;
-      if ((*entry)->found) out[i] = (*entry)->value;
+    if (!hit.has_value()) {
+      misses.push_back(i);
       continue;
     }
-    if (stats != nullptr) ++stats->cache_misses;
-    miss_index.push_back(i);
-    misses.push_back(keys[i]);
-    miss_ckeys.push_back(std::move(ckey));
-  }
-  if (misses.empty()) return out;
-
-  size_t batches = 0;
-  size_t copies = 0;
-  ReadCallStats call;
-  auto fetched = cluster_->MultiGet(table, misses, &batches, &copies, &call);
-  if (!fetched.ok()) return fetched.status();
-  MergeCallStats(stats, call);
-  if (stats != nullptr) {
-    stats->kv_batches += batches;
-    stats->value_copies += copies;
-  }
-  for (size_t j = 0; j < misses.size(); ++j) {
-    std::optional<SharedValue>& value = (*fetched)[j];
-    std::string& ckey = miss_ckeys[j];
-    auto entry = std::make_shared<ReadCacheEntry>();
-    entry->found = value.has_value();
-    if (value.has_value()) entry->value = *value;  // shares the buffer
-    size_t charge = CacheCharge(ckey, entry->value);
-    read_cache_->Put(std::move(ckey), std::move(entry), charge);
-    out[miss_index[j]] = std::move(value);
-  }
-  return out;
-}
-
-Result<std::optional<SharedValue>> TGIQueryManager::FetchValue(
-    const MetaState& meta, std::string_view table, uint64_t partition,
-    std::string_view key, FetchStats* stats) {
-  HGS_ASSIGN_OR_RETURN(std::vector<std::optional<SharedValue>> values,
-                       FetchValues(meta, table,
-                                   {MultiGetKey{partition, std::string(key)}},
-                                   stats));
-  if (stats != nullptr && values[0].has_value()) {
-    ++stats->micro_deltas;
-    stats->bytes += values[0]->size();
-  }
-  return std::move(values[0]);
-}
-
-Result<std::shared_ptr<const TGIQueryManager::ReadCacheEntry>>
-TGIQueryManager::CachedScan(const MetaState& meta, std::string_view table,
-                            uint64_t partition, std::string_view prefix,
-                            FetchStats* stats) {
-  if (stats != nullptr) ++stats->kv_requests;
-  std::string ckey;
-  if (read_cache_ != nullptr) {
-    ckey = ReadCacheKey('S', meta.SubEpochFor(table, partition), table,
-                        partition, prefix);
-    auto entry = read_cache_->Get(ckey);
-    if (entry.has_value()) {
-      if (stats != nullptr) ++stats->cache_hits;
-      return std::move(*entry);
-    }
-    if (stats != nullptr) ++stats->cache_misses;
-  }
-  size_t copies = 0;
-  ReadCallStats call;
-  auto res = cluster_->Scan(table, partition, prefix, &copies, &call);
-  if (!res.ok()) return res.status();
-  MergeCallStats(stats, call);
-  if (stats != nullptr) {
-    ++stats->kv_batches;
-    stats->value_copies += copies;
-  }
-  auto entry = std::make_shared<ReadCacheEntry>();
-  entry->pairs = std::move(*res);
-  if (read_cache_ != nullptr) {
-    size_t charge = ckey.size() + 64;
-    for (const KVPair& kv : entry->pairs) {
-      charge += kv.key.size() + kv.value.size() + 32;
-    }
-    read_cache_->Put(std::move(ckey), entry, charge);
-  }
-  return std::shared_ptr<const ReadCacheEntry>(std::move(entry));
-}
-
-Result<std::vector<TGIQueryManager::DecodedEntry>>
-TGIQueryManager::FetchDecodedRows(const MetaState& meta,
-                                  std::string_view table,
-                                  const std::vector<MultiGetKey>& keys,
-                                  const std::vector<char>& kinds,
-                                  FetchStats* stats) {
-  std::vector<DecodedEntry> out(keys.size());
-  if (keys.empty()) return out;
-
-  // Probe the decoded tier first: a hit needs neither the raw bytes nor a
-  // decode, so it skips the byte-cache/MultiGet machinery entirely.
-  std::vector<size_t> miss_index;
-  std::vector<MultiGetKey> miss_keys;
-  std::vector<std::string> miss_ckeys;
-  if (decoded_cache_ != nullptr) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      std::string ckey = ReadCacheKey(
-          kinds[i], meta.SubEpochFor(table, keys[i].partition), table,
-          keys[i].partition, keys[i].key);
-      auto hit = decoded_cache_->Get(ckey);
-      if (hit.has_value()) {
-        if (stats != nullptr) {
-          // A decoded hit still counts as one logical request and one
-          // consumed value, so Table 1's logical columns are identical
-          // between cold and warm runs.
-          ++stats->kv_requests;
-          ++stats->decode_hits;
-          if (hit->obj != nullptr) {
-            ++stats->micro_deltas;
-            stats->bytes += hit->raw_bytes;
-          }
-        }
-        out[i] = std::move(*hit);
-        continue;
-      }
-      miss_index.push_back(i);
-      miss_keys.push_back(keys[i]);
-      miss_ckeys.push_back(std::move(ckey));
-    }
-    if (miss_keys.empty()) return out;
-  } else {
-    miss_index.resize(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) miss_index[i] = i;
-    miss_keys = keys;
-  }
-
-  // Byte tier + cluster for the misses (one batched MultiGet), then decode
-  // each present row exactly once, in parallel — BinaryReader runs directly
-  // over the shared view — and publish the decoded object for every later
-  // consumer.
-  HGS_ASSIGN_OR_RETURN(std::vector<std::optional<SharedValue>> values,
-                       FetchValues(meta, table, miss_keys, stats));
-  HGS_RETURN_NOT_OK(ParallelStatusFor(
-      miss_keys.size(), fetch_parallelism_, stats,
-      [&](size_t j, FetchStats* local) -> Status {
-        const size_t i = miss_index[j];
-        if (!values[j].has_value()) {
-          // Negative entry: the row's absence is knowledge too.
-          if (decoded_cache_ != nullptr) {
-            size_t charge = miss_ckeys[j].size() + 64;
-            decoded_cache_->Put(std::move(miss_ckeys[j]), DecodedEntry{},
-                                charge);
-          }
-          return Status::OK();
-        }
-        const std::string_view raw = values[j]->view();
-        HGS_ASSIGN_OR_RETURN(auto decoded, DecodeByKind(kinds[i], raw));
-        ++local->decodes;
-        local->decoded_bytes += raw.size();
-        ++local->micro_deltas;
-        local->bytes += raw.size();
-        out[i] = DecodedEntry{std::move(decoded.first), raw.size()};
-        if (decoded_cache_ != nullptr) {
-          std::string& ckey = miss_ckeys[j];
-          size_t charge = ckey.size() + decoded.second + 64;
-          decoded_cache_->Put(std::move(ckey), out[i], charge);
-        }
-        return Status::OK();
-      }));
-  return out;
-}
-
-template <typename T>
-Result<std::vector<std::shared_ptr<const T>>>
-TGIQueryManager::FetchDecodedValues(const MetaState& meta,
-                                    std::string_view table,
-                                    const std::vector<MultiGetKey>& keys,
-                                    FetchStats* stats) {
-  std::vector<char> kinds(keys.size(), DecodedKindOf<T>::kKind);
-  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
-                       FetchDecodedRows(meta, table, keys, kinds, stats));
-  std::vector<std::shared_ptr<const T>> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out[i] = std::static_pointer_cast<const T>(std::move(rows[i].obj));
-  }
-  return out;
-}
-
-template <typename T>
-Result<std::shared_ptr<const T>> TGIQueryManager::DecodeShared(
-    const MetaState& meta, std::string_view table, uint64_t partition,
-    std::string_view row, std::string_view raw, FetchStats* stats) {
-  if (stats != nullptr) {
-    ++stats->micro_deltas;
-    stats->bytes += raw.size();
-  }
-  std::string ckey;
-  if (decoded_cache_ != nullptr) {
-    ckey = ReadCacheKey(DecodedKindOf<T>::kKind,
-                        meta.SubEpochFor(table, partition), table, partition,
-                        row);
-    auto hit = decoded_cache_->Get(ckey);
-    if (hit.has_value() && hit->obj != nullptr) {
-      if (stats != nullptr) ++stats->decode_hits;
-      return std::static_pointer_cast<const T>(std::move(hit->obj));
-    }
-  }
-  HGS_ASSIGN_OR_RETURN(auto decoded,
-                       DecodeByKind(DecodedKindOf<T>::kKind, raw));
-  if (stats != nullptr) {
-    ++stats->decodes;
-    stats->decoded_bytes += raw.size();
-  }
-  if (decoded_cache_ != nullptr) {
-    size_t charge = ckey.size() + decoded.second + 64;
-    decoded_cache_->Put(std::move(ckey),
-                        DecodedEntry{decoded.first, raw.size()}, charge);
-  }
-  return std::static_pointer_cast<const T>(std::move(decoded.first));
-}
-
-Result<TGIQueryManager::DecodedScanRef> TGIQueryManager::FetchDecodedScan(
-    const MetaState& meta, std::string_view table, uint64_t partition,
-    std::string_view prefix, char row_kind, FetchStats* stats) {
-  std::string ckey;
-  if (decoded_cache_ != nullptr) {
-    ckey = ReadCacheKey(kDecodedScanKind, meta.SubEpochFor(table, partition),
-                        table, partition, prefix);
-    auto hit = decoded_cache_->Get(ckey);
-    if (hit.has_value() && hit->obj != nullptr) {
-      auto scan =
-          std::static_pointer_cast<const DecodedScan>(std::move(hit->obj));
-      if (stats != nullptr) {
-        // One probe served the whole prefix. The logical accounting
-        // matches the cold path exactly: one scan request, every row
-        // consumed ready-to-apply.
-        ++stats->kv_requests;
-        ++stats->cache_hits;
-        stats->decode_hits += scan->rows.size();
-        stats->micro_deltas += scan->rows.size();
-        stats->bytes += hit->raw_bytes;
-      }
-      return scan;
-    }
-  }
-
-  // Cold: bytes through the cached scan, each row decoded (or decode-hit)
-  // through the row-level tier — so point-read paths can reuse the rows —
-  // then the assembled vector is published under the scan's own key.
-  HGS_ASSIGN_OR_RETURN(std::shared_ptr<const ReadCacheEntry> res,
-                       CachedScan(meta, table, partition, prefix, stats));
-  auto scan = std::make_shared<DecodedScan>();
-  scan->rows.reserve(res->pairs.size());
-  size_t total_raw = 0;
-  for (const KVPair& kv : res->pairs) {
-    std::shared_ptr<const void> obj;
-    if (row_kind == DecodedKindOf<Delta>::kKind) {
-      HGS_ASSIGN_OR_RETURN(std::shared_ptr<const Delta> d,
-                           DecodeShared<Delta>(meta, table, partition, kv.key,
-                                               kv.value, stats));
-      obj = std::move(d);
+    out[i] = std::move(*hit);
+    served[i] = true;
+    stats->bytes += out[i].raw_bytes;
+    if (r.kind == kScanKind) {
+      const size_t rows =
+          static_cast<const DecodedScan*>(out[i].obj.get())->rows.size();
+      stats->decode_hits += rows;
+      stats->micro_deltas += rows;
+    } else if (r.kind == kChainKind) {
+      ++stats->decode_hits;
+      stats->micro_deltas +=
+          static_cast<const MergedVersionChain*>(out[i].obj.get())
+              ->segment_count;
     } else {
-      HGS_ASSIGN_OR_RETURN(
-          std::shared_ptr<const EventList> e,
-          DecodeShared<EventList>(meta, table, partition, kv.key, kv.value,
-                                  stats));
-      obj = std::move(e);
-    }
-    total_raw += kv.value.size();
-    scan->rows.push_back(DecodedScanRow{std::move(obj), kv.value.size()});
-  }
-  if (decoded_cache_ != nullptr) {
-    // Charged at the full row-byte sum even though the row-level entries
-    // carry the same objects: warm scans touch only this entry, so the
-    // untouched row entries age out of the LRU and the scan entry becomes
-    // the objects' sole in-cache owner — the full charge is the honest
-    // steady-state accounting (the overlap is transient, and the safe
-    // direction is over- rather than under-charging the budget).
-    size_t charge = ckey.size() + 64;
-    for (const KVPair& kv : res->pairs) charge += kv.value.size() + 32;
-    decoded_cache_->Put(std::move(ckey), DecodedEntry{scan, total_raw},
-                        charge);
-  }
-  return DecodedScanRef(std::move(scan));
-}
-
-Result<std::vector<std::shared_ptr<const TGIQueryManager::MergedVersionChain>>>
-TGIQueryManager::FetchVersionChains(const MetaState& meta,
-                                    const std::vector<NodeId>& ids,
-                                    FetchStats* stats) {
-  std::vector<std::shared_ptr<const MergedVersionChain>> out(ids.size());
-
-  // Probe the decoded tier per node first: a warm node — hub or not —
-  // costs exactly one probe and no scan.
-  std::vector<std::string> ckeys(ids.size());
-  std::vector<bool> hit_of(ids.size(), false);
-  for (size_t u = 0; u < ids.size(); ++u) {
-    if (decoded_cache_ != nullptr) {
-      const uint64_t part = tgi::NodePlacement(ids[u]);
-      ckeys[u] = ReadCacheKey(
-          kVersionChainKind, meta.SubEpochFor(tgi::kVersionsTable, part),
-          tgi::kVersionsTable, part, tgi::VersionScanPrefix(ids[u]));
-      auto hit = decoded_cache_->Get(ckeys[u]);
-      if (hit.has_value() && hit->obj != nullptr) {
-        out[u] = std::static_pointer_cast<const MergedVersionChain>(
-            std::move(hit->obj));
-        hit_of[u] = true;
-        if (stats != nullptr) {
-          ++stats->decode_hits;
-          stats->micro_deltas += out[u]->segment_count;
-          stats->bytes += out[u]->raw_bytes;
-        }
-      }
+      ++stats->kv_requests;
+      ++stats->decode_hits;
+      if (out[i].obj != nullptr) ++stats->micro_deltas;
     }
   }
 
-  // Group ALL requested nodes by versions-table placement: partitions with
-  // a missing member are scanned (one scan each, not one per node);
-  // partitions fully served by merged-chain hits count one logical scan
-  // request served from cache, so warm and cold runs report identical
-  // logical counters.
-  struct ScanGroup {
-    uint64_t partition;
-    std::vector<size_t> members;  ///< indices into `ids` placed here
-    bool any_miss = false;
+  // (2a) Scans, deduplicated by their byte-tier key: a 'C' read scans its
+  // own prefix, a 'V' read its node's whole versions placement, which every
+  // node hashed there shares. A scan all of whose reads hit the decoded
+  // tier counts one logical request served from cache.
+  struct Scan {
+    std::string bkey;
+    const Read* read;
+    std::string_view prefix;
+    bool needed = false;
+    std::shared_ptr<const ReadCacheEntry> result;
   };
-  std::vector<ScanGroup> groups;
+  std::vector<Scan> scans;
+  std::vector<size_t> scan_of(n);
   {
-    std::unordered_map<uint64_t, size_t> group_of;
-    for (size_t u = 0; u < ids.size(); ++u) {
-      uint64_t partition = tgi::NodePlacement(ids[u]);
-      auto [it, inserted] = group_of.emplace(partition, groups.size());
-      if (inserted) groups.push_back(ScanGroup{partition, {}});
-      groups[it->second].members.push_back(u);
-      if (!hit_of[u]) groups[it->second].any_miss = true;
+    std::unordered_map<std::string, size_t> index;
+    for (size_t i = 0; i < n; ++i) {
+      const Read& r = reads[i];
+      if (!is_scan(i)) continue;
+      const std::string_view prefix =
+          r.kind == kScanKind ? std::string_view(r.key) : std::string_view();
+      std::string bkey =
+          ReadCacheKey('S', meta.SubEpochFor(r.table, r.partition), r.table,
+                       r.partition, prefix);
+      auto [it, inserted] = index.emplace(bkey, scans.size());
+      if (inserted) {
+        scans.push_back(Scan{std::move(bkey), &r, prefix, false, nullptr});
+      }
+      scan_of[i] = it->second;
+      if (!served[i]) scans[it->second].needed = true;
     }
   }
-  std::vector<size_t> scan_groups;  // indices of groups needing a scan
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (groups[g].any_miss) {
-      scan_groups.push_back(g);
-    } else if (stats != nullptr) {
+  std::vector<size_t> needed;
+  for (size_t s = 0; s < scans.size(); ++s) {
+    if (scans[s].needed) {
+      needed.push_back(s);
+    } else {
       ++stats->kv_requests;
       ++stats->cache_hits;
     }
   }
-  if (scan_groups.empty()) return out;
 
-  std::vector<std::shared_ptr<const ReadCacheEntry>> scans(groups.size());
-  HGS_RETURN_NOT_OK(ParallelStatusFor(
-      scan_groups.size(), fetch_parallelism_, stats,
-      [&](size_t i, FetchStats* local) -> Status {
-        const size_t g = scan_groups[i];
-        HGS_ASSIGN_OR_RETURN(
-            scans[g], CachedScan(meta, tgi::kVersionsTable,
-                                 groups[g].partition, /*prefix=*/"", local));
-        return Status::OK();
-      }));
-  if (stats != nullptr) stats->version_scans += scan_groups.size();
-
-  // Rebuild each missing node's merged chain: its segments arrive in key
-  // (= tsid) order from the scan, decoded straight off the shared views,
-  // and are concatenated unfiltered so every later time window shares the
-  // one cached object.
-  for (size_t g : scan_groups) {
-    for (size_t u : groups[g].members) {
-      if (hit_of[u]) continue;  // served decoded above
-      const std::string prefix = tgi::VersionScanPrefix(ids[u]);
-      auto chain = std::make_shared<MergedVersionChain>();
-      for (const KVPair& kv : scans[g]->pairs) {
-        // A partition scan returns every node hashed to this placement
-        // (virtually always just this node); keep only its segments.
-        if (kv.key.compare(0, prefix.size(), prefix) != 0) continue;
-        HGS_ASSIGN_OR_RETURN(tgi::VersionChainSegment seg,
-                             tgi::VersionChainSegment::Deserialize(kv.value));
-        if (stats != nullptr) {
-          ++stats->decodes;
-          stats->decoded_bytes += kv.value.size();
-          ++stats->micro_deltas;
-          stats->bytes += kv.value.size();
-        }
-        ++chain->segment_count;
-        chain->raw_bytes += kv.value.size();
-        chain->entries.insert(chain->entries.end(), seg.entries.begin(),
-                              seg.entries.end());
+  // (2b) Point misses: the byte tier (a hit hands out a view of the cached
+  // shared buffer — no bytes move), then one MultiGet for the rest.
+  std::vector<std::optional<SharedValue>> raw(n);
+  std::vector<size_t> fetch;
+  std::vector<MultiGetKey> keys;
+  std::vector<std::string> bkeys;
+  for (size_t i : misses) {
+    const Read& r = reads[i];
+    if (is_scan(i)) continue;
+    ++stats->kv_requests;
+    if (read_cache_ != nullptr) {
+      std::string bkey =
+          ReadCacheKey('G', meta.SubEpochFor(r.table, r.partition), r.table,
+                       r.partition, r.key);
+      auto entry = read_cache_->Get(bkey);
+      if (entry.has_value()) {
+        ++stats->cache_hits;
+        if ((*entry)->found) raw[i] = (*entry)->value;
+        continue;
       }
-      if (decoded_cache_ != nullptr) {
-        size_t charge = ckeys[u].size() + 48 +
-                        chain->entries.size() * sizeof(tgi::VersionEntry) +
-                        64;
-        decoded_cache_->Put(std::move(ckeys[u]),
-                            DecodedEntry{chain, chain->raw_bytes}, charge);
+      ++stats->cache_misses;
+      bkeys.push_back(std::move(bkey));
+    }
+    if (!fetch.empty() && r.table != reads[fetch[0]].table) {
+      return Status::InvalidArgument("point reads of a batch span tables");
+    }
+    fetch.push_back(i);
+    keys.push_back(MultiGetKey{r.partition, r.key});
+  }
+  if (!keys.empty()) {
+    size_t batches = 0;
+    size_t copies = 0;
+    ReadCallStats call;
+    auto values = cluster_->MultiGet(reads[fetch[0]].table, keys, &batches,
+                                     &copies, &call);
+    count_call(stats, batches, copies, call);
+    if (!values.ok()) return values.status();
+    for (size_t j = 0; j < fetch.size(); ++j) {
+      if (read_cache_ != nullptr) {
+        // "Absent" is cached too: the row's absence is knowledge.
+        auto entry = std::make_shared<ReadCacheEntry>();
+        entry->found = (*values)[j].has_value();
+        if (entry->found) entry->value = *(*values)[j];  // shares the buffer
+        const size_t charge = CacheCharge(bkeys[j], entry->value);
+        read_cache_->Put(bkeys[j], std::move(entry), charge);
       }
-      out[u] = std::move(chain);
+      raw[fetch[j]] = std::move((*values)[j]);
     }
   }
+
+  // (2c) The needed scans, in parallel: byte tier, then Cluster::Scan.
+  HGS_RETURN_NOT_OK(RunTasks(
+      needed.size(), parallelism, stats,
+      [&](size_t k, FetchStats* local) -> Status {
+        Scan& scan = scans[needed[k]];
+        ++local->kv_requests;
+        if (scan.read->kind == kChainKind) ++local->version_scans;
+        if (read_cache_ != nullptr) {
+          auto entry = read_cache_->Get(scan.bkey);
+          if (entry.has_value()) {
+            ++local->cache_hits;
+            scan.result = std::move(*entry);
+            return Status::OK();
+          }
+          ++local->cache_misses;
+        }
+        size_t copies = 0;
+        ReadCallStats call;
+        auto pairs = cluster_->Scan(scan.read->table, scan.read->partition,
+                                    scan.prefix, &copies, &call);
+        count_call(local, pairs.ok() ? 1 : 0, copies, call);
+        auto entry = std::make_shared<ReadCacheEntry>();
+        HGS_ASSIGN_OR_RETURN(entry->pairs, std::move(pairs));
+        if (read_cache_ != nullptr) {
+          size_t charge = scan.bkey.size() + 64;
+          for (const KVPair& kv : entry->pairs) {
+            charge += kv.key.size() + kv.value.size() + 32;
+          }
+          read_cache_->Put(scan.bkey, entry, charge);
+        }
+        scan.result = std::move(entry);
+        return Status::OK();
+      }));
+
+  // (3) Decode every miss exactly once, in parallel — BinaryReader runs
+  // directly over the shared views — and (4) publish it in the decoded
+  // tier for every later consumer.
+  HGS_RETURN_NOT_OK(RunTasks(
+      misses.size(), parallelism, stats,
+      [&](size_t m, FetchStats* local) -> Status {
+        const size_t i = misses[m];
+        const Read& r = reads[i];
+        size_t charge = 0;
+        if (r.kind == kScanKind) {
+          // Rows decode (or decode-hit) at row granularity too, so point
+          // reads of the same rows reuse them.
+          auto scan = std::make_shared<DecodedScan>();
+          const uint64_t sub = meta.SubEpochFor(r.table, r.partition);
+          for (const KVPair& kv : scans[scan_of[i]].result->pairs) {
+            std::string rkey;
+            std::optional<DecodedEntry> row;
+            if (decoded_cache_ != nullptr) {
+              rkey = ReadCacheKey(r.row_kind, sub, r.table, r.partition,
+                                  kv.key);
+              row = decoded_cache_->Get(rkey);
+            }
+            if (row.has_value() && row->obj != nullptr) {
+              ++local->decode_hits;
+              ++local->micro_deltas;
+              local->bytes += kv.value.size();
+            } else {
+              HGS_ASSIGN_OR_RETURN(auto decoded,
+                                   DecodeRow(r.row_kind, kv.value, local));
+              row = DecodedEntry{std::move(decoded.first), kv.value.size()};
+              if (decoded_cache_ != nullptr) {
+                const size_t row_charge = rkey.size() + decoded.second + 64;
+                decoded_cache_->Put(rkey, *row, row_charge);
+              }
+            }
+            scan->rows.push_back(std::move(*row));
+            out[i].raw_bytes += kv.value.size();
+            // Charged at the full row-byte sum even though row-level
+            // entries carry the same objects: warm scans touch only this
+            // entry, so the row entries age out and it becomes the objects'
+            // sole in-cache owner — over- rather than under-charging.
+            charge += kv.value.size() + 32;
+          }
+          out[i].obj = std::move(scan);
+        } else if (r.kind == kChainKind) {
+          // The placement scan returns every node hashed there (virtually
+          // always just this one): keep this node's segments, which arrive
+          // in tsid order, concatenated unfiltered so every later time
+          // window shares the one cached object.
+          auto chain = std::make_shared<MergedVersionChain>();
+          for (const KVPair& kv : scans[scan_of[i]].result->pairs) {
+            if (!kv.key.starts_with(r.key)) continue;
+            ++local->decodes;
+            local->decoded_bytes += kv.value.size();
+            ++local->micro_deltas;
+            local->bytes += kv.value.size();
+            HGS_ASSIGN_OR_RETURN(
+                tgi::VersionChainSegment seg,
+                tgi::VersionChainSegment::Deserialize(kv.value));
+            ++chain->segment_count;
+            chain->raw_bytes += kv.value.size();
+            chain->entries.insert(chain->entries.end(), seg.entries.begin(),
+                                  seg.entries.end());
+          }
+          charge = 48 + chain->entries.size() * sizeof(tgi::VersionEntry);
+          out[i] = DecodedEntry{chain, chain->raw_bytes};
+        } else if (raw[i].has_value()) {
+          HGS_ASSIGN_OR_RETURN(auto decoded,
+                               DecodeRow(r.kind, raw[i]->view(), local));
+          out[i] = DecodedEntry{std::move(decoded.first), raw[i]->size()};
+          charge = decoded.second;
+        }
+        // An absent row is negatively cached: its absence is knowledge too.
+        if (decoded_cache_ != nullptr && r.kind != kMicropartKind) {
+          decoded_cache_->Put(ckeys[i], out[i], ckeys[i].size() + charge + 64);
+        }
+        return Status::OK();
+      }));
   return out;
 }
 
-Result<MicroPartitionId> TGIQueryManager::PidOf(const MetaState& meta,
-                                                NodeId id,
-                                                const tgi::TimespanMeta& span,
-                                                FetchStats* stats) {
+std::vector<std::shared_ptr<const void>> TGIQueryManager::TakeRows(
+    char kind, DecodedEntry&& e) {
+  std::vector<std::shared_ptr<const void>> rows;
+  if (kind == kScanKind) {
+    for (const DecodedEntry& row :
+         static_cast<const DecodedScan*>(e.obj.get())->rows) {
+      rows.push_back(row.obj);
+    }
+  } else if (e.obj != nullptr) {
+    rows.push_back(std::move(e.obj));
+  }
+  e.obj.reset();
+  return rows;
+}
+
+std::vector<TGIQueryManager::Read> TGIQueryManager::PlanDeltaReads(
+    const tgi::GraphMeta& graph, const tgi::TimespanMeta& span,
+    const std::vector<DeltaId>& dids,
+    const std::vector<MicroPartitionId>* pids, bool aux) {
+  const size_t ns = graph.num_horizontal_partitions;
+  const auto order = static_cast<ClusteringOrder>(graph.clustering_order);
+  // Delta-major rows of one did are contiguous, so a whole-span read is one
+  // scan per horizontal partition (Section 4.4); partition-major rows are
+  // keyed pid-first, so every (did, pid) row is its own point read.
+  std::vector<MicroPartitionId> all;
+  if (pids == nullptr && order == ClusteringOrder::kPartitionMajor) {
+    all.resize(span.num_micro_partitions);
+    std::iota(all.begin(), all.end(), MicroPartitionId{0});
+    pids = &all;
+  }
+  std::vector<Read> reads;
+  for (bool aux_pass : {false, true}) {
+    if (aux_pass && !aux) break;
+    for (DeltaId did : dids) {
+      const char kind = IsEventlist(did) ? kEventListKind : kDeltaKind;
+      if (pids == nullptr) {
+        for (size_t sid = 0; sid < ns; ++sid) {
+          reads.push_back(Read{
+              tgi::kDeltasTable,
+              tgi::DeltaPlacement(span.tsid, static_cast<PartitionId>(sid),
+                                  ns),
+              tgi::DeltaScanPrefix(did), kScanKind, kind});
+        }
+        continue;
+      }
+      for (MicroPartitionId pid : *pids) {
+        reads.push_back(
+            Read{tgi::kDeltasTable,
+                 tgi::DeltaPlacement(span.tsid, tgi::SidOf(pid, ns), ns),
+                 tgi::DeltaRowKey(order, did, pid, aux_pass), kind, kind});
+      }
+    }
+  }
+  return reads;
+}
+
+Result<TGIQueryManager::MemberEventlists>
+TGIQueryManager::FetchMemberEventlists(const MetaState& meta,
+                                       const std::vector<NodeId>& ids,
+                                       Timestamp from, Timestamp to,
+                                       FetchStats* stats) {
+  // One merged version chain per node: a warm node — hub or not — costs
+  // one decoded probe and no versions-table scan.
+  std::vector<Read> chain_reads;
+  chain_reads.reserve(ids.size());
+  for (NodeId id : ids) {
+    chain_reads.push_back(Read{tgi::kVersionsTable, tgi::NodePlacement(id),
+                               tgi::VersionScanPrefix(id), kChainKind});
+  }
+  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> chains,
+                       Execute(meta, chain_reads, stats));
+
+  // Union every in-range reference into one deduplicated eventlist batch.
+  // refs_of[u] keeps chain order, so a per-node replay applies eventlists
+  // exactly as a per-node retrieval would.
+  const size_t ns = meta.graph.num_horizontal_partitions;
+  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
+  MemberEventlists out;
+  out.refs_of.resize(ids.size());
+  std::vector<Read> reads;
+  std::unordered_map<std::string, size_t> index;  // placement \0 row key
+  uint64_t total_refs = 0;
+  for (size_t u = 0; u < ids.size(); ++u) {
+    const auto* chain =
+        static_cast<const MergedVersionChain*>(chains[u].obj.get());
+    for (const tgi::VersionEntry& e : chain->entries) {
+      if (e.last_time <= from || e.first_time > to) continue;
+      ++total_refs;
+      Read r{tgi::kDeltasTable,
+             tgi::DeltaPlacement(e.tsid, tgi::SidOf(e.pid, ns), ns),
+             tgi::DeltaRowKey(order, tgi::EventlistDid(e.eventlist_index),
+                              e.pid, false),
+             kEventListKind, kEventListKind};
+      std::string dedup;
+      dedup.reserve(8 + 1 + r.key.size());
+      AppendOrdered64(&dedup, r.partition);
+      dedup.push_back('\0');
+      dedup.append(r.key);
+      auto [it, inserted] = index.emplace(std::move(dedup), reads.size());
+      if (inserted) {
+        reads.push_back(std::move(r));
+        out.chunk_of.emplace_back(e.tsid, e.eventlist_index);
+      }
+      out.refs_of[u].push_back(it->second);
+    }
+  }
+  if (stats != nullptr) {
+    stats->eventlist_refs += total_refs;
+    stats->eventlist_fetches += reads.size();
+  }
+  // Rows already decoded come straight from the decoded tier; the rest ride
+  // one MultiGet and decode exactly once however many nodes share them.
+  HGS_ASSIGN_OR_RETURN(out.evls, Execute(meta, reads, stats));
+  return out;
+}
+
+Result<std::vector<MicroPartitionId>> TGIQueryManager::PidsOf(
+    const MetaState& meta, const std::vector<NodeId>& ids,
+    const tgi::TimespanMeta& span, FetchStats* stats) {
+  std::vector<MicroPartitionId> out(ids.size());
+  const Partitioning hash = Partitioning::Random(span.num_micro_partitions);
   if (span.strategy == static_cast<uint8_t>(PartitionStrategy::kRandom)) {
-    return Partitioning::Random(span.num_micro_partitions).Of(id);
+    for (size_t i = 0; i < ids.size(); ++i) out[i] = hash.Of(ids[i]);
+    return out;
   }
-  size_t buckets = std::max<uint32_t>(1, meta.graph.micropartition_buckets);
-  uint64_t bucket = tgi::NodePlacement(id) % buckets;
-  uint64_t cache_key = static_cast<uint64_t>(span.tsid) * buckets + bucket;
-  const uint64_t sub = meta.SubEpochFor(tgi::kMicropartsTable, cache_key);
+  auto pid_in = [&](const std::unordered_map<NodeId, MicroPartitionId>& map,
+                    NodeId id) {
+    auto it = map.find(id);
+    return it != map.end() ? it->second : hash.HashFallback(id);
+  };
+  const size_t buckets =
+      std::max<uint32_t>(1, meta.graph.micropartition_buckets);
+  std::vector<Read> reads;
+  std::vector<std::pair<size_t, size_t>> pending;  // (id index, read index)
   {
+    std::unordered_map<uint64_t, size_t> read_of;
+    uint64_t hits = 0;
     MutexLock lock(micropart_mu_);
-    auto it = micropart_cache_.find(cache_key);
-    if (it != micropart_cache_.end() && it->second.epoch == sub) {
-      // The bucket's decoded node→pid map is already in memory at this
-      // scope's sub-epoch: a decoded-tier hit with zero fetch and zero
-      // deserialization. A stale-epoch bucket (filled by an in-flight
-      // old-snapshot query) is treated as a miss and overwritten below.
-      if (stats != nullptr) ++stats->decode_hits;
-      auto hit = it->second.map.find(id);
-      if (hit != it->second.map.end()) return hit->second;
-      return Partitioning::Random(span.num_micro_partitions).HashFallback(id);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const uint64_t bucket = tgi::NodePlacement(ids[i]) % buckets;
+      const uint64_t part = static_cast<uint64_t>(span.tsid) * buckets + bucket;
+      auto it = micropart_cache_.find(part);
+      if (it != micropart_cache_.end() &&
+          it->second.epoch == meta.SubEpochFor(tgi::kMicropartsTable, part)) {
+        // The bucket's decoded node→pid map is already in memory at this
+        // scope's sub-epoch: zero fetch and zero deserialization. A stale
+        // bucket (filled by an in-flight old-snapshot query) is a miss.
+        ++hits;
+        out[i] = pid_in(it->second.map, ids[i]);
+        continue;
+      }
+      auto [r, inserted] = read_of.emplace(part, reads.size());
+      if (inserted) {
+        reads.push_back(
+            Read{tgi::kMicropartsTable, part,
+                 tgi::MicropartBucketRowKey(static_cast<uint32_t>(bucket)),
+                 kMicropartKind});
+      }
+      pending.emplace_back(i, r->second);
     }
+    if (stats != nullptr) stats->decode_hits += hits;
   }
-  std::string key = tgi::MicropartBucketRowKey(static_cast<uint32_t>(bucket));
-  HGS_ASSIGN_OR_RETURN(
-      std::optional<SharedValue> raw,
-      FetchValue(meta, tgi::kMicropartsTable, cache_key, key, stats));
-  std::unordered_map<NodeId, MicroPartitionId> map;
-  if (raw.has_value()) {
-    HGS_ASSIGN_OR_RETURN(auto entries, tgi::DeserializeMicropartBucket(*raw));
-    if (stats != nullptr) {
-      ++stats->decodes;
-      stats->decoded_bytes += raw->size();
-    }
-    map.reserve(entries.size());
-    for (const auto& [nid, pid] : entries) map[nid] = pid;
+  if (reads.empty()) return out;
+  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
+                       Execute(meta, reads, stats));
+  std::vector<MicropartBucket> fetched(reads.size());
+  for (size_t r = 0; r < reads.size(); ++r) {
+    fetched[r].epoch = meta.SubEpochFor(tgi::kMicropartsTable,
+                                        reads[r].partition);
+    if (rows[r].obj == nullptr) continue;  // no bucket row: all hashed
+    const auto& entries =
+        *static_cast<const MicropartEntries*>(rows[r].obj.get());
+    fetched[r].map.reserve(entries.size());
+    for (const auto& [nid, pid] : entries) fetched[r].map[nid] = pid;
   }
-  MicroPartitionId result;
-  auto hit = map.find(id);
-  if (hit != map.end()) {
-    result = hit->second;
-  } else {
-    result = Partitioning::Random(span.num_micro_partitions).HashFallback(id);
+  for (const auto& [i, r] : pending) out[i] = pid_in(fetched[r].map, ids[i]);
+  MutexLock lock(micropart_mu_);
+  for (size_t r = 0; r < reads.size(); ++r) {
+    micropart_cache_[reads[r].partition] = std::move(fetched[r]);
   }
-  {
-    MutexLock lock(micropart_mu_);
-    micropart_cache_[cache_key] = MicropartBucket{sub, std::move(map)};
-  }
-  return result;
+  return out;
 }
 
 Result<Delta> TGIQueryManager::GetSnapshotDelta(Timestamp t,
@@ -931,135 +855,30 @@ Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
                                                     FetchStats* stats) {
   const tgi::TimespanMeta* span = SpanFor(meta, t);
   if (span == nullptr) return Delta();  // before all history
-
-  int32_t cpi = span->CheckpointBefore(t);
-  if (cpi < 0) cpi = 0;
-  std::vector<DeltaId> path = span->PathToCheckpoint(cpi);
-  size_t evl_from = static_cast<size_t>(cpi) * span->checkpoint_interval /
-                    span->eventlist_size;
-  int32_t evl_to = span->EventlistCovering(t);
-
-  // The merge-slot sequence: tree deltas along the path, then eventlists.
-  const size_t ns = meta.graph.num_horizontal_partitions;
-  const auto order =
-      static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  std::vector<DeltaId> dids;
-  std::vector<bool> is_evl;
-  for (DeltaId did : path) {
-    dids.push_back(did);
-    is_evl.push_back(false);
-  }
-  if (evl_to >= 0) {
-    for (size_t j = evl_from; j <= static_cast<size_t>(evl_to); ++j) {
-      dids.push_back(tgi::EventlistDid(j));
-      is_evl.push_back(true);
-    }
-  }
-  const size_t nd = dids.size();
-
-  // Decoded objects per merge slot, shared with the decoded cache. There is
-  // no raw-byte staging anywhere on this path: partition-major rows decode
-  // straight out of the MultiGet values, delta-major rows straight out of
-  // the shared scan result, and a decoded-cache hit skips bytes entirely.
-  std::vector<std::vector<std::shared_ptr<const Delta>>> slot_deltas(nd);
-  std::vector<std::vector<std::shared_ptr<const EventList>>> slot_evls(nd);
-
-  if (order == ClusteringOrder::kPartitionMajor) {
-    // Every (did, pid) row rides one decode-first batched fetch.
-    std::vector<MultiGetKey> keys;
-    std::vector<char> kinds;
-    keys.reserve(nd * span->num_micro_partitions);
-    kinds.reserve(nd * span->num_micro_partitions);
-    for (size_t i = 0; i < nd; ++i) {
-      for (MicroPartitionId pid = 0; pid < span->num_micro_partitions;
-           ++pid) {
-        PartitionId sid = tgi::SidOf(pid, ns);
-        keys.push_back(
-            MultiGetKey{tgi::DeltaPlacement(span->tsid, sid, ns),
-                        tgi::DeltaRowKey(order, dids[i], pid, false)});
-        kinds.push_back(is_evl[i] ? DecodedKindOf<EventList>::kKind
-                                  : DecodedKindOf<Delta>::kKind);
-      }
-    }
-    HGS_ASSIGN_OR_RETURN(
-        std::vector<DecodedEntry> rows,
-        FetchDecodedRows(meta, tgi::kDeltasTable, keys, kinds, stats));
-    for (size_t k = 0; k < rows.size(); ++k) {
-      if (rows[k].obj == nullptr) continue;  // empty micro-partition
-      const size_t i = k / span->num_micro_partitions;
-      if (is_evl[i]) {
-        slot_evls[i].push_back(
-            std::static_pointer_cast<const EventList>(std::move(rows[k].obj)));
-      } else {
-        slot_deltas[i].push_back(
-            std::static_pointer_cast<const Delta>(std::move(rows[k].obj)));
-      }
-    }
-  } else {
-    // Delta-major: one scan-granularity decoded fetch per (did, sid) — a
-    // warm scan is a single decoded-tier probe for the whole prefix; a cold
-    // one decodes in place from the shared scan result, in parallel (the
-    // paper's query processors "process the raw deltas" in parallel; only
-    // the ordered merge below is sequential).
-    struct Unit {
-      size_t slot;
-      PartitionId sid;
-    };
-    std::vector<Unit> units;
-    units.reserve(nd * ns);
-    for (size_t i = 0; i < nd; ++i) {
-      for (size_t sid = 0; sid < ns; ++sid) {
-        units.push_back(Unit{i, static_cast<PartitionId>(sid)});
-      }
-    }
-    std::vector<Mutex> slot_mu(nd);
-    HGS_RETURN_NOT_OK(ParallelStatusFor(
-        units.size(), fetch_parallelism_, stats,
-        [&](size_t uidx, FetchStats* local) -> Status {
-          const Unit& u = units[uidx];
-          const uint64_t placement =
-              tgi::DeltaPlacement(span->tsid, u.sid, ns);
-          const char kind = is_evl[u.slot]
-                                ? DecodedKindOf<EventList>::kKind
-                                : DecodedKindOf<Delta>::kKind;
-          HGS_ASSIGN_OR_RETURN(
-              DecodedScanRef scan,
-              FetchDecodedScan(meta, tgi::kDeltasTable, placement,
-                               tgi::DeltaScanPrefix(dids[u.slot]), kind,
-                               local));
-          MutexLock lock(slot_mu[u.slot]);
-          for (const DecodedScanRow& row : scan->rows) {
-            if (!is_evl[u.slot]) {
-              slot_deltas[u.slot].push_back(
-                  std::static_pointer_cast<const Delta>(row.obj));
-            } else {
-              slot_evls[u.slot].push_back(
-                  std::static_pointer_cast<const EventList>(row.obj));
-            }
-          }
-          return Status::OK();
-        }));
-  }
-
-  // Merge: tree deltas root-to-leaf, then eventlists in order, up to t.
-  // Exclusively owned decoded objects are consumed by the move-aware
-  // Add/ApplyUpTo overloads; cache-managed ones are applied by const ref.
+  const std::vector<Read> reads =
+      PlanDeltaReads(meta.graph, *span, DidPath(*span, t), nullptr, false);
+  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
+                       Execute(meta, reads, stats));
+  // Merge: tree deltas root-to-leaf, then eventlists in order, up to t (the
+  // reads are laid out in merge-slot order). Exclusively owned decoded
+  // objects are consumed by the move-aware Add/ApplyUpTo overloads;
+  // cache-managed ones are applied by const ref.
   const bool exclusive = decoded_cache_ == nullptr;
   Delta acc;
-  for (size_t i = 0; i < nd; ++i) {
-    if (!is_evl[i]) {
-      for (auto& d : slot_deltas[i]) MergeDelta(&acc, std::move(d), exclusive);
-    } else {
-      for (auto& e : slot_evls[i]) {
-        MergeEventListUpTo(&acc, std::move(e), t, exclusive);
-      }
+  for (size_t k = 0; k < reads.size(); ++k) {
+    const bool eventlist = reads[k].row_kind == kEventListKind;
+    for (auto& obj : TakeRows(reads[k].kind, std::move(rows[k]))) {
+      MergeRow(&acc, std::move(obj), eventlist, t, exclusive);
     }
   }
   return acc;
 }
 
 Result<Graph> TGIQueryManager::GetSnapshot(Timestamp t, FetchStats* stats) {
-  HGS_ASSIGN_OR_RETURN(Delta d, GetSnapshotDelta(t, stats));
+  // Timed end to end: materializing the graph is part of the call.
+  WallTimer timer(stats);
+  HGS_ASSIGN_OR_RETURN(MetaRef meta, EnsureFresh(stats));
+  HGS_ASSIGN_OR_RETURN(Delta d, GetSnapshotDeltaWith(*meta, t, stats));
   return d.ToGraph();
 }
 
@@ -1093,72 +912,31 @@ Result<std::vector<Graph>> TGIQueryManager::GetMultipointSnapshots(
       state_cpi = span == nullptr ? -1 : span->CheckpointBefore(t);
     } else {
       // Same span, same checkpoint: replay only the eventlists covering
-      // (state_time, t].
-      int32_t evl_from = span->EventlistCovering(state_time);
-      if (evl_from < 0) evl_from = 0;
-      int32_t evl_to = span->EventlistCovering(t);
-      const size_t ns = meta.graph.num_horizontal_partitions;
-      const auto order =
-          static_cast<ClusteringOrder>(meta.graph.clustering_order);
-      // Decoded eventlists of (evl_from .. evl_to], in eventlist order —
-      // no raw staging: rows decode straight from the shared scan results
-      // or batched values, and repeats come decoded from the cache.
-      std::vector<std::shared_ptr<const EventList>> evls;
-      if (order == ClusteringOrder::kDeltaMajor) {
-        for (int32_t j = evl_from; j <= evl_to; ++j) {
-          for (size_t sid = 0; sid < ns; ++sid) {
-            const uint64_t placement = tgi::DeltaPlacement(
-                span->tsid, static_cast<PartitionId>(sid), ns);
-            auto res = FetchDecodedScan(
-                meta, tgi::kDeltasTable, placement,
-                tgi::DeltaScanPrefix(tgi::EventlistDid(static_cast<size_t>(j))),
-                DecodedKindOf<EventList>::kKind, stats);
-            if (!res.ok()) return res.status();
-            for (const DecodedScanRow& row : (*res)->rows) {
-              evls.push_back(
-                  std::static_pointer_cast<const EventList>(row.obj));
-            }
-          }
-        }
-      } else {
-        // Partition-major rows are keyed pid-first: batch the per-pid
-        // eventlist rows of the range into one decode-first fetch.
-        std::vector<MultiGetKey> keys;
-        keys.reserve(static_cast<size_t>(evl_to - evl_from + 1) *
-                     span->num_micro_partitions);
-        for (int32_t j = evl_from; j <= evl_to; ++j) {
-          for (MicroPartitionId pid = 0; pid < span->num_micro_partitions;
-               ++pid) {
-            PartitionId sid = tgi::SidOf(pid, ns);
-            keys.push_back(MultiGetKey{
-                tgi::DeltaPlacement(span->tsid, sid, ns),
-                tgi::DeltaRowKey(order,
-                                 tgi::EventlistDid(static_cast<size_t>(j)),
-                                 pid, false)});
-          }
-        }
-        HGS_ASSIGN_OR_RETURN(
-            std::vector<std::shared_ptr<const EventList>> fetched,
-            FetchDecodedValues<EventList>(meta, tgi::kDeltasTable, keys,
-                                          stats));
-        evls.reserve(fetched.size());
-        for (auto& evl : fetched) {
-          if (evl != nullptr) evls.push_back(std::move(evl));
-        }
+      // (state_time, t], decoded in eventlist order.
+      std::vector<DeltaId> dids;
+      for (int32_t j = std::max(span->EventlistCovering(state_time), 0);
+           j <= span->EventlistCovering(t); ++j) {
+        dids.push_back(tgi::EventlistDid(static_cast<size_t>(j)));
       }
+      const std::vector<Read> reads =
+          PlanDeltaReads(meta.graph, *span, dids, nullptr, false);
+      HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
+                           Execute(meta, reads, stats));
       const bool exclusive = decoded_cache_ == nullptr;
-      for (auto& evl : evls) {
-        // Skip events already applied, stop at t. Each eventlist's window
-        // is applied as one batched per-key pass; exclusively owned decoded
-        // lists donate their payloads (see MergeDelta for why cache-managed
-        // objects are applied by const reference).
-        if (exclusive && evl.use_count() == 1) {
-          state.ApplyEvents(std::move(const_cast<EventList&>(*evl)),
-                            state_time, t);
-        } else {
-          state.ApplyEvents(*evl, state_time, t);
+      for (size_t k = 0; k < reads.size(); ++k) {
+        for (auto& obj : TakeRows(reads[k].kind, std::move(rows[k]))) {
+          // Skip events already applied, stop at t. Each eventlist's window
+          // is applied as one batched per-key pass; exclusively owned
+          // decoded lists donate their payloads (see MergeDelta for why
+          // cache-managed objects are applied by const reference).
+          auto evl = std::static_pointer_cast<const EventList>(std::move(obj));
+          if (exclusive && evl.use_count() == 1) {
+            state.ApplyEvents(std::move(const_cast<EventList&>(*evl)),
+                              state_time, t);
+          } else {
+            state.ApplyEvents(*evl, state_time, t);
+          }
         }
-        evl.reset();
       }
     }
     state_time = t;
@@ -1192,178 +970,30 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
     FetchStats* stats) {
   std::vector<Delta> out(pids.size());
   if (pids.empty()) return out;
-
-  int32_t cpi = span.CheckpointBefore(t);
-  if (cpi < 0) cpi = 0;
-  std::vector<DeltaId> path = span.PathToCheckpoint(cpi);
-  size_t evl_from = static_cast<size_t>(cpi) * span.checkpoint_interval /
-                    span.eventlist_size;
-  int32_t evl_to = span.EventlistCovering(t);
-
-  const size_t ns = meta.graph.num_horizontal_partitions;
-  const auto order =
-      static_cast<ClusteringOrder>(meta.graph.clustering_order);
-
-  // The did sequence is shared by every requested micro-partition.
-  std::vector<DeltaId> dids;
-  std::vector<bool> is_evl;
-  for (DeltaId did : path) {
-    dids.push_back(did);
-    is_evl.push_back(false);
-  }
-  if (evl_to >= 0) {
-    for (size_t j = evl_from; j <= static_cast<size_t>(evl_to); ++j) {
-      dids.push_back(tgi::EventlistDid(j));
-      is_evl.push_back(true);
-    }
-  }
-  const size_t nd = dids.size();
-  auto kind_of = [&](size_t i) {
-    return is_evl[i] ? DecodedKindOf<EventList>::kKind
-                     : DecodedKindOf<Delta>::kKind;
-  };
-
-  // Decoded values per (pid, did): regular row + optional aux replication
-  // row, flattened as p * nd + i. Shared with the decoded cache; the
-  // per-pid merge below never sees raw bytes.
-  std::vector<std::shared_ptr<const void>> regular(pids.size() * nd);
-  std::vector<std::shared_ptr<const void>> aux(pids.size() * nd);
-
-  if (order == ClusteringOrder::kPartitionMajor) {
-    // One contiguous scan per micro-partition yields every did it has;
-    // filter to the ones we need (Section 4.4's entity-centric clustering
-    // payoff). The scans run as parallel cached requests, and each row
-    // decodes in place from the shared scan result.
-    std::unordered_map<DeltaId, size_t> want;
-    for (size_t i = 0; i < nd; ++i) want[dids[i]] = i;
-    HGS_RETURN_NOT_OK(ParallelStatusFor(
-        pids.size(), fetch_parallelism_, stats,
-        [&](size_t p, FetchStats* local) -> Status {
-          const MicroPartitionId pid = pids[p];
-          const uint64_t placement =
-              tgi::DeltaPlacement(span.tsid, tgi::SidOf(pid, ns), ns);
-          HGS_ASSIGN_OR_RETURN(
-              std::shared_ptr<const ReadCacheEntry> res,
-              CachedScan(meta, tgi::kDeltasTable, placement,
-                         tgi::PartitionScanPrefix(pid), local));
-          for (const KVPair& kv : res->pairs) {
-            DeltaId did;
-            MicroPartitionId parsed_pid;
-            bool is_aux;
-            if (!tgi::ParseDeltaRowKey(order, kv.key, &did, &parsed_pid,
-                                       &is_aux)) {
-              continue;
-            }
-            if (is_aux) continue;  // aux rows are fetched separately below
-            auto it = want.find(did);
-            if (it == want.end()) continue;
-            const size_t i = it->second;
-            if (!is_evl[i]) {
-              HGS_ASSIGN_OR_RETURN(
-                  std::shared_ptr<const Delta> d,
-                  DecodeShared<Delta>(meta, tgi::kDeltasTable, placement,
-                                      kv.key, kv.value, local));
-              regular[p * nd + i] = std::move(d);
-            } else {
-              HGS_ASSIGN_OR_RETURN(
-                  std::shared_ptr<const EventList> e,
-                  DecodeShared<EventList>(meta, tgi::kDeltasTable, placement,
-                                          kv.key, kv.value, local));
-              regular[p * nd + i] = std::move(e);
-            }
-          }
-          return Status::OK();
-        }));
-    if (include_aux) {
-      std::vector<MultiGetKey> keys;
-      std::vector<char> kinds;
-      keys.reserve(pids.size() * nd);
-      kinds.reserve(pids.size() * nd);
-      for (size_t p = 0; p < pids.size(); ++p) {
-        const uint64_t placement =
-            tgi::DeltaPlacement(span.tsid, tgi::SidOf(pids[p], ns), ns);
-        for (size_t i = 0; i < nd; ++i) {
-          keys.push_back(MultiGetKey{
-              placement, tgi::DeltaRowKey(order, dids[i], pids[p], true)});
-          kinds.push_back(kind_of(i));
-        }
-      }
-      HGS_ASSIGN_OR_RETURN(
-          std::vector<DecodedEntry> rows,
-          FetchDecodedRows(meta, tgi::kDeltasTable, keys, kinds, stats));
-      for (size_t k = 0; k < rows.size(); ++k) aux[k] = std::move(rows[k].obj);
-    }
-  } else {
-    // Delta-major order: every (pid, did) pair is an independent point
-    // read — exactly the shape the decode-first batch serves best. One
-    // request covers the regular and aux rows of all requested
-    // micro-partitions; decoded hits never touch the byte tier.
-    std::vector<MultiGetKey> keys;
-    std::vector<char> kinds;
-    keys.reserve(pids.size() * nd * (include_aux ? 2 : 1));
-    kinds.reserve(keys.capacity());
-    // Regular rows for every (pid, did), then — when replication is on —
-    // the aux rows in the same order, so the flattened offsets line up.
-    for (bool aux_pass : {false, true}) {
-      if (aux_pass && !include_aux) break;
-      for (size_t p = 0; p < pids.size(); ++p) {
-        const uint64_t placement =
-            tgi::DeltaPlacement(span.tsid, tgi::SidOf(pids[p], ns), ns);
-        for (size_t i = 0; i < nd; ++i) {
-          keys.push_back(MultiGetKey{
-              placement, tgi::DeltaRowKey(order, dids[i], pids[p], aux_pass)});
-          kinds.push_back(kind_of(i));
-        }
-      }
-    }
-    HGS_ASSIGN_OR_RETURN(
-        std::vector<DecodedEntry> rows,
-        FetchDecodedRows(meta, tgi::kDeltasTable, keys, kinds, stats));
-    for (size_t k = 0; k < pids.size() * nd; ++k) {
-      regular[k] = std::move(rows[k].obj);
-    }
-    if (include_aux) {
-      for (size_t k = 0; k < pids.size() * nd; ++k) {
-        aux[k] = std::move(rows[pids.size() * nd + k].obj);
-      }
-    }
-  }
+  // Every (did, pid) row — and its aux twin — is an independent point
+  // read: one batch covers all requested micro-partitions.
+  const std::vector<DeltaId> dids = DidPath(span, t);
+  HGS_ASSIGN_OR_RETURN(
+      std::vector<DecodedEntry> rows,
+      Execute(meta, PlanDeltaReads(meta.graph, span, dids, &pids, include_aux),
+              stats));
 
   // Merge per pid: tree deltas root-to-leaf, then eventlist replay to t.
-  // All values are already decoded; exclusively owned ones are consumed.
+  // Rows sit at [aux pass][did][pid]; exclusively owned ones are consumed.
+  const size_t np = pids.size();
+  const size_t nd = dids.size();
   const bool exclusive = decoded_cache_ == nullptr;
-  ParallelFor(pids.size(), fetch_parallelism_, [&](size_t p) {
+  ParallelFor(np, fetch_parallelism(), [&](size_t p) {
     Delta acc;
-    auto merge_one = [&](std::shared_ptr<const void>&& obj, bool eventlist) {
-      if (obj == nullptr) return;
-      if (!eventlist) {
-        MergeDelta(&acc,
-                   std::static_pointer_cast<const Delta>(std::move(obj)),
-                   exclusive);
-      } else {
-        MergeEventListUpTo(
-            &acc, std::static_pointer_cast<const EventList>(std::move(obj)),
-            t, exclusive);
-      }
-    };
     for (size_t i = 0; i < nd; ++i) {
-      merge_one(std::move(regular[p * nd + i]), is_evl[i]);
-      merge_one(std::move(aux[p * nd + i]), is_evl[i]);
+      for (size_t pass = 0; pass < (include_aux ? 2u : 1u); ++pass) {
+        MergeRow(&acc, std::move(rows[(pass * nd + i) * np + p].obj),
+                 IsEventlist(dids[i]), t, exclusive);
+      }
     }
     out[p] = std::move(acc);
   });
   return out;
-}
-
-Result<Delta> TGIQueryManager::FetchMicroStateAt(const MetaState& meta,
-                                                 const tgi::TimespanMeta& span,
-                                                 MicroPartitionId pid,
-                                                 Timestamp t, bool include_aux,
-                                                 FetchStats* stats) {
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<Delta> states,
-      FetchMicroStatesAt(meta, span, {pid}, t, include_aux, stats));
-  return std::move(states[0]);
 }
 
 Result<Delta> TGIQueryManager::GetNodeStateDelta(NodeId id, Timestamp t,
@@ -1378,10 +1008,11 @@ Result<Delta> TGIQueryManager::GetNodeStateDeltaWith(const MetaState& meta,
                                                      FetchStats* stats) {
   const tgi::TimespanMeta* span = SpanFor(meta, t);
   if (span == nullptr) return Delta();
-  HGS_ASSIGN_OR_RETURN(MicroPartitionId pid, PidOf(meta, id, *span, stats));
-  HGS_ASSIGN_OR_RETURN(Delta micro,
-                       FetchMicroStateAt(meta, *span, pid, t, false, stats));
-  return micro.FilterById(id);
+  HGS_ASSIGN_OR_RETURN(std::vector<MicroPartitionId> pid,
+                       PidsOf(meta, {id}, *span, stats));
+  HGS_ASSIGN_OR_RETURN(std::vector<Delta> micro,
+                       FetchMicroStatesAt(meta, *span, pid, t, false, stats));
+  return micro[0].FilterById(id);
 }
 
 Result<NodeHistory> TGIQueryManager::GetNodeHistory(NodeId id, Timestamp from,
@@ -1434,109 +1065,52 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
   std::vector<Delta> initials(uniq.size());
   const tgi::TimespanMeta* span0 = SpanFor(meta, from);
   if (span0 != nullptr) {
-    // Placement lookups overlap across the fetch clients: a cold
-    // Micropartitions bucket costs a round trip, and distinct ids can hit
-    // distinct buckets (repeats are served by the micropart cache).
-    std::vector<MicroPartitionId> pid_of_uniq(uniq.size());
-    HGS_RETURN_NOT_OK(ParallelStatusFor(
-        uniq.size(), fetch_parallelism_, stats,
-        [&](size_t u, FetchStats* local) -> Status {
-          HGS_ASSIGN_OR_RETURN(pid_of_uniq[u],
-                               PidOf(meta, uniq[u], *span0, local));
-          return Status::OK();
-        }));
+    HGS_ASSIGN_OR_RETURN(std::vector<MicroPartitionId> pid_of_uniq,
+                         PidsOf(meta, uniq, *span0, stats));
     std::vector<MicroPartitionId> pids = pid_of_uniq;
     std::sort(pids.begin(), pids.end());
     pids.erase(std::unique(pids.begin(), pids.end()), pids.end());
     HGS_ASSIGN_OR_RETURN(
         std::vector<Delta> states,
         FetchMicroStatesAt(meta, *span0, pids, from, false, stats));
-    std::unordered_map<MicroPartitionId, size_t> state_of;
-    state_of.reserve(pids.size());
-    for (size_t p = 0; p < pids.size(); ++p) state_of[pids[p]] = p;
     for (size_t u = 0; u < uniq.size(); ++u) {
-      initials[u] = states[state_of[pid_of_uniq[u]]].FilterById(uniq[u]);
+      auto p = std::lower_bound(pids.begin(), pids.end(), pid_of_uniq[u]);
+      initials[u] = states[p - pids.begin()].FilterById(uniq[u]);
     }
   }
 
-  // ---- Version chains: one merged decoded chain per node (hub nodes with
-  // many segments cost one decoded entry, not one per segment). Warm nodes
-  // skip the versions-table scans entirely; cold ones share one partition
-  // scan per touched placement, run as parallel cached requests.
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<std::shared_ptr<const MergedVersionChain>> chains,
-      FetchVersionChains(meta, uniq, stats));
-
-  // ---- Union all version-chain references into one deduplicated eventlist
-  // batch. refs_of[u] holds indices into `keys` in chain order, so the
-  // per-node replay below applies eventlists exactly as the per-node path
-  // would.
-  const size_t ns = meta.graph.num_horizontal_partitions;
-  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  std::vector<MultiGetKey> keys;
-  std::unordered_map<std::string, size_t> key_index;  // placement \0 row key
-  std::vector<std::vector<size_t>> refs_of(uniq.size());
-  uint64_t total_refs = 0;
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    for (const tgi::VersionEntry& e : chains[u]->entries) {
-      if (e.last_time <= from || e.first_time > to) continue;
-      ++total_refs;
-      PartitionId sid = tgi::SidOf(e.pid, ns);
-      MultiGetKey key{
-          tgi::DeltaPlacement(e.tsid, sid, ns),
-          tgi::DeltaRowKey(order, tgi::EventlistDid(e.eventlist_index),
-                           e.pid, false)};
-      std::string dedup;
-      dedup.reserve(8 + 1 + key.key.size());
-      AppendOrdered64(&dedup, key.partition);
-      dedup.push_back('\0');
-      dedup.append(key.key);
-      auto [it, inserted] = key_index.emplace(std::move(dedup), keys.size());
-      if (inserted) keys.push_back(std::move(key));
-      refs_of[u].push_back(it->second);
-    }
-  }
-  if (stats != nullptr) {
-    stats->eventlist_refs += total_refs;
-    stats->eventlist_fetches += keys.size();
-  }
-
-  // One decode-first batched fetch for every referenced eventlist: rows
-  // already decoded (this query or a previous one) come straight from the
-  // decoded cache; the rest ride one MultiGet and decode exactly once
-  // however many nodes share them.
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<std::shared_ptr<const EventList>> evls,
-      FetchDecodedValues<EventList>(meta, tgi::kDeltasTable, keys, stats));
+  // ---- Every referenced eventlist, fetched once however many of the
+  // requested nodes share it.
+  HGS_ASSIGN_OR_RETURN(MemberEventlists batch,
+                       FetchMemberEventlists(meta, uniq, from, to, stats));
+  const size_t nk = batch.evls.size();
 
   // ---- Demultiplex. Each decoded eventlist is scanned once — not once per
   // referencing node — bucketing its in-range events by requested member
   // (members_of[k]); each node then drains its buckets in chain order, so
   // per-node event order matches the per-node path exactly.
-  std::vector<std::unordered_map<NodeId, size_t>> members_of(keys.size());
+  std::vector<std::unordered_map<NodeId, size_t>> members_of(nk);
   for (size_t u = 0; u < uniq.size(); ++u) {
-    for (size_t k : refs_of[u]) members_of[k].emplace(uniq[u], u);
+    for (size_t k : batch.refs_of[u]) members_of[k].emplace(uniq[u], u);
   }
   // buckets[k]: per referencing member, pointers to its events in order.
   std::vector<std::unordered_map<size_t, std::vector<const Event*>>> buckets(
-      keys.size());
-  HGS_RETURN_NOT_OK(ParallelStatusFor(
-      keys.size(), fetch_parallelism_, /*stats=*/nullptr,
-      [&](size_t k, FetchStats*) -> Status {
-        if (evls[k] == nullptr) return Status::OK();
-        auto& bucket = buckets[k];
-        const auto& members = members_of[k];
-        for (const Event& e : evls[k]->events()) {
-          if (e.time <= from || e.time > to) continue;
-          auto it = members.find(e.u);
-          if (it != members.end()) bucket[it->second].push_back(&e);
-          if (e.IsEdgeEvent() && e.v != e.u) {
-            it = members.find(e.v);
-            if (it != members.end()) bucket[it->second].push_back(&e);
-          }
-        }
-        return Status::OK();
-      }));
+      nk);
+  ParallelFor(nk, fetch_parallelism(), [&](size_t k) {
+    const auto* evl = static_cast<const EventList*>(batch.evls[k].obj.get());
+    if (evl == nullptr) return;
+    auto& bucket = buckets[k];
+    const auto& members = members_of[k];
+    for (const Event& e : evl->events()) {
+      if (e.time <= from || e.time > to) continue;
+      auto it = members.find(e.u);
+      if (it != members.end()) bucket[it->second].push_back(&e);
+      if (e.IsEdgeEvent() && e.v != e.u) {
+        it = members.find(e.v);
+        if (it != members.end()) bucket[it->second].push_back(&e);
+      }
+    }
+  });
 
   std::vector<NodeHistory> hist_of(uniq.size());
   for (size_t u = 0; u < uniq.size(); ++u) {
@@ -1546,7 +1120,7 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
     history.to = to;
     history.initial = std::move(initials[u]);
     history.events.SetScope(from, to);
-    for (size_t k : refs_of[u]) {
+    for (size_t k : batch.refs_of[u]) {
       auto it = buckets[k].find(u);
       if (it == buckets[k].end()) continue;
       for (const Event* e : it->second) history.events.Append(*e);
@@ -1578,67 +1152,29 @@ Result<std::vector<Event>> TGIQueryManager::GetMergedMemberEvents(
   uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
   std::unordered_set<NodeId> members(uniq.begin(), uniq.end());
 
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<std::shared_ptr<const MergedVersionChain>> chains,
-      FetchVersionChains(meta, uniq, stats));
-
-  // Union every in-range version-chain reference into one deduplicated
-  // eventlist batch, remembering which (timespan, eventlist index) chunk
-  // each row carries. Rows of one chunk differ only in micro-partition;
-  // together they cover the chunk's member-touching events, with internal
-  // edge events duplicated across the endpoint partitions' rows.
-  const size_t ns = meta.graph.num_horizontal_partitions;
-  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  std::vector<MultiGetKey> keys;
-  std::unordered_map<std::string, size_t> key_index;  // placement \0 row key
-  std::vector<std::pair<TimespanId, uint32_t>> chunk_of;
-  uint64_t total_refs = 0;
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    for (const tgi::VersionEntry& e : chains[u]->entries) {
-      if (e.last_time <= from || e.first_time > to) continue;
-      ++total_refs;
-      PartitionId sid = tgi::SidOf(e.pid, ns);
-      MultiGetKey key{
-          tgi::DeltaPlacement(e.tsid, sid, ns),
-          tgi::DeltaRowKey(order, tgi::EventlistDid(e.eventlist_index),
-                           e.pid, false)};
-      std::string dedup;
-      dedup.reserve(8 + 1 + key.key.size());
-      AppendOrdered64(&dedup, key.partition);
-      dedup.push_back('\0');
-      dedup.append(key.key);
-      auto [it, inserted] = key_index.emplace(std::move(dedup), keys.size());
-      if (inserted) {
-        keys.push_back(std::move(key));
-        chunk_of.emplace_back(e.tsid, e.eventlist_index);
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->eventlist_refs += total_refs;
-    stats->eventlist_fetches += keys.size();
-  }
-
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<std::shared_ptr<const EventList>> evls,
-      FetchDecodedValues<EventList>(meta, tgi::kDeltasTable, keys, stats));
+  // Rows of one (timespan, eventlist index) chunk differ only in
+  // micro-partition; together they cover the chunk's member-touching
+  // events, with internal edge events duplicated across the endpoint
+  // partitions' rows.
+  HGS_ASSIGN_OR_RETURN(MemberEventlists batch,
+                       FetchMemberEventlists(meta, uniq, from, to, stats));
+  const auto& chunk_of = batch.chunk_of;
+  const size_t nk = batch.evls.size();
 
   // Scan each row once, keeping in-range events that touch any member. An
   // event touching two members through one row is still appended once.
-  std::vector<std::vector<const Event*>> picked(keys.size());
-  HGS_RETURN_NOT_OK(ParallelStatusFor(
-      keys.size(), fetch_parallelism_, /*stats=*/nullptr,
-      [&](size_t k, FetchStats*) -> Status {
-        if (evls[k] == nullptr) return Status::OK();
-        for (const Event& e : evls[k]->events()) {
-          if (e.time <= from || e.time > to) continue;
-          if (members.contains(e.u) ||
-              (e.IsEdgeEvent() && members.contains(e.v))) {
-            picked[k].push_back(&e);
-          }
-        }
-        return Status::OK();
-      }));
+  std::vector<std::vector<const Event*>> picked(nk);
+  ParallelFor(nk, fetch_parallelism(), [&](size_t k) {
+    const auto* evl = static_cast<const EventList*>(batch.evls[k].obj.get());
+    if (evl == nullptr) return;
+    for (const Event& e : evl->events()) {
+      if (e.time <= from || e.time > to) continue;
+      if (members.contains(e.u) ||
+          (e.IsEdgeEvent() && members.contains(e.v))) {
+        picked[k].push_back(&e);
+      }
+    }
+  });
 
   // Merge by chunk: eventlist chunks are consecutive slices of the
   // chronological ingest stream, so concatenating them in (timespan,
@@ -1646,7 +1182,7 @@ Result<std::vector<Event>> TGIQueryManager::GetMergedMemberEvents(
   // a sort needed — to make cross-row duplicates adjacent for unique —
   // and a chunk is at most eventlist_size events, so the global
   // sort-the-union pass this replaces never happens.
-  std::vector<size_t> ks(keys.size());
+  std::vector<size_t> ks(nk);
   for (size_t k = 0; k < ks.size(); ++k) ks[k] = k;
   std::sort(ks.begin(), ks.end(), [&](size_t a, size_t b) {
     return chunk_of[a] < chunk_of[b];
@@ -1705,8 +1241,11 @@ Result<std::vector<Event>> TGIQueryManager::GetMergedMemberEvents(
 Result<std::vector<std::pair<Timestamp, Delta>>>
 TGIQueryManager::GetNodeVersions(NodeId id, Timestamp from, Timestamp to,
                                  FetchStats* stats) {
+  // Timed end to end: the replay into versions is part of the call.
+  WallTimer timer(stats);
+  HGS_ASSIGN_OR_RETURN(MetaRef meta, EnsureFresh(stats));
   HGS_ASSIGN_OR_RETURN(NodeHistory history,
-                       GetNodeHistory(id, from, to, stats));
+                       GetNodeHistoryWith(*meta, id, from, to, stats));
   return history.Materialize();
 }
 
@@ -1719,13 +1258,14 @@ Result<Graph> TGIQueryManager::GetKHopNeighborhood(NodeId id, Timestamp t,
   if (span == nullptr) return Graph();
   const bool replicated = meta.graph.replicate_one_hop;
 
-  HGS_ASSIGN_OR_RETURN(MicroPartitionId center_pid,
-                       PidOf(meta, id, *span, stats));
+  HGS_ASSIGN_OR_RETURN(std::vector<MicroPartitionId> center,
+                       PidsOf(meta, {id}, *span, stats));
   HGS_ASSIGN_OR_RETURN(
-      Delta acc,
-      FetchMicroStateAt(meta, *span, center_pid, t, replicated, stats));
+      std::vector<Delta> center_state,
+      FetchMicroStatesAt(meta, *span, center, t, replicated, stats));
+  Delta acc = std::move(center_state[0]);
 
-  std::unordered_set<MicroPartitionId> fetched_pids{center_pid};
+  std::unordered_set<MicroPartitionId> fetched_pids{center[0]};
   std::unordered_set<NodeId> visited{id};
   std::vector<NodeId> frontier{id};
 
@@ -1751,12 +1291,17 @@ Result<Graph> TGIQueryManager::GetKHopNeighborhood(NodeId id, Timestamp t,
     // Records for the new ring. On the last hop, nodes whose records are
     // already known — via their own partition or via aux replication rows —
     // need no further fetches (the paper's early termination).
-    std::vector<MicroPartitionId> missing;
+    std::vector<NodeId> unknown;
     for (NodeId n : next) {
       const auto* rec = acc.FindNode(n);
-      bool have_record = rec != nullptr && rec->has_value();
-      if (last_hop && have_record) continue;
-      HGS_ASSIGN_OR_RETURN(MicroPartitionId pid, PidOf(meta, n, *span, stats));
+      if (!(last_hop && rec != nullptr && rec->has_value())) {
+        unknown.push_back(n);
+      }
+    }
+    HGS_ASSIGN_OR_RETURN(std::vector<MicroPartitionId> unknown_pids,
+                         PidsOf(meta, unknown, *span, stats));
+    std::vector<MicroPartitionId> missing;
+    for (MicroPartitionId pid : unknown_pids) {
       if (!fetched_pids.contains(pid)) missing.push_back(pid);
     }
     std::sort(missing.begin(), missing.end());
@@ -1795,87 +1340,34 @@ Result<std::vector<Event>> TGIQueryManager::GetEventsInRange(
   WallTimer timer(stats);
   HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
   const MetaState& meta = *meta_ref;
-  const size_t ns = meta.graph.num_horizontal_partitions;
 
-  // Collect the (tsid, eventlist, sid) scan units overlapping the range.
-  struct Unit {
-    TimespanId tsid;
-    size_t eventlist_index;
-    PartitionId sid;
-  };
-  std::vector<Unit> units;
+  // Every eventlist overlapping the range, across all spans, as one batch.
+  std::vector<Read> reads;
   for (const auto& span : meta.spans) {
     if (span.end <= from || span.start > to) continue;
+    std::vector<DeltaId> dids;
     for (size_t j = 0; j < span.eventlist_bounds.size(); ++j) {
       const auto& [first, last] = span.eventlist_bounds[j];
-      if (last <= from || first > to) continue;
-      for (size_t sid = 0; sid < ns; ++sid) {
-        units.push_back(Unit{span.tsid, j, static_cast<PartitionId>(sid)});
-      }
+      if (last > from && first <= to) dids.push_back(tgi::EventlistDid(j));
+    }
+    for (Read& r : PlanDeltaReads(meta.graph, span, dids, nullptr, false)) {
+      reads.push_back(std::move(r));
     }
   }
-
-  const auto order =
-      static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  std::vector<std::vector<Event>> per_unit(units.size());
-
-  // In delta-major order each unit is one contiguous scan; in
-  // partition-major order every (unit, pid) row is an independent point
-  // read, so the whole range goes out as one decode-first batched fetch.
-  std::vector<std::shared_ptr<const EventList>> unit_evls;
-  std::vector<std::pair<size_t, size_t>> unit_ranges;  // [begin, end) per unit
-  if (order == ClusteringOrder::kPartitionMajor) {
-    std::vector<MultiGetKey> keys;
-    unit_ranges.reserve(units.size());
-    for (const Unit& u : units) {
-      size_t begin = keys.size();
-      const auto& span = meta.spans[u.tsid];
-      for (MicroPartitionId pid = u.sid; pid < span.num_micro_partitions;
-           pid += ns) {
-        keys.push_back(MultiGetKey{
-            tgi::DeltaPlacement(u.tsid, u.sid, ns),
-            tgi::DeltaRowKey(order, tgi::EventlistDid(u.eventlist_index), pid,
-                             false)});
+  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
+                       Execute(meta, reads, stats));
+  std::vector<std::vector<Event>> per_read(reads.size());
+  ParallelFor(reads.size(), fetch_parallelism(), [&](size_t k) {
+    for (const auto& obj : TakeRows(reads[k].kind, std::move(rows[k]))) {
+      const auto* evl = static_cast<const EventList*>(obj.get());
+      for (const Event& e : evl->events()) {
+        if (e.time > from && e.time <= to) per_read[k].push_back(e);
       }
-      unit_ranges.emplace_back(begin, keys.size());
     }
-    HGS_ASSIGN_OR_RETURN(
-        unit_evls,
-        FetchDecodedValues<EventList>(meta, tgi::kDeltasTable, keys, stats));
-  }
-
-  HGS_RETURN_NOT_OK(ParallelStatusFor(
-      units.size(), fetch_parallelism_, stats,
-      [&](size_t i, FetchStats* local) -> Status {
-        const Unit& u = units[i];
-        std::vector<Event>& out = per_unit[i];
-        auto collect = [&](const EventList& evl) {
-          for (const Event& e : evl.events()) {
-            if (e.time > from && e.time <= to) out.push_back(e);
-          }
-        };
-        if (order == ClusteringOrder::kDeltaMajor) {
-          const uint64_t placement = tgi::DeltaPlacement(u.tsid, u.sid, ns);
-          HGS_ASSIGN_OR_RETURN(
-              DecodedScanRef res,
-              FetchDecodedScan(meta, tgi::kDeltasTable, placement,
-                               tgi::DeltaScanPrefix(tgi::EventlistDid(
-                                   u.eventlist_index)),
-                               DecodedKindOf<EventList>::kKind, local));
-          for (const DecodedScanRow& row : res->rows) {
-            collect(*std::static_pointer_cast<const EventList>(row.obj));
-          }
-        } else {
-          const auto& [begin, end] = unit_ranges[i];
-          for (size_t k = begin; k < end; ++k) {
-            if (unit_evls[k] != nullptr) collect(*unit_evls[k]);
-          }
-        }
-        return Status::OK();
-      }));
+  });
 
   std::vector<Event> merged;
-  for (auto& part : per_unit) {
+  for (auto& part : per_read) {
     merged.insert(merged.end(), part.begin(), part.end());
   }
   std::sort(merged.begin(), merged.end(),
@@ -1894,11 +1386,8 @@ Result<OneHopHistory> TGIQueryManager::GetOneHopHistory(NodeId id,
   HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
   const MetaState& meta = *meta_ref;
   OneHopHistory out;
-  {
-    auto center = GetNodeHistoryWith(meta, id, from, to, stats);
-    if (!center.ok()) return center.status();
-    out.center = std::move(*center);
-  }
+  HGS_ASSIGN_OR_RETURN(out.center,
+                       GetNodeHistoryWith(meta, id, from, to, stats));
 
   // Neighbor activity intervals: initial edges are active from `from`; edge
   // events extend / bound them (Algorithm 5's UpdateNeighborInfo).
@@ -1929,23 +1418,15 @@ Result<OneHopHistory> TGIQueryManager::GetOneHopHistory(NodeId id,
       active.begin(), active.end());
   std::sort(nbrs.begin(), nbrs.end());
   out.neighbors.resize(nbrs.size());
-  std::atomic<bool> failed{false};
-  Status first_error;
-  Mutex mu;
-  ParallelFor(nbrs.size(), fetch_parallelism_, [&](size_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    FetchStats local;
-    auto res = GetNodeHistoryWith(meta, nbrs[i].first, nbrs[i].second.first,
-                                  nbrs[i].second.second, &local);
-    MutexLock lock(mu);
-    if (stats != nullptr) stats->Merge(local);
-    if (!res.ok()) {
-      if (!failed.exchange(true)) first_error = res.status();
-      return;
-    }
-    out.neighbors[i] = std::move(*res);
-  });
-  if (failed.load()) return first_error;
+  HGS_RETURN_NOT_OK(RunTasks(
+      nbrs.size(), fetch_parallelism(), stats,
+      [&](size_t i, FetchStats* local) -> Status {
+        const auto& [nbr, window] = nbrs[i];
+        HGS_ASSIGN_OR_RETURN(
+            out.neighbors[i],
+            GetNodeHistoryWith(meta, nbr, window.first, window.second, local));
+        return Status::OK();
+      }));
   return out;
 }
 

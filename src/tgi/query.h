@@ -16,13 +16,13 @@
 // node), and batches the initial-state fetches per micro-partition. Its
 // cost is therefore bounded by partitions touched, not nodes requested.
 //
-// All fetches are decomposed into independent micro-delta reads. Point
-// reads are batched per query through Cluster::MultiGet (one node round
-// trip per storage node instead of one per key); partition scans run on
-// `fetch_parallelism` concurrent clients (the paper's c). Both kinds of
-// read pass through a sharded LRU partition-delta cache, so overlapping
-// retrievals skip the simulated fetch round trips entirely. The cache is
-// invalidated when index metadata is re-published (AppendBatch).
+// Every retrieval plans its fetches as one batch of independent micro-delta
+// reads and hands it to a single executor: decoded-tier probe, then the
+// byte tier and one grouped Cluster::MultiGet for point reads (one round
+// trip per storage node instead of one per key) and parallel partition
+// scans, then parallel decode on `fetch_parallelism` workers (the paper's
+// c), then cache insert. A re-publish (AppendBatch) sweeps only the cache
+// entries of the (table, partition) scopes it wrote.
 
 #ifndef HGS_TGI_QUERY_H_
 #define HGS_TGI_QUERY_H_
@@ -132,6 +132,10 @@ struct FetchStats {
     wall_seconds += o.wall_seconds;
   }
 };
+// Merge is the only place per-task stats fold together: a counter added
+// without a line there would silently drop, so adding one must fail here.
+static_assert(sizeof(FetchStats) == 22 * sizeof(uint64_t) + sizeof(double),
+              "FetchStats changed: add the new field to Merge, then here");
 
 /// A node's evolution over (from, to]: its state at `from` plus every event
 /// touching it afterwards. This is also the wire format TAF's NodeT wraps.
@@ -213,10 +217,11 @@ class TGIQueryManager {
   /// version chains, one deduplicated eventlist batch, each row scanned
   /// once), but instead of demultiplexing per node it merges by eventlist:
   /// rows are grouped by (timespan, eventlist index) — a chunk of the
-  /// original chronological stream — so only each group needs a local
-  /// sort + unique (duplicates of an internal edge event all live in the
-  /// same chunk), and the groups concatenate in chunk order. No global
-  /// sort over the union, and no initial-state fetches.
+  /// original chronological stream — and each chunk's rows, already
+  /// chronological, are combined by a k-way merge on time; only runs of
+  /// equal timestamps sort and deduplicate (duplicates of an internal edge
+  /// event share its timestamp). Chunks concatenate in chunk order. No
+  /// global sort over the union, and no initial-state fetches.
   Result<std::vector<Event>> GetMergedMemberEvents(
       const std::vector<NodeId>& ids, Timestamp from, Timestamp to,
       FetchStats* stats = nullptr);
@@ -301,12 +306,6 @@ class TGIQueryManager {
   };
   using DecodedCache = ShardedLruCache<std::string, DecodedEntry>;
 
-  /// One row of a scan-granularity decoded entry: the shared decoded object
-  /// plus the raw size it decoded from (for the logical byte accounting).
-  struct DecodedScanRow {
-    std::shared_ptr<const void> obj;
-    size_t raw_bytes = 0;
-  };
   /// Scan-granularity decoded entry (cache kind 'C'): every decoded row of
   /// one (table, partition, prefix) scan, in key order. A warm delta-major
   /// scan costs exactly one decoded-tier probe for the whole prefix instead
@@ -314,9 +313,8 @@ class TGIQueryManager {
   /// (Delta vs EventList) is fixed by the scan prefix's did, so a single
   /// kind byte cannot alias two row types under one key.
   struct DecodedScan {
-    std::vector<DecodedScanRow> rows;
+    std::vector<DecodedEntry> rows;
   };
-  using DecodedScanRef = std::shared_ptr<const DecodedScan>;
 
   /// Per-node merged version chain (cache kind 'V'): the concatenation of
   /// every VersionChainSegment of one node, in chain (tsid) order and
@@ -327,6 +325,22 @@ class TGIQueryManager {
     std::vector<tgi::VersionEntry> entries;
     size_t segment_count = 0;
     size_t raw_bytes = 0;
+  };
+
+  /// One read of an executor batch. `kind` fixes what it yields and is the
+  /// first byte of its decoded-tier key: 'd' / 'e' the Delta / EventList
+  /// row at `key` (null when absent); 'C' a DecodedScan of every row under
+  /// the prefix `key`; 'V' the MergedVersionChain of the node whose
+  /// VersionScanPrefix is `key`, built from a scan of its whole versions
+  /// placement; 'M' the decoded Micropartitions bucket row at `key`, which
+  /// bypasses the decoded tier (micropart_cache_ holds those). `row_kind`
+  /// is the decoded type of the deltas rows a 'd' / 'e' / 'C' read yields.
+  struct Read {
+    std::string_view table;
+    uint64_t partition = 0;
+    std::string key;
+    char kind = 0;
+    char row_kind = 0;
   };
 
   /// An immutable snapshot of the index metadata at one publish epoch,
@@ -373,103 +387,64 @@ class TGIQueryManager {
   /// The current metadata snapshot (for the metadata accessors).
   MetaRef CurrentMeta() const;
 
-  /// Micro-partition of `id` during a span (Micropartitions table lookup for
-  /// locality spans, hash for random spans).
-  Result<MicroPartitionId> PidOf(const MetaState& meta, NodeId id,
-                                 const tgi::TimespanMeta& span,
-                                 FetchStats* stats);
+  /// The read executor, the one path from the cluster to decoded objects.
+  /// Returns one entry per read: (1) probe the decoded tier; (2) send the
+  /// remaining point reads through the byte tier and then one grouped
+  /// Cluster::MultiGet (point reads of a batch share one table), and run
+  /// the remaining scans — deduplicated, so 'V' reads of one placement
+  /// share one — in parallel; (3) decode every miss once, in parallel,
+  /// straight off the shared views; (4) insert the results into the
+  /// caches. Each parallel task counts into its own FetchStats, merged
+  /// after the join.
+  Result<std::vector<DecodedEntry>> Execute(const MetaState& meta,
+                                            const std::vector<Read>& reads,
+                                            FetchStats* stats);
+
+  /// Takes the decoded objects out of one executor result: every row of a
+  /// 'C' scan in key order, otherwise the object itself (none if absent).
+  /// Releasing the scan wrapper lets exclusively owned rows be consumed.
+  static std::vector<std::shared_ptr<const void>> TakeRows(char kind,
+                                                           DecodedEntry&& e);
+
+  /// Plan helper for deltas-table rows `dids` of `span`, laid out
+  /// [aux pass][did][micro-partition]. With `pids` null the reads cover
+  /// every micro-partition: one 'C' scan per (did, sid) prefix under
+  /// delta-major clustering, one point read per (did, pid) row under
+  /// partition-major. With `pids` given, one point read per (did, pid) in
+  /// either order, then (when `aux`) the aux replication rows.
+  static std::vector<Read> PlanDeltaReads(
+      const tgi::GraphMeta& graph, const tgi::TimespanMeta& span,
+      const std::vector<DeltaId>& dids,
+      const std::vector<MicroPartitionId>* pids, bool aux);
+
+  /// The decoded eventlists referenced in (from, to] by the merged version
+  /// chains of `ids` (unique), unioned into one deduplicated batch.
+  /// refs_of[u] indexes `evls` in ids[u]'s chain order; chunk_of[k] is the
+  /// (timespan, eventlist index) chunk that row k carries.
+  struct MemberEventlists {
+    std::vector<DecodedEntry> evls;
+    std::vector<std::vector<size_t>> refs_of;
+    std::vector<std::pair<TimespanId, uint32_t>> chunk_of;
+  };
+  Result<MemberEventlists> FetchMemberEventlists(
+      const MetaState& meta, const std::vector<NodeId>& ids, Timestamp from,
+      Timestamp to, FetchStats* stats);
+
+  /// Micro-partition of each of `ids` during a span (Micropartitions table
+  /// lookup for locality spans, hash for random spans). Buckets missing
+  /// from micropart_cache_ are fetched as one batch.
+  Result<std::vector<MicroPartitionId>> PidsOf(const MetaState& meta,
+                                               const std::vector<NodeId>& ids,
+                                               const tgi::TimespanMeta& span,
+                                               FetchStats* stats);
 
   /// Reconstructed state of micro-partitions at time t (one Delta per input
   /// pid): tree path point reads + eventlist replay, optionally including
-  /// aux replication rows. All pids' point reads go out as one MultiGet.
+  /// aux replication rows. All pids' point reads go out as one batch.
   Result<std::vector<Delta>> FetchMicroStatesAt(
       const MetaState& meta, const tgi::TimespanMeta& span,
       const std::vector<MicroPartitionId>& pids, Timestamp t, bool include_aux,
       FetchStats* stats);
-
-  /// Single-pid convenience over FetchMicroStatesAt.
-  Result<Delta> FetchMicroStateAt(const MetaState& meta,
-                                  const tgi::TimespanMeta& span,
-                                  MicroPartitionId pid, Timestamp t,
-                                  bool include_aux, FetchStats* stats);
-
-  /// Batched, cached point reads: cache lookups first, then one MultiGet
-  /// for the misses. One entry per input key; NotFound maps to nullopt.
-  /// Values are zero-copy views shared with the byte cache.
-  Result<std::vector<std::optional<SharedValue>>> FetchValues(
-      const MetaState& meta, std::string_view table,
-      const std::vector<MultiGetKey>& keys, FetchStats* stats);
-
-  /// Fetches one value; NotFound is mapped to "absent" (nullopt).
-  Result<std::optional<SharedValue>> FetchValue(const MetaState& meta,
-                                                std::string_view table,
-                                                uint64_t partition,
-                                                std::string_view key,
-                                                FetchStats* stats);
-
-  /// Cached partition prefix scan. The returned entry is shared with the
-  /// cache; callers must not mutate it.
-  Result<std::shared_ptr<const ReadCacheEntry>> CachedScan(
-      const MetaState& meta, std::string_view table, uint64_t partition,
-      std::string_view prefix, FetchStats* stats);
-
-  // -- decoded tier --------------------------------------------------------
-  // All Delta / EventList / VersionChainSegment deserialization on the read
-  // path funnels through these two helpers, so a decoded object is produced
-  // at most once per epoch and shared (immutable, by shared_ptr) between
-  // the cache and every consumer. Micropart buckets keep their own decoded
-  // map in micropart_cache_ (always on — PidOf is called per node and must
-  // not re-decode a bucket even when the byte-budgeted tiers are disabled).
-
-  /// Decoded-tier batched point reads ("decode-first" pipeline): probe the
-  /// decoded cache per row — a hit skips the byte fetch and the decode
-  /// entirely — then fetch the missing rows' bytes in one batched
-  /// FetchValues and decode each miss exactly once, in parallel. kinds[i]
-  /// is the decoded-type tag of keys[i] (see DecodedKindOf in query.cc).
-  /// An absent row yields a null obj (and is negatively cached).
-  Result<std::vector<DecodedEntry>> FetchDecodedRows(
-      const MetaState& meta, std::string_view table,
-      const std::vector<MultiGetKey>& keys, const std::vector<char>& kinds,
-      FetchStats* stats);
-
-  /// Uniform-type wrapper over FetchDecodedRows.
-  template <typename T>
-  Result<std::vector<std::shared_ptr<const T>>> FetchDecodedValues(
-      const MetaState& meta, std::string_view table,
-      const std::vector<MultiGetKey>& keys, FetchStats* stats);
-
-  /// Decoded-tier lookup for one row whose raw bytes are already in hand
-  /// (a partition-scan result): returns the shared decoded object, decoding
-  /// `raw` only when the cache has no entry for (table, partition, row).
-  template <typename T>
-  Result<std::shared_ptr<const T>> DecodeShared(const MetaState& meta,
-                                                std::string_view table,
-                                                uint64_t partition,
-                                                std::string_view row,
-                                                std::string_view raw,
-                                                FetchStats* stats);
-
-  /// Scan-granularity decoded fetch: one decoded-tier probe serves every
-  /// row of the (table, partition, prefix) scan as ready-to-apply objects.
-  /// On a miss the scan's bytes come through CachedScan, each row decodes
-  /// (or decode-hits) through DecodeShared — publishing row-level entries
-  /// for the point-read paths — and the assembled row vector is published
-  /// under the scan's own key. `row_kind` is the decoded type of every row
-  /// (scans here are per-did, so one scan is single-typed).
-  Result<DecodedScanRef> FetchDecodedScan(const MetaState& meta,
-                                          std::string_view table,
-                                          uint64_t partition,
-                                          std::string_view prefix,
-                                          char row_kind, FetchStats* stats);
-
-  /// Per-node merged version chains for `ids` (see MergedVersionChain):
-  /// probes the decoded tier per node, scans only the versions partitions
-  /// that still have a node missing, and publishes rebuilt chains. One
-  /// entry per input id, never null (a node without version rows yields an
-  /// empty chain, negatively cached).
-  Result<std::vector<std::shared_ptr<const MergedVersionChain>>>
-  FetchVersionChains(const MetaState& meta, const std::vector<NodeId>& ids,
-                     FetchStats* stats);
 
   // Internal (no-refresh) bodies of the public primitives, so composite
   // queries run every leg against one metadata snapshot.

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <tuple>
 
 #include "common/rng.h"
@@ -643,6 +645,68 @@ TEST(TGITest, FetchStatsAreAccounted) {
       qm->GetNodeStateDelta(some, workload::EndTime(events), &node_stats)
           .ok());
   EXPECT_LT(node_stats.bytes, snap_stats.bytes / 4);
+}
+
+TEST(TGITest, ParallelFetchStatsKeepResilienceCounters) {
+  // Every read of a node-history batch lands on a replica set whose node 0
+  // always fails transiently, so the cluster client retries and fails over
+  // inside parallel scans and decodes. The query's stats must account for
+  // every one of them: they match the cluster's lifetime counter deltas.
+  ClusterOptions copts = FastCluster(2);
+  copts.replication = 2;
+  Cluster cluster(copts);
+  TGI tgi(&cluster, SmallOptions());
+  auto events = SmallHistory(101, 4'000);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  TGIQueryManager qm(&cluster, /*fetch_parallelism=*/2,
+                     /*read_cache_bytes=*/0, /*read_cache_shards=*/16,
+                     /*decoded_cache_bytes=*/0);
+  ASSERT_TRUE(qm.Open().ok());
+  FaultProfile always_failing;
+  always_failing.transient_error_prob = 1.0;
+  cluster.SetFaultProfile(0, always_failing);
+
+  std::vector<NodeId> ids;
+  for (const Event& e : events) {
+    if (ids.size() == 16) break;
+    if (e.type == EventType::kAddNode) ids.push_back(e.u);
+  }
+  ASSERT_EQ(ids.size(), 16u);
+  const ClusterResilienceStats& res = cluster.resilience();
+  const uint64_t failovers_before = res.failovers.load();
+  const uint64_t retries_before = res.retries.load();
+  FetchStats stats;
+  auto hists = qm.GetNodeHistories(ids, 0, workload::EndTime(events), &stats);
+  ASSERT_TRUE(hists.ok()) << hists.status().ToString();
+  EXPECT_GT(stats.failovers, 0u);
+  EXPECT_EQ(stats.failovers, res.failovers.load() - failovers_before);
+  EXPECT_EQ(stats.retries, res.retries.load() - retries_before);
+}
+
+TEST(TGITest, SnapshotWallSecondsCoversTheWholeCall) {
+  // wall_seconds times the whole public call, graph materialization
+  // included: the best of three warm snapshots reports at least 90% of
+  // the span measured around the call.
+  Cluster cluster(FastCluster());
+  TGI tgi(&cluster, SmallOptions());
+  auto events = SmallHistory(103, 6'000);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm = tgi.OpenQueryManager(2).value();
+  Timestamp t = workload::EndTime(events);
+  ASSERT_TRUE(qm->GetSnapshot(t).ok());  // warm both cache tiers
+
+  double best = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    FetchStats stats;
+    auto start = std::chrono::steady_clock::now();
+    auto snap = qm->GetSnapshot(t, &stats);
+    double external = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    ASSERT_TRUE(snap.ok());
+    best = std::max(best, stats.wall_seconds / external);
+  }
+  EXPECT_GE(best, 0.9);
 }
 
 TEST(TGITest, QueryBeforeOpenFails) {
