@@ -2,21 +2,27 @@
 // vs the hash-map baseline it replaced.
 //
 // Kernels, each the hot loop of a read-path stage:
-//  1. micro-merge:   fold K micro-deltas into a snapshot accumulator
-//                    (GetSnapshotDelta's ordered merge)
-//  2. large-merge:   one snapshot-half into another (worst-case Delta::Add)
-//  3. materialize:   replay a whole history into an empty delta (eventlist
-//                    materialization, the Copy+Log / NodeCentric path)
-//  4. attr-replay:   attribute-churn eventlist onto a snapshot-scale delta
-//                    (keys repeat; per-key grouping pays off)
-//  5. growth-replay: add/remove churn of mostly-new keys onto a snapshot
-//                    delta — the one insert-bound shape where the hash map
-//                    keeps an edge; reported for honesty
-//  6. removal-heavy: remove-node storm (the quadratic incident-edge scan
-//                    regression)
+//  1. micro-merge:    fold K disjoint micro-deltas into one accumulator
+//  2. large-merge:    one snapshot-half into another (worst-case Delta::Add)
+//  3. snapshot-merge: GetSnapshotDelta's merge on its real row shape — L
+//                     tree levels of k rows whose keys overlap across
+//                     levels (tombstones included), then E eventlist rows.
+//                     The row-at-a-time chain (Add, then ApplyEvents per
+//                     list) against Delta::SumAll plus one batched
+//                     ApplyEvents over every list; both results must agree
+//  4. materialize:    replay a whole history into an empty delta (eventlist
+//                     materialization, the Copy+Log / NodeCentric path)
+//  5. attr-replay:    attribute-churn eventlist onto a snapshot-scale delta
+//                     (keys repeat; per-key grouping pays off)
+//  6. growth-replay:  add/remove churn of mostly-new keys onto a snapshot
+//                     delta — the one insert-bound shape where the hash map
+//                     keeps an edge; reported for honesty
+//  7. removal-heavy:  remove-node storm (the quadratic incident-edge scan
+//                     regression)
 //
 // Output: entries-or-events per second per implementation, and peak RSS at
-// exit (the flat representation also shrinks decoded residency).
+// exit (the flat representation also shrinks decoded residency); with
+// --json=<path> every printed rate also lands as a telemetry row.
 // HGS_SCALE scales the dataset (CI smoke runs use HGS_SCALE=0.05).
 
 #include <malloc.h>
@@ -159,9 +165,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 void PrintRate(const char* kernel, const char* impl, uint64_t ops,
                double seconds) {
+  const double mops =
+      seconds > 0 ? static_cast<double>(ops) / seconds / 1e6 : 0.0;
   std::printf("%-14s %-14s ops=%10llu  time=%8.4fs  Mops/s=%8.2f\n", kernel,
-              impl, static_cast<unsigned long long>(ops), seconds,
-              seconds > 0 ? static_cast<double>(ops) / seconds / 1e6 : 0.0);
+              impl, static_cast<unsigned long long>(ops), seconds, mops);
+  JsonRow("delta_merge", std::string(kernel) + "_" + impl + "_Mops", mops,
+          "Mops/s");
 }
 
 // Splits a snapshot delta into k micro-deltas by node-id bucket; edges are
@@ -205,10 +214,9 @@ void RunMicroMerge(const Delta& snapshot, size_t k, size_t rounds) {
   double flat_s = 0, hash_s = 0;
   size_t sink = 0;
   for (size_t r = 0; r < rounds; ++r) {
-    std::vector<Delta> parts = flat_parts;  // copies excluded from timing
     auto start = std::chrono::steady_clock::now();
     Delta acc;
-    for (Delta& p : parts) acc.Add(std::move(p));
+    for (const Delta& p : flat_parts) acc.Add(p);
     flat_s += SecondsSince(start);
     sink += acc.Cardinality();
   }
@@ -235,9 +243,8 @@ void RunLargeMerge(const Delta& snapshot, size_t rounds) {
   size_t sink = 0;
   for (size_t r = 0; r < rounds; ++r) {
     Delta acc = halves[0];
-    Delta other = halves[1];
     auto start = std::chrono::steady_clock::now();
-    acc.Add(std::move(other));
+    acc.Add(halves[1]);
     flat_s += SecondsSince(start);
     sink += acc.Cardinality();
   }
@@ -251,6 +258,85 @@ void RunLargeMerge(const Delta& snapshot, size_t rounds) {
   PrintRate("large-merge", "flat", ops, flat_s);
   PrintRate("large-merge", "hash", ops, hash_s);
   std::printf("# large-merge sink=%zu\n", sink);
+}
+
+// Snapshot reconstruction's merge: `levels` tree levels of k rows each,
+// then `num_lists` eventlist rows replayed up to the end of `events`. A
+// level's rows replay one slice of the history into k node-id buckets, an
+// edge event into both endpoints' buckets: level 0 the first half, every
+// later level an equal part of the rest up to 90%. Keys overlap across
+// levels and removals leave tombstones. The last 10% becomes the
+// eventlists.
+void RunSnapshotMerge(const std::vector<Event>& events, size_t levels,
+                      size_t k, size_t num_lists, size_t rounds) {
+  const size_t tree_end = events.size() * 9 / 10;
+  std::vector<Delta> rows;
+  size_t from = 0;
+  for (size_t level = 0; level < levels; ++level) {
+    const size_t to =
+        level == 0 ? tree_end / 2
+                   : tree_end / 2 + (tree_end / 2) * level / (levels - 1);
+    std::vector<Delta> level_rows(k);
+    for (size_t i = from; i < to; ++i) {
+      const Event& e = events[i];
+      level_rows[e.u % k].ApplyEvent(e);
+      if (e.IsEdgeEvent() && e.v % k != e.u % k) {
+        level_rows[e.v % k].ApplyEvent(e);
+      }
+    }
+    for (Delta& row : level_rows) {
+      row.Compact();
+      rows.push_back(std::move(row));
+    }
+    from = to;
+  }
+  std::vector<EventList> lists(num_lists);
+  for (size_t i = tree_end; i < events.size(); ++i) {
+    const size_t j = (i - tree_end) * num_lists / (events.size() - tree_end);
+    lists[j].Append(events[i]);
+  }
+  std::vector<const Delta*> row_ptrs;
+  std::vector<const EventList*> list_ptrs;
+  uint64_t ops = events.size() - tree_end;
+  for (const Delta& row : rows) {
+    row_ptrs.push_back(&row);
+    ops += row.Cardinality();
+  }
+  for (const EventList& list : lists) list_ptrs.push_back(&list);
+  const Timestamp upto = events.back().time;
+
+  double chain_s = 0, sum_s = 0;
+  size_t sink = 0;
+  Delta chain, sum;
+  for (size_t r = 0; r < rounds; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    chain = Delta();
+    for (const Delta* row : row_ptrs) chain.Add(*row);
+    for (const EventList* list : list_ptrs) {
+      chain.ApplyEvents(*list, kMinTimestamp, upto);
+    }
+    chain_s += SecondsSince(start);
+    sink += chain.Cardinality();
+  }
+  for (size_t r = 0; r < rounds; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    sum = Delta::SumAll(row_ptrs);
+    sum.ApplyEvents(list_ptrs, kMinTimestamp, upto);
+    sum_s += SecondsSince(start);
+    sink += sum.Cardinality();
+  }
+  if (!(chain == sum)) {
+    std::fprintf(stderr, "snapshot-merge: SumAll result differs\n");
+    std::exit(1);
+  }
+  PrintRate("snapshot-merge", "add-chain", ops * rounds, chain_s);
+  PrintRate("snapshot-merge", "sum-all", ops * rounds, sum_s);
+  JsonRow("delta_merge", "snapshot-merge_add-chain_ms",
+          chain_s * 1e3 / static_cast<double>(rounds), "ms");
+  JsonRow("delta_merge", "snapshot-merge_sum-all_ms",
+          sum_s * 1e3 / static_cast<double>(rounds), "ms");
+  std::printf("# snapshot-merge sink=%zu rows=%zu lists=%zu result=%zu\n",
+              sink, rows.size(), lists.size(), sum.Cardinality());
 }
 
 // Replays `tail_events` onto a copy of `base` (pass empty deltas for the
@@ -358,14 +444,18 @@ void RunResidency(const Delta& snapshot, const HashDelta& hash_snapshot) {
     HashDelta copy = hash_snapshot;
     hash_bytes = g_live_bytes.load() - before;
   }
+  const double flat_per = static_cast<double>(flat_bytes) /
+                          static_cast<double>(entries);
+  const double hash_per = static_cast<double>(hash_bytes) /
+                          static_cast<double>(entries);
   std::printf(
       "residency      flat           entries=%zu bytes=%lld (%.1f B/entry)\n",
-      entries, flat_bytes,
-      static_cast<double>(flat_bytes) / static_cast<double>(entries));
+      entries, flat_bytes, flat_per);
   std::printf(
       "residency      hash           entries=%zu bytes=%lld (%.1f B/entry)\n",
-      entries, hash_bytes,
-      static_cast<double>(hash_bytes) / static_cast<double>(entries));
+      entries, hash_bytes, hash_per);
+  JsonRow("delta_merge", "residency_flat_B_per_entry", flat_per, "B");
+  JsonRow("delta_merge", "residency_hash_B_per_entry", hash_per, "B");
 }
 
 void Run() {
@@ -393,6 +483,9 @@ void Run() {
   RunResidency(snapshot, hash_snapshot);
   RunMicroMerge(snapshot, /*k=*/64, rounds);
   RunLargeMerge(snapshot, rounds);
+  // About the path of a warm snapshot in the HGS benchmark: ~75 tree rows
+  // and ~30 eventlist rows.
+  RunSnapshotMerge(events, /*levels=*/6, /*k=*/12, /*num_lists=*/30, rounds);
 
   // Materialize: the whole history into an empty delta.
   RunReplay("materialize", Delta(), HashDelta(), events, rounds);
@@ -423,7 +516,8 @@ void Run() {
 }  // namespace
 }  // namespace hgs::bench
 
-int main() {
+int main(int argc, char** argv) {
+  hgs::bench::InitBenchTelemetry(&argc, argv);
   hgs::bench::Run();
   return 0;
 }

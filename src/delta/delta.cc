@@ -4,7 +4,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 
 #include "common/columnar.h"
 #include "common/compression.h"
@@ -36,26 +35,6 @@ void DedupKeepLast(std::vector<Entry>* v) {
     ++w;
   }
   v->resize(w);
-}
-
-// Payload transfer for event application: the consuming replay path (mutable
-// Event) donates attribute maps and strings; the const path copies them.
-template <typename Ev>
-Attributes TakeAttrs(Ev& e) {
-  if constexpr (std::is_const_v<Ev>) {
-    return e.attrs;
-  } else {
-    return std::move(e.attrs);
-  }
-}
-
-template <typename Ev>
-void SetAttrFromEvent(Attributes* attrs, Ev& e) {
-  if constexpr (std::is_const_v<Ev>) {
-    attrs->Set(e.key, e.value);
-  } else {
-    attrs->SetOwned(std::move(e.key), std::move(e.value));
-  }
 }
 
 // [first, last) indices of events with after < time <= upto. `after ==
@@ -342,45 +321,61 @@ void FlatEntryMap<Key, Rec>::MergeFrom(const FlatEntryMap& other) {
 }
 
 template <typename Key, typename Rec>
-void FlatEntryMap<Key, Rec>::MergeFrom(FlatEntryMap&& other) {
-  if (other.empty()) return;
-  if (empty()) {
-    sorted_ = std::move(other.sorted_);
-    tail_ = std::move(other.tail_);
-    other.Clear();
-    return;
+FlatEntryMap<Key, Rec> FlatEntryMap<Key, Rec>::SumAll(
+    std::span<const FlatEntryMap* const> maps) {
+  // One cursor per non-empty operand. The heap pops the least (key, rank),
+  // so equal keys pop in operand order and the last one popped wins.
+  struct Cursor {
+    const Entry* at;
+    const Entry* end;
+    size_t rank;
+  };
+  std::vector<FlatEntryMap> scratch(maps.size());
+  std::vector<Cursor> heap;
+  heap.reserve(maps.size());
+  size_t total = 0;
+  for (size_t i = 0; i < maps.size(); ++i) {
+    const std::vector<Entry>& e =
+        maps[i]->CompactedOrSelf(&scratch[i]).sorted_;
+    if (e.empty()) continue;
+    heap.push_back(Cursor{e.data(), e.data() + e.size(), i});
+    total += e.size();
   }
-  const size_t osize = other.TotalEntries();
-  if (osize <= kTailBase + sorted_.size() / 4) {
-    tail_.reserve(tail_.size() + osize);
-    for (Entry& e : other.sorted_) tail_.push_back(std::move(e));
-    for (Entry& e : other.tail_) tail_.push_back(std::move(e));
-    other.Clear();
-    MaybeCompact();
-    return;
-  }
-  Compact();
-  other.Compact();
-  std::vector<Entry> out;
-  out.reserve(sorted_.size() + other.sorted_.size());
-  size_t i = 0, j = 0;
-  while (i < sorted_.size() || j < other.sorted_.size()) {
-    if (j == other.sorted_.size() ||
-        (i < sorted_.size() && sorted_[i].first < other.sorted_[j].first)) {
-      out.push_back(std::move(sorted_[i]));
-      ++i;
-    } else if (i == sorted_.size() ||
-               other.sorted_[j].first < sorted_[i].first) {
-      out.push_back(std::move(other.sorted_[j]));
-      ++j;
-    } else {
-      out.push_back(std::move(other.sorted_[j]));  // right wins
-      ++i;
-      ++j;
+  auto before = [](const Cursor& a, const Cursor& b) {
+    return a.at->first < b.at->first ||
+           (a.at->first == b.at->first && a.rank < b.rank);
+  };
+  auto sift_down = [&](size_t i) {
+    const Cursor c = heap[i];
+    for (size_t child = 2 * i + 1; child < heap.size(); child = 2 * i + 1) {
+      if (child + 1 < heap.size() && before(heap[child + 1], heap[child])) {
+        ++child;
+      }
+      if (!before(heap[child], c)) break;
+      heap[i] = heap[child];
+      i = child;
     }
+    heap[i] = c;
+  };
+  for (size_t i = heap.size() / 2; i-- > 0;) sift_down(i);
+
+  FlatEntryMap out;
+  out.sorted_.reserve(total);
+  const Entry* pending = nullptr;  // latest entry of the current key
+  while (!heap.empty()) {
+    Cursor& top = heap[0];
+    if (pending != nullptr && !(pending->first == top.at->first)) {
+      out.sorted_.push_back(*pending);
+    }
+    pending = top.at;
+    if (++top.at == top.end) {
+      top = heap.back();
+      heap.pop_back();
+    }
+    if (!heap.empty()) sift_down(0);
   }
-  sorted_ = std::move(out);
-  other.Clear();
+  if (pending != nullptr) out.sorted_.push_back(*pending);
+  return out;
 }
 
 template <typename Key, typename Rec>
@@ -496,55 +491,8 @@ void Delta::ApplyEvent(const Event& e) {
   }
 }
 
-void Delta::ApplyEvent(Event&& e) {
-  switch (e.type) {
-    case EventType::kAddNode:
-      nodes_.Set(e.u, NodeRecord{.attrs = std::move(e.attrs)});
-      break;
-    case EventType::kAddEdge:
-      edges_.Set(EdgeKey(e.u, e.v),
-                 EdgeRecord{.src = e.u, .dst = e.v, .directed = e.directed,
-                            .attrs = std::move(e.attrs)});
-      break;
-    case EventType::kSetNodeAttr: {
-      auto* slot = nodes_.FindMutable(e.u);
-      if (slot == nullptr) {
-        NodeRecord rec;
-        rec.attrs.SetOwned(std::move(e.key), std::move(e.value));
-        nodes_.Set(e.u, std::move(rec));
-      } else {
-        if (!slot->has_value()) *slot = NodeRecord{};
-        (*slot)->attrs.SetOwned(std::move(e.key), std::move(e.value));
-      }
-      break;
-    }
-    case EventType::kSetEdgeAttr: {
-      const EdgeKey key(e.u, e.v);
-      auto* slot = edges_.FindMutable(key);
-      if (slot == nullptr) {
-        EdgeRecord rec{.src = e.u, .dst = e.v, .directed = e.directed,
-                       .attrs = {}};
-        rec.attrs.SetOwned(std::move(e.key), std::move(e.value));
-        edges_.Set(key, std::move(rec));
-      } else {
-        if (!slot->has_value()) {
-          *slot = EdgeRecord{.src = e.u, .dst = e.v, .directed = e.directed,
-                             .attrs = {}};
-        }
-        (*slot)->attrs.SetOwned(std::move(e.key), std::move(e.value));
-      }
-      break;
-    }
-    default:
-      // The remaining event kinds carry no bulk payload worth moving.
-      ApplyEvent(static_cast<const Event&>(e));
-      break;
-  }
-}
-
-template <typename EventIt>
-void Delta::ApplyEventsRange(EventIt begin, EventIt end) {
-  const size_t n = static_cast<size_t>(end - begin);
+template <typename EventAt>
+void Delta::ApplyEventsRange(size_t n, EventAt at) {
   if (n == 0) return;
   // Tiny windows: per-key grouping costs more than it saves. Scalar
   // application looks keys up through the unsorted tail, so fold an
@@ -554,13 +502,7 @@ void Delta::ApplyEventsRange(EventIt begin, EventIt end) {
   if (n <= 8) {
     if (nodes_.TailEntries() > 64) nodes_.Compact();
     if (edges_.TailEntries() > 64) edges_.Compact();
-    for (EventIt it = begin; it != end; ++it) {
-      if constexpr (std::is_const_v<std::remove_pointer_t<EventIt>>) {
-        ApplyEvent(*it);
-      } else {
-        ApplyEvent(std::move(*it));
-      }
-    }
+    for (size_t i = 0; i < n; ++i) ApplyEvent(at(i));
     return;
   }
 
@@ -575,7 +517,7 @@ void Delta::ApplyEventsRange(EventIt begin, EventIt end) {
   node_refs.reserve(n);
   edge_refs.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    const Event& ev = *(begin + i);
+    const Event& ev = at(i);
     if (ev.IsNodeEvent()) {
       node_refs.emplace_back(ev.u, i);
       if (ev.type == EventType::kRemoveNode) removals.emplace_back(ev.u, i);
@@ -606,10 +548,10 @@ void Delta::ApplyEventsRange(EventIt begin, EventIt end) {
     std::optional<NodeRecord> local;
     std::optional<NodeRecord>* target = entry_exists ? slot : &local;
     for (size_t k = g; k < ge; ++k) {
-      auto& ev = *(begin + node_refs[k].second);
+      const Event& ev = at(node_refs[k].second);
       switch (ev.type) {
         case EventType::kAddNode:
-          *target = NodeRecord{.attrs = TakeAttrs(ev)};
+          *target = NodeRecord{.attrs = ev.attrs};
           entry_exists = true;
           break;
         case EventType::kRemoveNode:
@@ -621,7 +563,7 @@ void Delta::ApplyEventsRange(EventIt begin, EventIt end) {
             *target = NodeRecord{};
             entry_exists = true;
           }
-          SetAttrFromEvent(&(*target)->attrs, ev);
+          (*target)->attrs.Set(ev.key, ev.value);
           break;
         case EventType::kDelNodeAttr:
           if (entry_exists && target->has_value()) {
@@ -677,12 +619,12 @@ void Delta::ApplyEventsRange(EventIt begin, EventIt end) {
       const uint32_t ue = ru != ru_end ? ru->second : UINT32_MAX;
       const uint32_t ve = rv != rv_end ? rv->second : UINT32_MAX;
       if (ke < ue && ke < ve) {
-        auto& ev = *(begin + ke);
+        const Event& ev = at(ke);
         switch (ev.type) {
           case EventType::kAddEdge:
             *target = EdgeRecord{.src = ev.u, .dst = ev.v,
                                  .directed = ev.directed,
-                                 .attrs = TakeAttrs(ev)};
+                                 .attrs = ev.attrs};
             entry_exists = true;
             break;
           case EventType::kRemoveEdge:
@@ -695,7 +637,7 @@ void Delta::ApplyEventsRange(EventIt begin, EventIt end) {
                                    .directed = ev.directed, .attrs = {}};
               entry_exists = true;
             }
-            SetAttrFromEvent(&(*target)->attrs, ev);
+            (*target)->attrs.Set(ev.key, ev.value);
             break;
           case EventType::kDelEdgeAttr:
             if (entry_exists && target->has_value()) {
@@ -740,15 +682,23 @@ void Delta::ApplyEventsRange(EventIt begin, EventIt end) {
 }
 
 void Delta::ApplyEvents(const EventList& el, Timestamp after, Timestamp upto) {
-  const std::vector<Event>& ev = el.events();
-  auto [b, e] = EventWindow(ev, after, upto);
-  ApplyEventsRange(ev.data() + b, ev.data() + e);
+  auto [b, e] = EventWindow(el.events(), after, upto);
+  const Event* first = el.events().data() + b;
+  ApplyEventsRange(e - b,
+                   [first](size_t i) -> const Event& { return first[i]; });
 }
 
-void Delta::ApplyEvents(EventList&& el, Timestamp after, Timestamp upto) {
-  std::vector<Event>& ev = el.events_;
-  auto [b, e] = EventWindow(ev, after, upto);
-  ApplyEventsRange(ev.data() + b, ev.data() + e);
+void Delta::ApplyEvents(std::span<const EventList* const> lists,
+                        Timestamp after, Timestamp upto) {
+  if (lists.size() == 1) return ApplyEvents(*lists[0], after, upto);
+  std::vector<const Event*> window;
+  for (const EventList* el : lists) {
+    const std::vector<Event>& ev = el->events();
+    auto [b, e] = EventWindow(ev, after, upto);
+    for (size_t i = b; i < e; ++i) window.push_back(&ev[i]);
+  }
+  ApplyEventsRange(window.size(),
+                   [&window](size_t i) -> const Event& { return *window[i]; });
 }
 
 void Delta::TombstoneIncidentEdges(const std::vector<NodeId>& removed,
@@ -824,9 +774,19 @@ void Delta::Add(const Delta& other) {
   edges_.MergeFrom(other.edges_);
 }
 
-void Delta::Add(Delta&& other) {
-  nodes_.MergeFrom(std::move(other.nodes_));
-  edges_.MergeFrom(std::move(other.edges_));
+Delta Delta::SumAll(std::span<const Delta* const> rows) {
+  std::vector<const NodeMap*> nodes;
+  std::vector<const EdgeMap*> edges;
+  nodes.reserve(rows.size());
+  edges.reserve(rows.size());
+  for (const Delta* d : rows) {
+    nodes.push_back(&d->nodes_);
+    edges.push_back(&d->edges_);
+  }
+  Delta out;
+  out.nodes_ = NodeMap::SumAll(nodes);
+  out.edges_ = EdgeMap::SumAll(edges);
+  return out;
 }
 
 Delta Delta::Sum(const Delta& a, const Delta& b) {

@@ -26,6 +26,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -116,12 +117,16 @@ class FlatEntryMap {
   }
 
   /// In-place sum: this ← this + other (other wins on collisions). A small
-  /// right operand is appended through the tail, so long merge chains of
-  /// micro-deltas cost amortized O(1) per entry; large operands take the
-  /// linear two-pointer path.
+  /// right operand is appended through the tail and folded in by a later
+  /// compaction; large operands take the linear two-pointer path. Summing
+  /// many operands is SumAll's job.
   void MergeFrom(const FlatEntryMap& other);
-  /// Consuming variant: entries are moved out of `other` (left empty).
-  void MergeFrom(FlatEntryMap&& other);
+
+  /// maps[0] + maps[1] + … in one k-way merge over the sorted spans
+  /// (tailed operands are compacted into scratch copies first). The later
+  /// map wins on a key, and each surviving entry is copied once into an
+  /// output reserved up front.
+  static FlatEntryMap SumAll(std::span<const FlatEntryMap* const> maps);
 
   /// Replaces contents with `entries` (unique keys, any order).
   void AssignUnsortedUnique(std::vector<Entry>&& entries);
@@ -170,11 +175,6 @@ class Delta {
   /// partial (per-partition) accumulation well defined.
   void ApplyEvent(const Event& e);
 
-  /// Consuming variant: add and set-attribute events donate their payload
-  /// strings instead of copying them (the hot case when replaying a decoded
-  /// eventlist that is exclusively owned by the caller).
-  void ApplyEvent(Event&& e);
-
   /// Batched replay: applies the events of `el` with after < time <= upto
   /// (`after == kMinTimestamp` means unbounded below) with per-key grouping —
   /// each touched key is located once and its events folded in order, and
@@ -184,8 +184,11 @@ class Delta {
   /// ApplyEvent loop over the same window.
   void ApplyEvents(const EventList& el, Timestamp after, Timestamp upto);
 
-  /// Consuming variant: applied events donate their payloads.
-  void ApplyEvents(EventList&& el, Timestamp after, Timestamp upto);
+  /// Replays the (after, upto] window of every list, in list order, as one
+  /// batched pass over the concatenated windows: equal to calling
+  /// ApplyEvents on each list in turn.
+  void ApplyEvents(std::span<const EventList* const> lists, Timestamp after,
+                   Timestamp upto);
 
   // -- lookup --------------------------------------------------------------
   /// nullptr: no entry; pointer to nullopt: tombstone; else the state.
@@ -214,13 +217,14 @@ class Delta {
   /// In-place sum: this ← this + other (other wins on collisions).
   void Add(const Delta& other);
 
-  /// Consuming sum: entries are moved out of `other` (left empty). Adding
-  /// into an empty delta degenerates to a vector swap, so the ordered merge
-  /// of snapshot reconstruction pays no per-entry cost for its first
-  /// (largest) operand.
-  void Add(Delta&& other);
-
   static Delta Sum(const Delta& a, const Delta& b);
+
+  /// rows[0] + rows[1] + … + rows[n-1] in one k-way pass per component map
+  /// (later rows win on a key; each surviving entry is copied once): equal
+  /// to the sequential Add chain from an empty delta. Snapshot
+  /// reconstruction sums a root-to-leaf path of tree-delta rows this way.
+  static Delta SumAll(std::span<const Delta* const> rows);
+
   static Delta Difference(const Delta& a, const Delta& b);
   static Delta Intersect(const Delta& a, const Delta& b);
   static Delta Union(const Delta& a, const Delta& b);
@@ -277,8 +281,10 @@ class Delta {
   /// delta.cc); Deserialize routes here on the columnar magic.
   static Result<Delta> DeserializeColumnar(std::string_view payload);
 
-  template <typename EventIt>
-  void ApplyEventsRange(EventIt begin, EventIt end);
+  /// Batched replay of the `n` events at(0), …, at(n - 1), in that order
+  /// (see ApplyEvents).
+  template <typename EventAt>
+  void ApplyEventsRange(size_t n, EventAt at);
 
   /// Tombstones present edges incident to a removed node, scanning only the
   /// sorted prefix whose canonical minimum endpoint is <= the largest id in

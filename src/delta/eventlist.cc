@@ -269,13 +269,8 @@ void EventList::ApplyUpTo(Timestamp t, Graph* g) const {
   }
 }
 
-void EventList::ApplyUpTo(Timestamp t, Delta* d) const& {
+void EventList::ApplyUpTo(Timestamp t, Delta* d) const {
   d->ApplyEvents(*this, kMinTimestamp, t);
-}
-
-void EventList::ApplyUpTo(Timestamp t, Delta* d) && {
-  d->ApplyEvents(std::move(*this), kMinTimestamp, t);
-  events_.clear();
 }
 
 size_t EventList::SerializedSizeBytes() const {

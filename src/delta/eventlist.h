@@ -56,13 +56,10 @@ class EventList {
   void ApplyTo(Graph* g) const;
   void ApplyTo(Delta* d) const;
 
-  /// Applies only events with time <= t. The rvalue overload consumes the
-  /// list: each applied event donates its payload to the delta instead of
-  /// being copied (the zero-copy merge path of snapshot reconstruction).
-  /// Delta overloads batch through Delta::ApplyEvents.
+  /// Applies only events with time <= t. The Delta overload batches
+  /// through Delta::ApplyEvents.
   void ApplyUpTo(Timestamp t, Graph* g) const;
-  void ApplyUpTo(Timestamp t, Delta* d) const&;
-  void ApplyUpTo(Timestamp t, Delta* d) &&;
+  void ApplyUpTo(Timestamp t, Delta* d) const;
 
   /// Exact wire size of Serialize() (payload + checksum).
   size_t SerializedSizeBytes() const;
@@ -75,9 +72,6 @@ class EventList {
   bool operator==(const EventList& o) const = default;
 
  private:
-  // Delta::ApplyEvents(EventList&&, ...) consumes events_ in place.
-  friend class Delta;
-
   Timestamp after_ = kMinTimestamp;
   Timestamp upto_ = kMaxTimestamp;
   std::vector<Event> events_;

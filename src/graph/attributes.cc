@@ -19,15 +19,6 @@ void Attributes::Set(std::string_view key, std::string_view value) {
   }
 }
 
-void Attributes::SetOwned(std::string key, std::string value) {
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), key, KeyLess{});
-  if (it != entries_.end() && it->first == key) {
-    it->second = std::move(value);
-  } else {
-    entries_.insert(it, Entry(std::move(key), std::move(value)));
-  }
-}
-
 void Attributes::AppendSorted(std::string key, std::string value) {
   if (entries_.empty() || entries_.back().first < key) {
     entries_.emplace_back(std::move(key), std::move(value));

@@ -29,11 +29,6 @@ class Attributes {
   /// Inserts or overwrites `key`.
   void Set(std::string_view key, std::string_view value);
 
-  /// Inserts or overwrites `key`, taking ownership of both strings. The
-  /// consuming event-replay path donates attribute payloads through here
-  /// instead of copying them.
-  void SetOwned(std::string key, std::string value);
-
   /// Appends an entry expected to sort after every existing key — the shape
   /// of a serialized attribute stream, which is written in sorted order.
   /// Falls back to Set() when the precondition does not hold, so the sorted

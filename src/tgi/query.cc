@@ -130,53 +130,6 @@ Result<std::pair<std::shared_ptr<const void>, size_t>> DecodeRow(
   }
 }
 
-// The ordered merge consumes a decoded object only when ownership is
-// statically exclusive: with the decoded cache disabled, every decode is
-// private to this query (`exclusive` below), and use_count() == 1 then
-// rules out the same object appearing twice in this query's own slot
-// lists. With the cache enabled a decoded object may be shared with a
-// concurrent query, and observing use_count() == 1 cannot prove otherwise:
-// the count is a relaxed load with no synchronizes-with edge to a releasing
-// reader, so mutating after reading 1 would race with that reader's prior
-// accesses (TSan-visible now that the flat representation moves individual
-// entries). Cache-managed objects are therefore always applied by const
-// reference. make_shared allocates the pointee as a mutable object, so the
-// const_cast on an exclusively owned value is well-defined.
-void MergeDelta(Delta* acc, std::shared_ptr<const Delta>&& d, bool exclusive) {
-  if (d == nullptr) return;
-  if (exclusive && d.use_count() == 1) {
-    acc->Add(std::move(const_cast<Delta&>(*d)));
-  } else {
-    acc->Add(*d);
-  }
-  d.reset();
-}
-
-void MergeEventListUpTo(Delta* acc, std::shared_ptr<const EventList>&& e,
-                        Timestamp t, bool exclusive) {
-  if (e == nullptr) return;
-  if (exclusive && e.use_count() == 1) {
-    std::move(const_cast<EventList&>(*e)).ApplyUpTo(t, acc);
-  } else {
-    e->ApplyUpTo(t, acc);
-  }
-  e.reset();
-}
-
-// Applies one decoded merge slot: a tree delta is added, an eventlist is
-// replayed up to t.
-void MergeRow(Delta* acc, std::shared_ptr<const void>&& obj, bool eventlist,
-              Timestamp t, bool exclusive) {
-  if (eventlist) {
-    MergeEventListUpTo(
-        acc, std::static_pointer_cast<const EventList>(std::move(obj)), t,
-        exclusive);
-  } else {
-    MergeDelta(acc, std::static_pointer_cast<const Delta>(std::move(obj)),
-               exclusive);
-  }
-}
-
 // The merge-slot sequence that rebuilds a span's state at t: the tree
 // deltas root-to-leaf down to the checkpoint before t, then the eventlists
 // from that checkpoint through the one covering t.
@@ -660,19 +613,30 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
   return out;
 }
 
-std::vector<std::shared_ptr<const void>> TGIQueryManager::TakeRows(
-    char kind, DecodedEntry&& e) {
-  std::vector<std::shared_ptr<const void>> rows;
-  if (kind == kScanKind) {
-    for (const DecodedEntry& row :
-         static_cast<const DecodedScan*>(e.obj.get())->rows) {
-      rows.push_back(row.obj);
+void TGIQueryManager::MergeSlots::Add(const Read& read,
+                                      const DecodedEntry& result) {
+  auto add = [&](const void* obj) {
+    if (obj == nullptr) return;
+    if (read.row_kind == kEventListKind) {
+      evls.push_back(static_cast<const EventList*>(obj));
+    } else {
+      deltas.push_back(static_cast<const Delta*>(obj));
     }
-  } else if (e.obj != nullptr) {
-    rows.push_back(std::move(e.obj));
+  };
+  if (read.kind != kScanKind) {
+    add(result.obj.get());
+    return;
   }
-  e.obj.reset();
-  return rows;
+  for (const DecodedEntry& row :
+       static_cast<const DecodedScan*>(result.obj.get())->rows) {
+    add(row.obj.get());
+  }
+}
+
+Delta TGIQueryManager::MergeSlots::Materialize(Timestamp t) const {
+  Delta acc = Delta::SumAll(deltas);
+  acc.ApplyEvents(evls, kMinTimestamp, t);
+  return acc;
 }
 
 std::vector<TGIQueryManager::Read> TGIQueryManager::PlanDeltaReads(
@@ -859,19 +823,10 @@ Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
       PlanDeltaReads(meta.graph, *span, DidPath(*span, t), nullptr, false);
   HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
                        Execute(meta, reads, stats));
-  // Merge: tree deltas root-to-leaf, then eventlists in order, up to t (the
-  // reads are laid out in merge-slot order). Exclusively owned decoded
-  // objects are consumed by the move-aware Add/ApplyUpTo overloads;
-  // cache-managed ones are applied by const ref.
-  const bool exclusive = decoded_cache_ == nullptr;
-  Delta acc;
-  for (size_t k = 0; k < reads.size(); ++k) {
-    const bool eventlist = reads[k].row_kind == kEventListKind;
-    for (auto& obj : TakeRows(reads[k].kind, std::move(rows[k]))) {
-      MergeRow(&acc, std::move(obj), eventlist, t, exclusive);
-    }
-  }
-  return acc;
+  // The reads are laid out in merge-slot order.
+  MergeSlots slots;
+  for (size_t k = 0; k < reads.size(); ++k) slots.Add(reads[k], rows[k]);
+  return slots.Materialize(t);
 }
 
 Result<Graph> TGIQueryManager::GetSnapshot(Timestamp t, FetchStats* stats) {
@@ -889,59 +844,57 @@ Result<std::vector<Graph>> TGIQueryManager::GetMultipointSnapshots(
   const MetaState& meta = *meta_ref;
   std::vector<Timestamp> sorted = times;
   std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
-  std::vector<Graph> by_sorted_index;
-  by_sorted_index.reserve(sorted.size());
-  Delta state;
-  const tgi::TimespanMeta* state_span = nullptr;
-  Timestamp state_time = kMinTimestamp;
-  int32_t state_cpi = -1;
-
-  for (Timestamp t : sorted) {
-    const tgi::TimespanMeta* span = SpanFor(meta, t);
-    bool can_roll_forward = span != nullptr && span == state_span &&
-                            t >= state_time &&
-                            span->CheckpointBefore(t) == state_cpi;
-    if (!can_roll_forward) {
-      FetchStats inner;
-      auto delta = GetSnapshotDeltaWith(meta, t, &inner);
-      if (stats != nullptr) stats->Merge(inner);
-      if (!delta.ok()) return delta.status();
-      state = std::move(*delta);
-      state_span = span;
-      state_cpi = span == nullptr ? -1 : span->CheckpointBefore(t);
-    } else {
-      // Same span, same checkpoint: replay only the eventlists covering
-      // (state_time, t], decoded in eventlist order.
-      std::vector<DeltaId> dids;
-      for (int32_t j = std::max(span->EventlistCovering(state_time), 0);
-           j <= span->EventlistCovering(t); ++j) {
-        dids.push_back(tgi::EventlistDid(static_cast<size_t>(j)));
-      }
-      const std::vector<Read> reads =
-          PlanDeltaReads(meta.graph, *span, dids, nullptr, false);
-      HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
-                           Execute(meta, reads, stats));
-      const bool exclusive = decoded_cache_ == nullptr;
-      for (size_t k = 0; k < reads.size(); ++k) {
-        for (auto& obj : TakeRows(reads[k].kind, std::move(rows[k]))) {
-          // Skip events already applied, stop at t. Each eventlist's window
-          // is applied as one batched per-key pass; exclusively owned
-          // decoded lists donate their payloads (see MergeDelta for why
-          // cache-managed objects are applied by const reference).
-          auto evl = std::static_pointer_cast<const EventList>(std::move(obj));
-          if (exclusive && evl.use_count() == 1) {
-            state.ApplyEvents(std::move(const_cast<EventList&>(*evl)),
-                              state_time, t);
-          } else {
-            state.ApplyEvents(*evl, state_time, t);
-          }
-        }
-      }
+  // Chains: runs of points sharing a span and a checkpoint, as [start, end)
+  // ranges of `sorted`. A point before all history is a chain of its own.
+  std::vector<size_t> chain_start;
+  const tgi::TimespanMeta* prev_span = nullptr;
+  int32_t prev_cpi = -1;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const tgi::TimespanMeta* span = SpanFor(meta, sorted[i]);
+    const int32_t cpi =
+        span == nullptr ? -1 : span->CheckpointBefore(sorted[i]);
+    if (span == nullptr || span != prev_span || cpi != prev_cpi) {
+      chain_start.push_back(i);
     }
-    state_time = t;
-    by_sorted_index.push_back(state.ToGraph());
+    prev_span = span;
+    prev_cpi = cpi;
   }
+  chain_start.push_back(sorted.size());
+
+  std::vector<Graph> by_sorted_index(sorted.size());
+  HGS_RETURN_NOT_OK(RunTasks(
+      chain_start.size() - 1, fetch_parallelism(), stats,
+      [&](size_t c, FetchStats* local) -> Status {
+        const size_t first = chain_start[c];
+        HGS_ASSIGN_OR_RETURN(Delta state,
+                             GetSnapshotDeltaWith(meta, sorted[first], local));
+        by_sorted_index[first] = state.ToGraph();
+        const tgi::TimespanMeta* span = SpanFor(meta, sorted[first]);
+        for (size_t i = first + 1; i < chain_start[c + 1]; ++i) {
+          // Same span, same checkpoint: replay only the eventlists covering
+          // (previous point, this point].
+          const Timestamp from = sorted[i - 1];
+          const Timestamp t = sorted[i];
+          std::vector<DeltaId> dids;
+          for (int32_t j = std::max(span->EventlistCovering(from), 0);
+               j <= span->EventlistCovering(t); ++j) {
+            dids.push_back(tgi::EventlistDid(static_cast<size_t>(j)));
+          }
+          const std::vector<Read> reads =
+              PlanDeltaReads(meta.graph, *span, dids, nullptr, false);
+          HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
+                               Execute(meta, reads, local));
+          MergeSlots slots;
+          for (size_t k = 0; k < reads.size(); ++k) {
+            slots.Add(reads[k], rows[k]);
+          }
+          state.ApplyEvents(slots.evls, from, t);
+          by_sorted_index[i] = state.ToGraph();
+        }
+        return Status::OK();
+      }));
 
   // Restore the caller's ordering: each materialized graph is moved into
   // its last output slot and copied only for duplicate timestamps.
@@ -973,25 +926,24 @@ Result<std::vector<Delta>> TGIQueryManager::FetchMicroStatesAt(
   // Every (did, pid) row — and its aux twin — is an independent point
   // read: one batch covers all requested micro-partitions.
   const std::vector<DeltaId> dids = DidPath(span, t);
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<DecodedEntry> rows,
-      Execute(meta, PlanDeltaReads(meta.graph, span, dids, &pids, include_aux),
-              stats));
+  const std::vector<Read> reads =
+      PlanDeltaReads(meta.graph, span, dids, &pids, include_aux);
+  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
+                       Execute(meta, reads, stats));
 
-  // Merge per pid: tree deltas root-to-leaf, then eventlist replay to t.
-  // Rows sit at [aux pass][did][pid]; exclusively owned ones are consumed.
+  // Merge per pid. Rows sit at [aux pass][did][pid], so taking a pid's rows
+  // in (did, pass) order keeps its tree rows ahead of its eventlist rows.
   const size_t np = pids.size();
   const size_t nd = dids.size();
-  const bool exclusive = decoded_cache_ == nullptr;
   ParallelFor(np, fetch_parallelism(), [&](size_t p) {
-    Delta acc;
+    MergeSlots slots;
     for (size_t i = 0; i < nd; ++i) {
       for (size_t pass = 0; pass < (include_aux ? 2u : 1u); ++pass) {
-        MergeRow(&acc, std::move(rows[(pass * nd + i) * np + p].obj),
-                 IsEventlist(dids[i]), t, exclusive);
+        const size_t k = (pass * nd + i) * np + p;
+        slots.Add(reads[k], rows[k]);
       }
     }
-    out[p] = std::move(acc);
+    out[p] = slots.Materialize(t);
   });
   return out;
 }
@@ -1356,24 +1308,23 @@ Result<std::vector<Event>> TGIQueryManager::GetEventsInRange(
   }
   HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
                        Execute(meta, reads, stats));
-  std::vector<std::vector<Event>> per_read(reads.size());
-  ParallelFor(reads.size(), fetch_parallelism(), [&](size_t k) {
-    for (const auto& obj : TakeRows(reads[k].kind, std::move(rows[k]))) {
-      const auto* evl = static_cast<const EventList*>(obj.get());
-      for (const Event& e : evl->events()) {
-        if (e.time > from && e.time <= to) per_read[k].push_back(e);
-      }
+  MergeSlots slots;
+  for (size_t k = 0; k < reads.size(); ++k) slots.Add(reads[k], rows[k]);
+  std::vector<std::vector<Event>> per_row(slots.evls.size());
+  ParallelFor(slots.evls.size(), fetch_parallelism(), [&](size_t k) {
+    for (const Event& e : slots.evls[k]->events()) {
+      if (e.time > from && e.time <= to) per_row[k].push_back(e);
     }
   });
 
   std::vector<Event> merged;
-  for (auto& part : per_read) {
+  for (auto& part : per_row) {
     merged.insert(merged.end(), part.begin(), part.end());
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const Event& a, const Event& b) { return a.time < b.time; });
-  // Edge events are stored with both endpoints' partitions: deduplicate
-  // identical adjacent events (timestamps are unique per event).
+  // Edge events are stored in both endpoints' partition rows. The total
+  // order makes the two copies adjacent even among events sharing a
+  // timestamp, so unique drops every duplicate.
+  std::sort(merged.begin(), merged.end(), EventTotalOrder);
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
   return merged;
 }

@@ -184,8 +184,12 @@ class TGIQueryManager {
   Result<Delta> GetSnapshotDelta(Timestamp t, FetchStats* stats = nullptr);
 
   /// Multipoint snapshot retrieval (Fig 1): the graph at each timepoint.
-  /// Consecutive points within one timespan reuse the previous state and
-  /// replay only the eventlists in between, rather than re-walking the tree.
+  /// The distinct points, sorted, split into chains: runs of points that
+  /// share a timespan and a checkpoint. A chain rebuilds the state at its
+  /// first point from the tree, then rolls forward to each later point by
+  /// replaying only the eventlists in between; every point's graph is
+  /// materialized from the state at that point. Chains are independent and
+  /// run in parallel on `fetch_parallelism` workers.
   Result<std::vector<Graph>> GetMultipointSnapshots(
       const std::vector<Timestamp>& times, FetchStats* stats = nullptr);
 
@@ -241,7 +245,8 @@ class TGIQueryManager {
                                          FetchStats* stats = nullptr);
 
   /// Every event in (from, to], across all timespans and partitions, in
-  /// chronological order. This is the full-log scan primitive (used by the
+  /// chronological order (events sharing a timestamp in EventTotalOrder),
+  /// each once. This is the full-log scan primitive (used by the
   /// DeltaGraph baseline's version queries and by whole-graph evolution
   /// analyses); its cost is proportional to the range's change volume.
   Result<std::vector<Event>> GetEventsInRange(Timestamp from, Timestamp to,
@@ -400,11 +405,23 @@ class TGIQueryManager {
                                             const std::vector<Read>& reads,
                                             FetchStats* stats);
 
-  /// Takes the decoded objects out of one executor result: every row of a
-  /// 'C' scan in key order, otherwise the object itself (none if absent).
-  /// Releasing the scan wrapper lets exclusively owned rows be consumed.
-  static std::vector<std::shared_ptr<const void>> TakeRows(char kind,
-                                                           DecodedEntry&& e);
+  /// The decoded rows that rebuild one state, in merge-slot order (tree
+  /// deltas root-to-leaf, then eventlists), borrowed from executor results
+  /// that must outlive it. Every tree row precedes every eventlist row, so
+  /// summing the deltas in one k-way pass and then replaying every
+  /// eventlist in one batched pass equals applying the rows one by one.
+  struct MergeSlots {
+    std::vector<const Delta*> deltas;
+    std::vector<const EventList*> evls;
+
+    /// Adds the rows of one executed deltas-table read: every row of a 'C'
+    /// scan in key order, otherwise the row itself (none if absent).
+    void Add(const Read& read, const DecodedEntry& result);
+
+    /// The state at t: Delta::SumAll over the deltas, then every
+    /// eventlist replayed up to t.
+    Delta Materialize(Timestamp t) const;
+  };
 
   /// Plan helper for deltas-table rows `dids` of `span`, laid out
   /// [aux pass][did][micro-partition]. With `pids` null the reads cover

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "graph/algorithms.h"
 #include "kvstore/cluster.h"
@@ -43,24 +45,38 @@ std::vector<Event> History(uint64_t seed, uint64_t n = 5'000) {
 }
 
 TEST(MultipointSnapshotTest, MatchesIndividualSnapshots) {
-  Cluster cluster(FastCluster());
-  TGI tgi(&cluster, SmallOptions());
   auto events = History(201);
-  ASSERT_TRUE(tgi.BuildFrom(events).ok());
-  auto qm = tgi.OpenQueryManager(2).value();
-
   Timestamp end = workload::EndTime(events);
   // Mixed points: clustered within one checkpoint window, spread across
-  // spans, and out of order.
+  // spans and checkpoints, out of order, and one before the history starts.
   std::vector<Timestamp> times = {end / 2,       end / 2 + 17, end / 2 + 39,
                                   end / 4,       end,          end / 2 + 5,
                                   end * 3 / 4};
-  auto multi = qm->GetMultipointSnapshots(times);
-  ASSERT_TRUE(multi.ok());
-  ASSERT_EQ(multi->size(), times.size());
-  for (size_t i = 0; i < times.size(); ++i) {
-    Graph expected = workload::ReplayToGraph(events, times[i]);
-    EXPECT_TRUE((*multi)[i] == expected) << "t=" << times[i];
+  const Timestamp before = events.front().time - 1;
+  times.insert(times.end(), {end / 10, end / 10 + 3, end / 3, before});
+  for (ClusteringOrder order :
+       {ClusteringOrder::kDeltaMajor, ClusteringOrder::kPartitionMajor}) {
+    for (size_t decoded_cache_bytes : {size_t{0}, size_t{32} << 20}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "order=" << static_cast<int>(order)
+                   << " decoded_cache_bytes=" << decoded_cache_bytes);
+      Cluster cluster(FastCluster());
+      TGIOptions opts = SmallOptions();
+      opts.clustering_order = order;
+      opts.decoded_cache_bytes = decoded_cache_bytes;
+      TGI tgi(&cluster, opts);
+      ASSERT_TRUE(tgi.BuildFrom(events).ok());
+      // Four workers, so independent chains of points run concurrently.
+      auto qm = tgi.OpenQueryManager(4).value();
+
+      auto multi = qm->GetMultipointSnapshots(times);
+      ASSERT_TRUE(multi.ok());
+      ASSERT_EQ(multi->size(), times.size());
+      for (size_t i = 0; i < times.size(); ++i) {
+        Graph expected = workload::ReplayToGraph(events, times[i]);
+        EXPECT_TRUE((*multi)[i] == expected) << "t=" << times[i];
+      }
+    }
   }
 }
 
@@ -138,6 +154,52 @@ TEST(EventsInRangeTest, MatchesLogSlice) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ((*got)[i], expected[i]) << "index " << i;
   }
+}
+
+TEST(EventsInRangeTest, SharedTimestampsKeepOneCopyOfEachEdgeEvent) {
+  // An edge event is stored in both endpoints' micro-partition rows. With
+  // 40-50 events per timestamp, a sort by time alone can leave the two
+  // copies apart, where unique cannot drop one of them.
+  Rng rng(211);
+  Timestamp t = 1;
+  uint64_t in_tick = 0;
+  uint64_t tick_size = 40 + rng.Uniform(11);
+  auto next_time = [&] {
+    if (in_tick == tick_size) {
+      ++t;
+      in_tick = 0;
+      tick_size = 40 + rng.Uniform(11);
+    }
+    ++in_tick;
+    return t;
+  };
+  constexpr NodeId kNodes = 2'000;
+  std::vector<Event> events;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    events.push_back(Event::AddNode(next_time(), n));
+  }
+  // Each node links to a random other node: nearly all of these edges
+  // cross micro-partitions.
+  for (NodeId u = 0; u < kNodes; ++u) {
+    const NodeId v = (u + 1 + rng.Uniform(kNodes - 1)) % kNodes;
+    events.push_back(Event::AddEdge(next_time(), u, v));
+  }
+
+  Cluster cluster(FastCluster());
+  TGI tgi(&cluster, SmallOptions());
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm = tgi.OpenQueryManager(2).value();
+  auto got = qm->GetEventsInRange(0, workload::EndTime(events));
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(got->size(), events.size());
+  EXPECT_TRUE(std::is_sorted(
+      got->begin(), got->end(),
+      [](const Event& a, const Event& b) { return a.time < b.time; }));
+  std::vector<Event> expected = events;
+  std::sort(expected.begin(), expected.end(), EventTotalOrder);
+  std::vector<Event> sorted_got = *got;
+  std::sort(sorted_got.begin(), sorted_got.end(), EventTotalOrder);
+  EXPECT_TRUE(sorted_got == expected);
 }
 
 TEST(FilterAttributesTest, ProjectsAttributeDimension) {
