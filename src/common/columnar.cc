@@ -8,14 +8,8 @@ std::string ColumnarBlockWriter::Finish() const {
   w.PutFixed8(static_cast<uint8_t>(schema_));
   w.PutVarint64(columns_.size());
   for (const std::string& col : columns_) w.PutVarint64(col.size());
-  std::string out = w.Finish();
-  for (const std::string& col : columns_) out += col;
-  out.reserve(out.size() + kChecksumWireSize);
-  uint64_t sum = Fnv1a64(out.data(), out.size());
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((sum >> (8 * i)) & 0xFF));
-  }
-  return out;
+  for (const std::string& col : columns_) w.PutRaw(col);
+  return w.FinishWithChecksum();
 }
 
 Result<ColumnarBlockReader> ColumnarBlockReader::Parse(
@@ -25,16 +19,11 @@ Result<ColumnarBlockReader> ColumnarBlockReader::Parse(
   }
   // The trailing checksum covers the whole container, so every parse error
   // past this point is genuine corruption, not a bit flip slipping through.
-  size_t body = payload.size() - kChecksumWireSize;
-  uint64_t stored = 0;
-  for (int i = 7; i >= 0; --i) {
-    stored = (stored << 8) |
-             static_cast<unsigned char>(payload[body + static_cast<size_t>(i)]);
-  }
-  if (stored != Fnv1a64(payload.data(), body)) {
+  BinaryReader r(payload);
+  if (!r.VerifyChecksum().ok()) {
     return Status::Corruption("columnar block: checksum mismatch");
   }
-  BinaryReader r(payload.substr(kColumnarMagicSize, body - kColumnarMagicSize));
+  for (size_t i = 0; i < kColumnarMagicSize; ++i) r.ReadFixed8();  // magic
   uint8_t schema = r.ReadFixed8();
   if (r.failed() || schema != static_cast<uint8_t>(expected_schema)) {
     return Status::Corruption("columnar block: schema mismatch");
@@ -57,7 +46,7 @@ Result<ColumnarBlockReader> ColumnarBlockReader::Parse(
   }
   ColumnarBlockReader out;
   out.columns_.reserve(ncols);
-  size_t offset = body - static_cast<size_t>(total);
+  size_t offset = payload.size() - kChecksumWireSize - total;
   for (uint64_t i = 0; i < ncols; ++i) {
     out.columns_.push_back(
         payload.substr(offset, static_cast<size_t>(lens[i])));

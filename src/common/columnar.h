@@ -114,8 +114,7 @@ struct DeltaInt64Encoder {
   }
 };
 
-/// Decoding counterpart of DeltaInt64Encoder, running on the bulk reader
-/// (sticky failed() instead of per-value Result).
+/// Decoding counterpart of DeltaInt64Encoder (failures latch r->failed()).
 struct DeltaInt64Decoder {
   int64_t prev = 0;
   int64_t Next(BinaryReader* r) {
@@ -136,9 +135,8 @@ class BitColumnWriter {
   std::string Finish() const {
     BinaryWriter w;
     w.PutVarint64(count_);
-    std::string out = w.Finish();
-    out += bytes_;
-    return out;
+    w.PutRaw(bytes_);
+    return w.Finish();
   }
 
  private:
@@ -194,9 +192,8 @@ class NibbleColumnWriter {
   std::string Finish() const {
     BinaryWriter w;
     w.PutVarint64(count_);
-    std::string out = w.Finish();
-    out += bytes_;
-    return out;
+    w.PutRaw(bytes_);
+    return w.Finish();
   }
 
  private:

@@ -19,33 +19,13 @@ inline uint32_t HashQuad(const char* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-void PutVarRaw(std::string* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out->push_back(static_cast<char>(v));
-}
-
-Result<uint64_t> GetVarRaw(std::string_view in, size_t* pos) {
-  uint64_t v = 0;
-  int shift = 0;
-  while (*pos < in.size()) {
-    uint8_t byte = static_cast<unsigned char>(in[(*pos)++]);
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if (!(byte & 0x80)) return v;
-    shift += 7;
-    if (shift > 63) break;
-  }
-  return Status::Corruption("bad varint in compressed block");
-}
-
 // Token stream grammar (after the header):
 //   literal_len:varint  literal_bytes  match_len:varint  match_dist:varint
 // repeated; match_len == 0 terminates the stream after trailing literals.
+// A literal run is a length-prefixed string (BinaryWriter::PutString), and
+// no match is longer than kMaxMatch.
 std::string LzCompressImpl(std::string_view in) {
-  std::string out;
-  out.reserve(in.size() / 2 + 16);
+  BinaryWriter out;
   std::vector<int64_t> head(1u << kHashBits, -1);
   std::vector<int64_t> prev(in.size(), -1);
 
@@ -74,10 +54,9 @@ std::string LzCompressImpl(std::string_view in) {
       head[h] = static_cast<int64_t>(i);
     }
     if (best_len >= kMinMatch) {
-      PutVarRaw(&out, i - lit_start);
-      out.append(in.data() + lit_start, i - lit_start);
-      PutVarRaw(&out, best_len);
-      PutVarRaw(&out, best_dist);
+      out.PutString(in.substr(lit_start, i - lit_start));
+      out.PutVarint64(best_len);
+      out.PutVarint64(best_dist);
       // Index the matched region sparsely so later matches can reference it.
       size_t end = i + best_len;
       for (size_t j = i + 1; j + kMinMatch <= in.size() && j < end; j += 2) {
@@ -91,28 +70,37 @@ std::string LzCompressImpl(std::string_view in) {
       ++i;
     }
   }
-  PutVarRaw(&out, i - lit_start);
-  out.append(in.data() + lit_start, i - lit_start);
-  PutVarRaw(&out, 0);
-  return out;
+  out.PutString(in.substr(lit_start, i - lit_start));
+  out.PutVarint64(0);
+  return out.Finish();
 }
 
+// Every body byte yields at most kMaxMatch output bytes (a literal byte one,
+// a match token at most kMaxMatch), so a larger claimed size is rejected
+// before anything is allocated, and no run may pass the claimed size.
 Result<std::string> LzDecompressImpl(std::string_view in,
-                                     size_t uncompressed_size) {
+                                     uint64_t uncompressed_size) {
+  if (uncompressed_size > in.size() * kMaxMatch) {
+    return Status::Corruption("claimed size exceeds what the block encodes");
+  }
   std::string out;
   out.reserve(uncompressed_size);
-  size_t pos = 0;
-  while (pos < in.size()) {
-    HGS_ASSIGN_OR_RETURN(uint64_t lit_len, GetVarRaw(in, &pos));
-    if (in.size() - pos < lit_len) {
-      return Status::Corruption("truncated literal run");
+  BinaryReader r(in);
+  while (!r.AtEnd()) {
+    std::string_view literal = r.ReadBytesView();
+    if (r.failed() || literal.size() > uncompressed_size - out.size()) {
+      return Status::Corruption("bad literal run");
     }
-    out.append(in.data() + pos, lit_len);
-    pos += lit_len;
-    if (pos >= in.size()) break;
-    HGS_ASSIGN_OR_RETURN(uint64_t match_len, GetVarRaw(in, &pos));
+    out.append(literal);
+    if (r.AtEnd()) break;
+    uint64_t match_len = r.ReadVarint64();
+    if (r.failed()) return r.BulkStatus();
     if (match_len == 0) break;
-    HGS_ASSIGN_OR_RETURN(uint64_t dist, GetVarRaw(in, &pos));
+    uint64_t dist = r.ReadVarint64();
+    if (r.failed() || match_len > kMaxMatch ||
+        match_len > uncompressed_size - out.size()) {
+      return Status::Corruption("bad match run");
+    }
     if (dist == 0 || dist > out.size()) {
       return Status::Corruption("bad match distance");
     }
@@ -137,11 +125,21 @@ struct BlockHeader {
 };
 
 Result<BlockHeader> ParseBlockHeader(std::string_view input) {
-  if (input.empty()) return Status::Corruption("empty compressed block");
-  auto kind = static_cast<CompressionKind>(input[0]);
-  size_t pos = 1;
-  HGS_ASSIGN_OR_RETURN(uint64_t raw_size, GetVarRaw(input, &pos));
-  return BlockHeader{kind, raw_size, pos};
+  BinaryReader r(input);
+  auto kind = static_cast<CompressionKind>(r.ReadFixed8());
+  uint64_t raw_size = r.ReadVarint64();
+  if (r.failed()) return Status::Corruption("bad compressed block header");
+  return BlockHeader{kind, raw_size, input.size() - r.remaining()};
+}
+
+// The block envelope: codec tag, uncompressed size, then the codec's body.
+std::string Envelope(CompressionKind kind, size_t raw_size,
+                     std::string_view body) {
+  BinaryWriter w;
+  w.PutFixed8(static_cast<uint8_t>(kind));
+  w.PutVarint64(raw_size);
+  w.PutRaw(body);
+  return w.Finish();
 }
 
 // Schema -> codec table. Filled during static initialization (single-
@@ -188,31 +186,21 @@ std::string Compress(std::string_view input, CompressionKind kind,
     if (const ColumnarCodec* codec = LookupColumnarCodec(schema)) {
       std::optional<std::string> columnar = codec->encode(input);
       if (columnar.has_value()) {
-        std::string out;
-        out.reserve(1 + 10 + columnar->size());
-        out.push_back(static_cast<char>(CompressionKind::kColumnar));
-        PutVarRaw(&out, input.size());
-        out += *columnar;
+        std::string out =
+            Envelope(CompressionKind::kColumnar, input.size(), *columnar);
         if (out.size() < lz.size()) return out;
       }
     }
     return lz;
   }
-  std::string out;
   if (kind == CompressionKind::kLz) {
     std::string body = LzCompressImpl(input);
     // Fall back to stored format when compression does not pay off.
     if (body.size() + 16 < input.size()) {
-      out.push_back(static_cast<char>(CompressionKind::kLz));
-      PutVarRaw(&out, input.size());
-      out += body;
-      return out;
+      return Envelope(CompressionKind::kLz, input.size(), body);
     }
   }
-  out.push_back(static_cast<char>(CompressionKind::kNone));
-  PutVarRaw(&out, input.size());
-  out.append(input.data(), input.size());
-  return out;
+  return Envelope(CompressionKind::kNone, input.size(), input);
 }
 
 Result<std::string> Decompress(std::string_view input) {

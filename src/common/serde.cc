@@ -33,12 +33,6 @@ void BinaryWriter::PutFixed64(uint64_t v) {
   }
 }
 
-void BinaryWriter::PutDouble(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutFixed64(bits);
-}
-
 void BinaryWriter::PutString(std::string_view s) {
   PutVarint64(s.size());
   buf_.append(s.data(), s.size());
@@ -76,25 +70,8 @@ Status BinaryReader::VerifyChecksum() {
   return Status::OK();
 }
 
-Result<uint64_t> BinaryReader::GetVarint64() {
-  uint64_t v = 0;
-  int shift = 0;
-  while (pos_ < data_.size()) {
-    uint8_t byte = static_cast<unsigned char>(data_[pos_++]);
-    if (shift >= 63 && byte > 1) {
-      return Status::Corruption("varint overflow");
-    }
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if (!(byte & 0x80)) return v;
-    shift += 7;
-  }
-  return Status::Corruption("truncated varint");
-}
-
 uint64_t BinaryReader::ReadVarint64() {
   if (failed_) return 0;
-  // Same per-byte decode as GetVarint64; the saving is in the calling
-  // convention (no Result<> construction per field), not the loop body.
   const size_t n = data_.size();
   uint64_t v = 0;
   int shift = 0;
@@ -125,53 +102,6 @@ std::string_view BinaryReader::ReadBytesView() {
   std::string_view out = data_.substr(pos_, len);
   pos_ += len;
   return out;
-}
-
-Result<uint32_t> BinaryReader::GetVarint32() {
-  HGS_ASSIGN_OR_RETURN(uint64_t v, GetVarint64());
-  if (v > UINT32_MAX) return Status::Corruption("varint32 overflow");
-  return static_cast<uint32_t>(v);
-}
-
-Result<int64_t> BinaryReader::GetSigned64() {
-  HGS_ASSIGN_OR_RETURN(uint64_t z, GetVarint64());
-  return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
-}
-
-Result<uint8_t> BinaryReader::GetFixed8() {
-  if (pos_ >= data_.size()) return Status::Corruption("truncated fixed8");
-  return static_cast<uint8_t>(data_[pos_++]);
-}
-
-Result<uint64_t> BinaryReader::GetFixed64() {
-  if (remaining() < 8) return Status::Corruption("truncated fixed64");
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<unsigned char>(data_[pos_ + static_cast<size_t>(i)]);
-  }
-  pos_ += 8;
-  return v;
-}
-
-Result<double> BinaryReader::GetDouble() {
-  HGS_ASSIGN_OR_RETURN(uint64_t bits, GetFixed64());
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-Result<std::string> BinaryReader::GetString() {
-  HGS_ASSIGN_OR_RETURN(uint64_t n, GetVarint64());
-  if (remaining() < n) return Status::Corruption("truncated string");
-  std::string s(data_.substr(pos_, n));
-  pos_ += n;
-  return s;
-}
-
-Result<bool> BinaryReader::GetBool() {
-  HGS_ASSIGN_OR_RETURN(uint8_t b, GetFixed8());
-  return b != 0;
 }
 
 }  // namespace hgs

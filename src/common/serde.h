@@ -1,4 +1,5 @@
-// Binary serialization used for delta values stored in the key-value store.
+// Binary serialization of every row stored in the key-value store, and of
+// the compression and columnar containers around them.
 //
 // Encoding conventions:
 //  * unsigned integers: LEB128 varint
@@ -6,19 +7,17 @@
 //  * strings/blobs:     varint length prefix + raw bytes
 //  * records:           field-by-field, schema fixed by the caller
 //
-// A trailing FNV-1a checksum guards serialized deltas against corruption;
+// A trailing FNV-1a checksum guards serialized rows against corruption;
 // see BinaryWriter::FinishWithChecksum / BinaryReader::VerifyChecksum.
 
 #ifndef HGS_COMMON_SERDE_H_
 #define HGS_COMMON_SERDE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 
 namespace hgs {
@@ -65,9 +64,11 @@ class BinaryWriter {
   void PutSigned64(int64_t v);
   void PutFixed8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutFixed64(uint64_t v);
-  void PutDouble(double v);
   void PutString(std::string_view s);
   void PutBool(bool b) { PutFixed8(b ? 1 : 0); }
+  /// Appends bytes verbatim, with no length prefix (the caller's schema
+  /// fixes their length).
+  void PutRaw(std::string_view bytes) { buf_.append(bytes); }
 
   /// Appends an 8-byte FNV-1a checksum of everything written so far and
   /// releases the buffer. After this the writer is reset.
@@ -82,18 +83,13 @@ class BinaryWriter {
   std::string buf_;
 };
 
-/// Sequential reader over a serialized buffer. All getters return an error
-/// Status on truncation rather than reading out of bounds.
-///
-/// Two decode interfaces share the cursor:
-///  * scalar getters (Get*) return Result<> per field — convenient for
-///    record decoders that bail out field by field;
-///  * bulk readers (Read*) are the hot-loop fast path: pointer-bumping
-///    decodes that return the value directly and latch a sticky failed()
-///    flag on truncation/corruption, so tight loops pay no per-field
-///    Result<> construction and check for errors once per record (or once
-///    per buffer). After failed() flips, every further Read* returns a
-///    zero value and the cursor stops advancing.
+/// Sequential reader over a serialized buffer: the one way stored bytes
+/// become values. Every Read* is a pointer-bumping decode that returns the
+/// value directly and, on truncation or corruption, latches a sticky
+/// failed() flag instead of reading out of bounds. After failed() flips,
+/// every further Read* returns a zero value and the cursor stops advancing,
+/// so a record decoder reads all its fields and checks BulkStatus() once
+/// (loops over a decoded count also stop on failed()).
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
@@ -102,17 +98,16 @@ class BinaryReader {
   /// FinishWithChecksum. Must be called before any reads.
   Status VerifyChecksum();
 
-  Result<uint64_t> GetVarint64();
-  Result<uint32_t> GetVarint32();
-  Result<int64_t> GetSigned64();
-  Result<uint8_t> GetFixed8();
-  Result<uint64_t> GetFixed64();
-  Result<double> GetDouble();
-  Result<std::string> GetString();
-  Result<bool> GetBool();
-
-  // -- bulk fast path ------------------------------------------------------
   uint64_t ReadVarint64();
+  /// A varint that must fit 32 bits; a larger value latches failed().
+  uint32_t ReadVarint32() {
+    uint64_t v = ReadVarint64();
+    if (v > UINT32_MAX) {
+      failed_ = true;
+      return 0;
+    }
+    return static_cast<uint32_t>(v);
+  }
   int64_t ReadSigned64() {
     uint64_t z = ReadVarint64();
     return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
@@ -131,9 +126,9 @@ class BinaryReader {
 
   bool failed() const { return failed_; }
   /// Latches the sticky error from a caller-side validity check (e.g. an
-  /// out-of-range enum byte) so bulk decoding aborts uniformly.
+  /// out-of-range enum byte) so decoding aborts uniformly.
   void MarkFailed() { failed_ = true; }
-  /// Sticky-error check as a Status, for returning out of bulk decoders.
+  /// Sticky-error check as a Status, for returning out of decoders.
   Status BulkStatus() const {
     return failed_ ? Status::Corruption("truncated or corrupt buffer")
                    : Status::OK();

@@ -995,78 +995,37 @@ void Delta::ForEachEdgeEntry(
 // Serialization (entries in ascending key order)
 // ---------------------------------------------------------------------------
 
-void Delta::SerializeTo(BinaryWriter* w) const {
-  w->PutVarint64(nodes_.size());
-  nodes_.ForEachOrdered([&](const NodeMap::Entry& e) {
-    w->PutVarint64(e.first);
-    w->PutBool(e.second.has_value());
-    if (e.second.has_value()) SerializeAttributes(e.second->attrs, w);
-  });
-  w->PutVarint64(edges_.size());
-  edges_.ForEachOrdered([&](const EdgeMap::Entry& e) {
-    const auto& rec = e.second;
-    w->PutBool(rec.has_value());
-    if (rec.has_value()) {
-      w->PutVarint64(rec->src);
-      w->PutVarint64(rec->dst);
-      w->PutBool(rec->directed);
-      SerializeAttributes(rec->attrs, w);
-    } else {
-      w->PutVarint64(e.first.u);
-      w->PutVarint64(e.first.v);
-    }
-  });
-}
-
-Result<Delta> Delta::DeserializeFrom(BinaryReader* r) {
-  Delta d;
-  HGS_ASSIGN_OR_RETURN(uint64_t n_nodes, r->GetVarint64());
-  for (uint64_t i = 0; i < n_nodes; ++i) {
-    HGS_ASSIGN_OR_RETURN(uint64_t id, r->GetVarint64());
-    HGS_ASSIGN_OR_RETURN(bool present, r->GetBool());
-    if (present) {
-      HGS_ASSIGN_OR_RETURN(Attributes attrs, DeserializeAttributes(r));
-      d.nodes_.AppendOrdered(id, NodeRecord{.attrs = std::move(attrs)});
-    } else {
-      d.nodes_.AppendOrdered(id, std::nullopt);
-    }
-  }
-  HGS_ASSIGN_OR_RETURN(uint64_t n_edges, r->GetVarint64());
-  for (uint64_t i = 0; i < n_edges; ++i) {
-    HGS_ASSIGN_OR_RETURN(bool present, r->GetBool());
-    if (present) {
-      HGS_ASSIGN_OR_RETURN(uint64_t src, r->GetVarint64());
-      HGS_ASSIGN_OR_RETURN(uint64_t dst, r->GetVarint64());
-      HGS_ASSIGN_OR_RETURN(bool directed, r->GetBool());
-      HGS_ASSIGN_OR_RETURN(Attributes attrs, DeserializeAttributes(r));
-      d.edges_.AppendOrdered(EdgeKey(src, dst),
-                             EdgeRecord{.src = src, .dst = dst,
-                                        .directed = directed,
-                                        .attrs = std::move(attrs)});
-    } else {
-      HGS_ASSIGN_OR_RETURN(uint64_t u, r->GetVarint64());
-      HGS_ASSIGN_OR_RETURN(uint64_t v, r->GetVarint64());
-      d.edges_.AppendOrdered(EdgeKey(u, v), std::nullopt);
-    }
-  }
-  d.Compact();
-  return d;
-}
-
 std::string Delta::Serialize() const {
   BinaryWriter w;
-  SerializeTo(&w);
+  w.PutVarint64(nodes_.size());
+  nodes_.ForEachOrdered([&](const NodeMap::Entry& e) {
+    w.PutVarint64(e.first);
+    w.PutBool(e.second.has_value());
+    if (e.second.has_value()) SerializeAttributes(e.second->attrs, &w);
+  });
+  w.PutVarint64(edges_.size());
+  edges_.ForEachOrdered([&](const EdgeMap::Entry& e) {
+    const auto& rec = e.second;
+    w.PutBool(rec.has_value());
+    if (rec.has_value()) {
+      w.PutVarint64(rec->src);
+      w.PutVarint64(rec->dst);
+      w.PutBool(rec->directed);
+      SerializeAttributes(rec->attrs, &w);
+    } else {
+      w.PutVarint64(e.first.u);
+      w.PutVarint64(e.first.v);
+    }
+  });
   return w.FinishWithChecksum();
 }
 
-// The whole-value decode is the read path's hot loop, so it runs on the
-// bulk reader: pointer-bumping field decodes with one sticky-error check
-// per record instead of a Result<> per field. Entries arrive in key order
-// (the serialization invariant), so they append straight onto the sorted
-// span with no per-entry insertion cost; AppendOrdered degrades gracefully
-// to tail writes if a (corrupt but checksum-colliding) buffer is unsorted.
-// DeserializeFrom stays as the scalar reference decoder; the two are
-// equivalence-tested in delta_test.
+// The whole-value decode is the read path's hot loop: pointer-bumping
+// field decodes with one sticky-error check per record. Entries arrive in
+// key order (the serialization invariant), so they append straight onto
+// the sorted span with no per-entry insertion cost; AppendOrdered degrades
+// gracefully to tail writes if a (corrupt but checksum-colliding) buffer is
+// unsorted.
 Result<Delta> Delta::Deserialize(std::string_view data) {
   // A columnar payload (alternative serialization; see common/columnar.h)
   // routes on its magic — legacy payloads can never start with those bytes.
@@ -1081,7 +1040,7 @@ Result<Delta> Delta::Deserialize(std::string_view data) {
     uint64_t id = r.ReadVarint64();
     if (r.ReadBool()) {
       d.nodes_.AppendOrdered(
-          id, NodeRecord{.attrs = DeserializeAttributesBulk(&r)});
+          id, NodeRecord{.attrs = DeserializeAttributes(&r)});
     } else {
       d.nodes_.AppendOrdered(id, std::nullopt);
     }
@@ -1098,7 +1057,7 @@ Result<Delta> Delta::Deserialize(std::string_view data) {
       d.edges_.AppendOrdered(
           EdgeKey(src, dst),
           EdgeRecord{.src = src, .dst = dst, .directed = directed,
-                     .attrs = DeserializeAttributesBulk(&r)});
+                     .attrs = DeserializeAttributes(&r)});
     } else {
       uint64_t u = r.ReadVarint64();
       uint64_t v = r.ReadVarint64();

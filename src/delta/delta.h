@@ -262,8 +262,6 @@ class Delta {
   // -- serialization -------------------------------------------------------
   // Entries serialize in ascending key order, so deserialization decodes
   // straight into the sorted span with no per-entry insertion cost.
-  void SerializeTo(BinaryWriter* w) const;
-  static Result<Delta> DeserializeFrom(BinaryReader* r);
   std::string Serialize() const;
   static Result<Delta> Deserialize(std::string_view data);
 

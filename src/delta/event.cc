@@ -129,17 +129,6 @@ size_t AttributesWireSize(const Attributes& attrs) {
   return total;
 }
 
-Result<Attributes> DeserializeAttributes(BinaryReader* r) {
-  HGS_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint64());
-  Attributes attrs;
-  for (uint64_t i = 0; i < n; ++i) {
-    HGS_ASSIGN_OR_RETURN(std::string k, r->GetString());
-    HGS_ASSIGN_OR_RETURN(std::string v, r->GetString());
-    attrs.Set(k, v);
-  }
-  return attrs;
-}
-
 void Event::SerializeTo(BinaryWriter* w) const {
   w->PutSigned64(time);
   w->PutFixed8(static_cast<uint8_t>(type));
@@ -214,61 +203,7 @@ size_t Event::SerializedWireSize() const {
   return total;
 }
 
-Result<Event> Event::DeserializeFrom(BinaryReader* r) {
-  Event e;
-  HGS_ASSIGN_OR_RETURN(e.time, r->GetSigned64());
-  HGS_ASSIGN_OR_RETURN(uint8_t type_byte, r->GetFixed8());
-  if (type_byte > static_cast<uint8_t>(EventType::kDelEdgeAttr)) {
-    return Status::Corruption("bad event type");
-  }
-  e.type = static_cast<EventType>(type_byte);
-  HGS_ASSIGN_OR_RETURN(e.u, r->GetVarint64());
-  switch (e.type) {
-    case EventType::kAddNode: {
-      HGS_ASSIGN_OR_RETURN(e.attrs, DeserializeAttributes(r));
-      break;
-    }
-    case EventType::kRemoveNode:
-      break;
-    case EventType::kAddEdge: {
-      HGS_ASSIGN_OR_RETURN(e.v, r->GetVarint64());
-      HGS_ASSIGN_OR_RETURN(e.directed, r->GetBool());
-      HGS_ASSIGN_OR_RETURN(e.attrs, DeserializeAttributes(r));
-      break;
-    }
-    case EventType::kRemoveEdge: {
-      HGS_ASSIGN_OR_RETURN(e.v, r->GetVarint64());
-      break;
-    }
-    case EventType::kSetNodeAttr: {
-      HGS_ASSIGN_OR_RETURN(e.key, r->GetString());
-      HGS_ASSIGN_OR_RETURN(e.value, r->GetString());
-      HGS_ASSIGN_OR_RETURN(e.prev_value, r->GetString());
-      break;
-    }
-    case EventType::kDelNodeAttr: {
-      HGS_ASSIGN_OR_RETURN(e.key, r->GetString());
-      HGS_ASSIGN_OR_RETURN(e.prev_value, r->GetString());
-      break;
-    }
-    case EventType::kSetEdgeAttr: {
-      HGS_ASSIGN_OR_RETURN(e.v, r->GetVarint64());
-      HGS_ASSIGN_OR_RETURN(e.key, r->GetString());
-      HGS_ASSIGN_OR_RETURN(e.value, r->GetString());
-      HGS_ASSIGN_OR_RETURN(e.prev_value, r->GetString());
-      break;
-    }
-    case EventType::kDelEdgeAttr: {
-      HGS_ASSIGN_OR_RETURN(e.v, r->GetVarint64());
-      HGS_ASSIGN_OR_RETURN(e.key, r->GetString());
-      HGS_ASSIGN_OR_RETURN(e.prev_value, r->GetString());
-      break;
-    }
-  }
-  return e;
-}
-
-Attributes DeserializeAttributesBulk(BinaryReader* r) {
+Attributes DeserializeAttributes(BinaryReader* r) {
   uint64_t n = r->ReadVarint64();
   Attributes attrs;
   for (uint64_t i = 0; i < n && !r->failed(); ++i) {
@@ -281,7 +216,7 @@ Attributes DeserializeAttributesBulk(BinaryReader* r) {
   return attrs;
 }
 
-void Event::DeserializeFromBulk(BinaryReader* r, Event* e) {
+void Event::DeserializeFrom(BinaryReader* r, Event* e) {
   e->time = r->ReadSigned64();
   uint8_t type_byte = r->ReadFixed8();
   if (type_byte > static_cast<uint8_t>(EventType::kDelEdgeAttr)) {
@@ -292,14 +227,14 @@ void Event::DeserializeFromBulk(BinaryReader* r, Event* e) {
   e->u = r->ReadVarint64();
   switch (e->type) {
     case EventType::kAddNode:
-      e->attrs = DeserializeAttributesBulk(r);
+      e->attrs = DeserializeAttributes(r);
       break;
     case EventType::kRemoveNode:
       break;
     case EventType::kAddEdge:
       e->v = r->ReadVarint64();
       e->directed = r->ReadBool();
-      e->attrs = DeserializeAttributesBulk(r);
+      e->attrs = DeserializeAttributes(r);
       break;
     case EventType::kRemoveEdge:
       e->v = r->ReadVarint64();

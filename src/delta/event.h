@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "common/result.h"
 #include "common/serde.h"
 #include "common/types.h"
 #include "graph/attributes.h"
@@ -69,16 +68,12 @@ struct Event {
                            std::string prev = "");
 
   void SerializeTo(BinaryWriter* w) const;
-  static Result<Event> DeserializeFrom(BinaryReader* r);
+  /// Decodes what SerializeTo wrote into `e`. On corruption the reader's
+  /// failed() flag latches and `e` is meaningless.
+  static void DeserializeFrom(BinaryReader* r, Event* e);
 
   /// Exact number of bytes SerializeTo writes for this event.
   size_t SerializedWireSize() const;
-
-  /// Bulk fast-path decode (see BinaryReader's Read* interface): decodes
-  /// into `e` with no per-field Result<> construction; on corruption the
-  /// reader's failed() flag latches and `e` is meaningless. Produces
-  /// results identical to DeserializeFrom on well-formed input.
-  static void DeserializeFromBulk(BinaryReader* r, Event* e);
 
   bool operator==(const Event& o) const = default;
 };
@@ -100,9 +95,9 @@ bool EventTotalOrder(const Event& a, const Event& b);
 void SerializeAttributes(const Attributes& attrs, BinaryWriter* w);
 /// Exact number of bytes SerializeAttributes writes.
 size_t AttributesWireSize(const Attributes& attrs);
-Result<Attributes> DeserializeAttributes(BinaryReader* r);
-/// Bulk fast-path attribute decode; mirrors DeserializeAttributes.
-Attributes DeserializeAttributesBulk(BinaryReader* r);
+/// Decodes what SerializeAttributes wrote; latches r->failed() on
+/// corruption.
+Attributes DeserializeAttributes(BinaryReader* r);
 
 }  // namespace hgs
 

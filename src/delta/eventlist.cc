@@ -280,34 +280,15 @@ size_t EventList::SerializedSizeBytes() const {
   return total + kChecksumWireSize;
 }
 
-void EventList::SerializeTo(BinaryWriter* w) const {
-  w->PutSigned64(after_);
-  w->PutSigned64(upto_);
-  w->PutVarint64(events_.size());
-  for (const Event& e : events_) e.SerializeTo(w);
-}
-
-Result<EventList> EventList::DeserializeFrom(BinaryReader* r) {
-  EventList out;
-  HGS_ASSIGN_OR_RETURN(out.after_, r->GetSigned64());
-  HGS_ASSIGN_OR_RETURN(out.upto_, r->GetSigned64());
-  HGS_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint64());
-  out.events_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    HGS_ASSIGN_OR_RETURN(Event e, Event::DeserializeFrom(r));
-    out.events_.push_back(std::move(e));
-  }
-  return out;
-}
-
 std::string EventList::Serialize() const {
   BinaryWriter w;
-  SerializeTo(&w);
+  w.PutSigned64(after_);
+  w.PutSigned64(upto_);
+  w.PutVarint64(events_.size());
+  for (const Event& e : events_) e.SerializeTo(&w);
   return w.FinishWithChecksum();
 }
 
-// Bulk fast-path whole-value decode; see Delta::Deserialize for rationale.
-// DeserializeFrom stays as the scalar reference decoder.
 Result<EventList> EventList::Deserialize(std::string_view data) {
   // A columnar payload (alternative serialization; see common/columnar.h)
   // routes on its magic — legacy payloads can never start with those bytes.
@@ -322,7 +303,7 @@ Result<EventList> EventList::Deserialize(std::string_view data) {
   out.events_.reserve(std::min<uint64_t>(n, r.remaining()));
   for (uint64_t i = 0; i < n; ++i) {
     Event& e = out.events_.emplace_back();
-    Event::DeserializeFromBulk(&r, &e);
+    Event::DeserializeFrom(&r, &e);
     if (r.failed()) return r.BulkStatus();
   }
   return out;

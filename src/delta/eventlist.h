@@ -64,8 +64,6 @@ class EventList {
   /// Exact wire size of Serialize() (payload + checksum).
   size_t SerializedSizeBytes() const;
 
-  void SerializeTo(BinaryWriter* w) const;
-  static Result<EventList> DeserializeFrom(BinaryReader* r);
   std::string Serialize() const;
   static Result<EventList> Deserialize(std::string_view data);
 

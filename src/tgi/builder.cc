@@ -675,11 +675,8 @@ Status TGIBuilder::BuildTimespanFrom(std::span<const Event> events,
   meta.checkpoints = std::move(checkpoint_times);
   meta.eventlist_bounds = std::move(eventlist_bounds);
   meta.tree = std::move(tree_meta);
-  BinaryWriter w;
-  meta.SerializeTo(&w);
   HGS_RETURN_NOT_OK(cluster_->Put(tgi::kTimespansTable, 0,
-                                  tgi::TimespanRowKey(tsid),
-                                  w.FinishWithChecksum()));
+                                  tgi::TimespanRowKey(tsid), meta.Serialize()));
   touched.push_back(MakeEpochKey(tgi::kTimespansTable, 0));
   {
     MutexLock lock(touched_mu_);

@@ -75,8 +75,8 @@ Result<VersionChainSegment> DecodeColumnarSegment(std::string_view payload) {
   BinaryReader head(head_col);
   VersionChainSegment seg;
   seg.node = head.ReadVarint64();
-  seg.tsid = static_cast<TimespanId>(head.ReadVarint64());
-  seg.pid = static_cast<MicroPartitionId>(head.ReadVarint64());
+  seg.tsid = head.ReadVarint32();
+  seg.pid = head.ReadVarint32();
   uint64_t n = head.ReadVarint64();
   if (head.failed()) return head.BulkStatus();
 
@@ -91,11 +91,13 @@ Result<VersionChainSegment> DecodeColumnarSegment(std::string_view payload) {
   for (uint64_t i = 0; i < n; ++i) {
     VersionEntry e;
     e.tsid = seg.tsid;
-    e.eventlist_index = static_cast<uint32_t>(el_dec.Next(&els));
-    e.pid = static_cast<MicroPartitionId>(pids.ReadVarint64());
+    int64_t el_index = el_dec.Next(&els);
+    if (el_index < 0 || el_index > int64_t{UINT32_MAX}) els.MarkFailed();
+    e.eventlist_index = static_cast<uint32_t>(el_index);
+    e.pid = pids.ReadVarint32();
     e.first_time = first_dec.Next(&firsts);
     e.last_time = e.first_time + lasts.ReadSigned64();
-    e.event_count = static_cast<uint32_t>(counts.ReadVarint64());
+    e.event_count = counts.ReadVarint32();
     if (els.failed() || pids.failed() || firsts.failed() || lasts.failed() ||
         counts.failed()) {
       return Status::Corruption("columnar version chain: truncated column");
@@ -162,62 +164,66 @@ int32_t TimespanMeta::EventlistCovering(Timestamp t) const {
   return best;
 }
 
-void TimespanMeta::SerializeTo(BinaryWriter* w) const {
-  w->PutVarint32(tsid);
-  w->PutSigned64(start);
-  w->PutSigned64(end);
-  w->PutVarint64(event_count);
-  w->PutVarint32(eventlist_size);
-  w->PutVarint32(checkpoint_interval);
-  w->PutVarint32(num_micro_partitions);
-  w->PutFixed8(strategy);
-  w->PutVarint64(checkpoints.size());
-  for (Timestamp c : checkpoints) w->PutSigned64(c);
-  w->PutVarint64(eventlist_bounds.size());
+std::string TimespanMeta::Serialize() const {
+  BinaryWriter w;
+  w.PutVarint32(tsid);
+  w.PutSigned64(start);
+  w.PutSigned64(end);
+  w.PutVarint64(event_count);
+  w.PutVarint32(eventlist_size);
+  w.PutVarint32(checkpoint_interval);
+  w.PutVarint32(num_micro_partitions);
+  w.PutFixed8(strategy);
+  w.PutVarint64(checkpoints.size());
+  for (Timestamp c : checkpoints) w.PutSigned64(c);
+  w.PutVarint64(eventlist_bounds.size());
   for (const auto& [first, last] : eventlist_bounds) {
-    w->PutSigned64(first);
-    w->PutSigned64(last);
+    w.PutSigned64(first);
+    w.PutSigned64(last);
   }
-  w->PutVarint64(tree.size());
+  w.PutVarint64(tree.size());
   for (const TreeNode& n : tree) {
-    w->PutSigned64(n.parent);
-    w->PutSigned64(n.checkpoint_index);
+    w.PutSigned64(n.parent);
+    w.PutSigned64(n.checkpoint_index);
   }
+  return w.FinishWithChecksum();
 }
 
-Result<TimespanMeta> TimespanMeta::DeserializeFrom(BinaryReader* r) {
+// Element counts come from the payload, so every reserve is capped by the
+// bytes left: each element takes at least one byte. Loops stop as soon as
+// the reader fails, and each decoder checks BulkStatus() once at the end.
+Result<TimespanMeta> TimespanMeta::Deserialize(std::string_view data) {
+  BinaryReader r(data);
+  HGS_RETURN_NOT_OK(r.VerifyChecksum());
   TimespanMeta m;
-  HGS_ASSIGN_OR_RETURN(m.tsid, r->GetVarint32());
-  HGS_ASSIGN_OR_RETURN(m.start, r->GetSigned64());
-  HGS_ASSIGN_OR_RETURN(m.end, r->GetSigned64());
-  HGS_ASSIGN_OR_RETURN(m.event_count, r->GetVarint64());
-  HGS_ASSIGN_OR_RETURN(m.eventlist_size, r->GetVarint32());
-  HGS_ASSIGN_OR_RETURN(m.checkpoint_interval, r->GetVarint32());
-  HGS_ASSIGN_OR_RETURN(m.num_micro_partitions, r->GetVarint32());
-  HGS_ASSIGN_OR_RETURN(m.strategy, r->GetFixed8());
-  HGS_ASSIGN_OR_RETURN(uint64_t n_cp, r->GetVarint64());
-  m.checkpoints.reserve(n_cp);
-  for (uint64_t i = 0; i < n_cp; ++i) {
-    HGS_ASSIGN_OR_RETURN(Timestamp t, r->GetSigned64());
-    m.checkpoints.push_back(t);
+  m.tsid = r.ReadVarint32();
+  m.start = r.ReadSigned64();
+  m.end = r.ReadSigned64();
+  m.event_count = r.ReadVarint64();
+  m.eventlist_size = r.ReadVarint32();
+  m.checkpoint_interval = r.ReadVarint32();
+  m.num_micro_partitions = r.ReadVarint32();
+  m.strategy = r.ReadFixed8();
+  uint64_t n_cp = r.ReadVarint64();
+  m.checkpoints.reserve(std::min<uint64_t>(n_cp, r.remaining()));
+  for (uint64_t i = 0; i < n_cp && !r.failed(); ++i) {
+    m.checkpoints.push_back(r.ReadSigned64());
   }
-  HGS_ASSIGN_OR_RETURN(uint64_t n_el, r->GetVarint64());
-  m.eventlist_bounds.reserve(n_el);
-  for (uint64_t i = 0; i < n_el; ++i) {
-    HGS_ASSIGN_OR_RETURN(Timestamp first, r->GetSigned64());
-    HGS_ASSIGN_OR_RETURN(Timestamp last, r->GetSigned64());
-    m.eventlist_bounds.emplace_back(first, last);
+  uint64_t n_el = r.ReadVarint64();
+  m.eventlist_bounds.reserve(std::min<uint64_t>(n_el, r.remaining()));
+  for (uint64_t i = 0; i < n_el && !r.failed(); ++i) {
+    Timestamp first = r.ReadSigned64();
+    m.eventlist_bounds.emplace_back(first, r.ReadSigned64());
   }
-  HGS_ASSIGN_OR_RETURN(uint64_t n_tree, r->GetVarint64());
-  m.tree.reserve(n_tree);
-  for (uint64_t i = 0; i < n_tree; ++i) {
-    TreeNode node;
-    HGS_ASSIGN_OR_RETURN(int64_t parent, r->GetSigned64());
-    HGS_ASSIGN_OR_RETURN(int64_t cp, r->GetSigned64());
-    node.parent = static_cast<int32_t>(parent);
-    node.checkpoint_index = static_cast<int32_t>(cp);
-    m.tree.push_back(node);
+  uint64_t n_tree = r.ReadVarint64();
+  m.tree.reserve(std::min<uint64_t>(n_tree, r.remaining()));
+  for (uint64_t i = 0; i < n_tree && !r.failed(); ++i) {
+    int64_t parent = r.ReadSigned64();
+    int64_t cp = r.ReadSigned64();
+    m.tree.push_back(TreeNode{.parent = static_cast<int32_t>(parent),
+                              .checkpoint_index = static_cast<int32_t>(cp)});
   }
+  HGS_RETURN_NOT_OK(r.BulkStatus());
   return m;
 }
 
@@ -245,21 +251,21 @@ Result<VersionChainSegment> VersionChainSegment::Deserialize(
   BinaryReader r(data);
   HGS_RETURN_NOT_OK(r.VerifyChecksum());
   VersionChainSegment seg;
-  HGS_ASSIGN_OR_RETURN(seg.node, r.GetVarint64());
-  HGS_ASSIGN_OR_RETURN(seg.tsid, r.GetVarint32());
-  HGS_ASSIGN_OR_RETURN(seg.pid, r.GetVarint32());
-  HGS_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint64());
-  seg.entries.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    VersionEntry e;
+  seg.node = r.ReadVarint64();
+  seg.tsid = r.ReadVarint32();
+  seg.pid = r.ReadVarint32();
+  uint64_t n = r.ReadVarint64();
+  seg.entries.reserve(std::min<uint64_t>(n, r.remaining()));
+  for (uint64_t i = 0; i < n && !r.failed(); ++i) {
+    VersionEntry& e = seg.entries.emplace_back();
     e.tsid = seg.tsid;
-    HGS_ASSIGN_OR_RETURN(e.eventlist_index, r.GetVarint32());
-    HGS_ASSIGN_OR_RETURN(e.pid, r.GetVarint32());
-    HGS_ASSIGN_OR_RETURN(e.first_time, r.GetSigned64());
-    HGS_ASSIGN_OR_RETURN(e.last_time, r.GetSigned64());
-    HGS_ASSIGN_OR_RETURN(e.event_count, r.GetVarint32());
-    seg.entries.push_back(e);
+    e.eventlist_index = r.ReadVarint32();
+    e.pid = r.ReadVarint32();
+    e.first_time = r.ReadSigned64();
+    e.last_time = r.ReadSigned64();
+    e.event_count = r.ReadVarint32();
   }
+  HGS_RETURN_NOT_OK(r.BulkStatus());
   return seg;
 }
 
@@ -280,14 +286,15 @@ Result<GraphMeta> GraphMeta::Deserialize(std::string_view data) {
   BinaryReader r(data);
   HGS_RETURN_NOT_OK(r.VerifyChecksum());
   GraphMeta m;
-  HGS_ASSIGN_OR_RETURN(m.start, r.GetSigned64());
-  HGS_ASSIGN_OR_RETURN(m.end, r.GetSigned64());
-  HGS_ASSIGN_OR_RETURN(m.event_count, r.GetVarint64());
-  HGS_ASSIGN_OR_RETURN(m.timespan_count, r.GetVarint32());
-  HGS_ASSIGN_OR_RETURN(m.num_horizontal_partitions, r.GetVarint32());
-  HGS_ASSIGN_OR_RETURN(m.clustering_order, r.GetFixed8());
-  HGS_ASSIGN_OR_RETURN(m.replicate_one_hop, r.GetBool());
-  HGS_ASSIGN_OR_RETURN(m.micropartition_buckets, r.GetVarint32());
+  m.start = r.ReadSigned64();
+  m.end = r.ReadSigned64();
+  m.event_count = r.ReadVarint64();
+  m.timespan_count = r.ReadVarint32();
+  m.num_horizontal_partitions = r.ReadVarint32();
+  m.clustering_order = r.ReadFixed8();
+  m.replicate_one_hop = r.ReadBool();
+  m.micropartition_buckets = r.ReadVarint32();
+  HGS_RETURN_NOT_OK(r.BulkStatus());
   return m;
 }
 
@@ -306,14 +313,14 @@ Result<std::vector<std::pair<NodeId, MicroPartitionId>>>
 DeserializeMicropartBucket(std::string_view data) {
   BinaryReader r(data);
   HGS_RETURN_NOT_OK(r.VerifyChecksum());
-  HGS_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint64());
+  uint64_t n = r.ReadVarint64();
   std::vector<std::pair<NodeId, MicroPartitionId>> out;
-  out.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    HGS_ASSIGN_OR_RETURN(NodeId nid, r.GetVarint64());
-    HGS_ASSIGN_OR_RETURN(MicroPartitionId pid, r.GetVarint32());
-    out.emplace_back(nid, pid);
+  out.reserve(std::min<uint64_t>(n, r.remaining()));
+  for (uint64_t i = 0; i < n && !r.failed(); ++i) {
+    NodeId nid = r.ReadVarint64();
+    out.emplace_back(nid, r.ReadVarint32());
   }
+  HGS_RETURN_NOT_OK(r.BulkStatus());
   return out;
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/serde.h"
 #include "common/types.h"
 #include "partition/dynamic_partitioner.h"
 #include "tgi/options.h"
@@ -54,8 +53,8 @@ struct TimespanMeta {
   /// none).
   int32_t EventlistCovering(Timestamp t) const;
 
-  void SerializeTo(BinaryWriter* w) const;
-  static Result<TimespanMeta> DeserializeFrom(BinaryReader* r);
+  std::string Serialize() const;
+  static Result<TimespanMeta> Deserialize(std::string_view data);
 
   bool operator==(const TimespanMeta& o) const = default;
 };

@@ -65,15 +65,6 @@ std::string ReadCacheKey(char kind, uint64_t epoch, std::string_view table,
   return out;
 }
 
-// Inverse of AppendOrdered64 for the cache-key sweep.
-uint64_t ReadOrdered64At(const std::string& s, size_t pos) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<uint8_t>(s[pos + i]);
-  }
-  return v;
-}
-
 // Approximate heap footprint of a cache entry, for byte-budget eviction.
 // SharedValue entries charge their viewed size: the window is what the
 // cache logically holds (the shared owner is charged where it lives).
@@ -181,10 +172,8 @@ Result<std::vector<tgi::TimespanMeta>> TGIQueryManager::LoadSpans() const {
   std::vector<tgi::TimespanMeta> spans;
   spans.reserve(spans_raw->size());
   for (const KVPair& kv : *spans_raw) {
-    BinaryReader r(kv.value);
-    HGS_RETURN_NOT_OK(r.VerifyChecksum());
     HGS_ASSIGN_OR_RETURN(tgi::TimespanMeta meta,
-                         tgi::TimespanMeta::DeserializeFrom(&r));
+                         tgi::TimespanMeta::Deserialize(kv.value));
     spans.push_back(std::move(meta));
   }
   std::sort(spans.begin(), spans.end(),
@@ -288,13 +277,13 @@ Result<TGIQueryManager::MetaRef> TGIQueryManager::EnsureFresh(
   // stay warm.
   auto entry_valid = [&](const std::string& key) {
     if (key.size() < 1 + 8 + 1 + 8) return false;
-    uint64_t entry_epoch = ReadOrdered64At(key, 1);
+    uint64_t entry_epoch = ReadOrdered64(key.data() + 1);
     size_t tab_end = key.find('\0', 9);
     if (tab_end == std::string::npos || tab_end + 1 + 8 > key.size()) {
       return false;
     }
     std::string_view table(key.data() + 9, tab_end - 9);
-    uint64_t partition = ReadOrdered64At(key, tab_end + 1);
+    uint64_t partition = ReadOrdered64(key.data() + tab_end + 1);
     return entry_epoch == epochs->SubEpoch(MakeEpochKey(table, partition));
   };
   if (read_cache_ != nullptr) {
@@ -532,8 +521,9 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
         return Status::OK();
       }));
 
-  // (3) Decode every miss exactly once, in parallel — BinaryReader runs
-  // directly over the shared views — and (4) publish it in the decoded
+  // (3) Decode every miss exactly once, in parallel — each row type's
+  // Deserialize reads the shared view in place through BinaryReader's
+  // Read* family, with no staging copy — and (4) publish it in the decoded
   // tier for every later consumer.
   HGS_RETURN_NOT_OK(RunTasks(
       misses.size(), parallelism, stats,

@@ -76,12 +76,21 @@ TEST(SerdeTest, VarintRoundTrip) {
   for (uint64_t v : values) w.PutVarint64(v);
   std::string buf = w.Finish();
   BinaryReader r(buf);
-  for (uint64_t v : values) {
-    auto got = r.GetVarint64();
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, v);
-  }
+  for (uint64_t v : values) EXPECT_EQ(r.ReadVarint64(), v);
+  EXPECT_FALSE(r.failed());
   EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(SerdeTest, Varint32RejectsValuesAbove32Bits) {
+  BinaryWriter w;
+  w.PutVarint32(UINT32_MAX);
+  w.PutVarint64(uint64_t{UINT32_MAX} + 1);
+  std::string buf = w.Finish();
+  BinaryReader r(buf);
+  EXPECT_EQ(r.ReadVarint32(), UINT32_MAX);
+  EXPECT_FALSE(r.failed());
+  EXPECT_EQ(r.ReadVarint32(), 0u);
+  EXPECT_TRUE(r.BulkStatus().IsCorruption());
 }
 
 TEST(SerdeTest, SignedZigzagRoundTrip) {
@@ -90,37 +99,32 @@ TEST(SerdeTest, SignedZigzagRoundTrip) {
   for (int64_t v : values) w.PutSigned64(v);
   std::string buf = w.Finish();
   BinaryReader r(buf);
-  for (int64_t v : values) {
-    auto got = r.GetSigned64();
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, v);
-  }
+  for (int64_t v : values) EXPECT_EQ(r.ReadSigned64(), v);
+  EXPECT_FALSE(r.failed());
 }
 
-TEST(SerdeTest, StringAndDoubleRoundTrip) {
+TEST(SerdeTest, StringAndBoolRoundTrip) {
   BinaryWriter w;
   w.PutString("hello");
   w.PutString("");
   w.PutString(std::string(1000, 'x'));
-  w.PutDouble(3.14159);
   w.PutBool(true);
   std::string buf = w.Finish();
   BinaryReader r(buf);
-  EXPECT_EQ(*r.GetString(), "hello");
-  EXPECT_EQ(*r.GetString(), "");
-  EXPECT_EQ(r.GetString()->size(), 1000u);
-  EXPECT_DOUBLE_EQ(*r.GetDouble(), 3.14159);
-  EXPECT_TRUE(*r.GetBool());
+  EXPECT_EQ(r.ReadBytesView(), "hello");
+  EXPECT_EQ(r.ReadBytesView(), "");
+  EXPECT_EQ(r.ReadBytesView().size(), 1000u);
+  EXPECT_TRUE(r.ReadBool());
+  EXPECT_FALSE(r.failed());
 }
 
 TEST(SerdeTest, TruncationIsCorruptionNotCrash) {
   BinaryWriter w;
   w.PutString("some payload");
   std::string buf = w.Finish();
-  BinaryReader r(buf.substr(0, 3));
-  auto res = r.GetString();
-  ASSERT_FALSE(res.ok());
-  EXPECT_TRUE(res.status().IsCorruption());
+  BinaryReader r(std::string_view(buf).substr(0, 3));
+  EXPECT_EQ(r.ReadBytesView(), std::string_view());
+  EXPECT_TRUE(r.BulkStatus().IsCorruption());
 }
 
 TEST(SerdeTest, ChecksumDetectsFlippedBit) {
@@ -141,7 +145,7 @@ TEST(SerdeTest, ChecksumTooShortBuffer) {
   EXPECT_TRUE(r.VerifyChecksum().IsCorruption());
 }
 
-TEST(SerdeTest, BulkReadersMatchScalarGetters) {
+TEST(SerdeTest, MixedFieldsRoundTrip) {
   BinaryWriter w;
   const uint64_t varints[] = {0,    1,        127,       128,
                               300,  1u << 20, UINT64_MAX, 42};
@@ -154,24 +158,25 @@ TEST(SerdeTest, BulkReadersMatchScalarGetters) {
   w.PutString("");
   std::string buf = w.Finish();
 
-  BinaryReader bulk(buf);
-  for (uint64_t v : varints) EXPECT_EQ(bulk.ReadVarint64(), v);
-  for (int64_t v : signeds) EXPECT_EQ(bulk.ReadSigned64(), v);
-  EXPECT_EQ(bulk.ReadFixed8(), 0xAB);
-  EXPECT_TRUE(bulk.ReadBool());
-  EXPECT_EQ(bulk.ReadBytesView(), "bulk payload");
-  EXPECT_EQ(bulk.ReadBytesView(), "");
-  EXPECT_FALSE(bulk.failed());
-  EXPECT_TRUE(bulk.AtEnd());
-  EXPECT_TRUE(bulk.BulkStatus().ok());
+  BinaryReader r(buf);
+  for (uint64_t v : varints) EXPECT_EQ(r.ReadVarint64(), v);
+  for (int64_t v : signeds) EXPECT_EQ(r.ReadSigned64(), v);
+  EXPECT_EQ(r.ReadFixed8(), 0xAB);
+  EXPECT_TRUE(r.ReadBool());
+  EXPECT_EQ(r.ReadBytesView(), "bulk payload");
+  EXPECT_EQ(r.ReadBytesView(), "");
+  EXPECT_FALSE(r.failed());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_TRUE(r.BulkStatus().ok());
 }
 
-TEST(SerdeTest, BulkReaderFailureIsStickyOnTruncation) {
+TEST(SerdeTest, ReaderFailureIsStickyOnTruncation) {
   BinaryWriter w;
   w.PutVarint64(7);
   w.PutString("payload");
   std::string buf = w.Finish();
-  BinaryReader r(buf.substr(0, 3));  // cuts the string mid-length
+  // Cuts the string mid-length.
+  BinaryReader r(std::string_view(buf).substr(0, 3));
   EXPECT_EQ(r.ReadVarint64(), 7u);
   EXPECT_FALSE(r.failed());
   (void)r.ReadBytesView();  // truncated: latches the error
@@ -182,7 +187,7 @@ TEST(SerdeTest, BulkReaderFailureIsStickyOnTruncation) {
   EXPECT_TRUE(r.BulkStatus().IsCorruption());
 }
 
-TEST(SerdeTest, BulkVarintOverflowIsCorruption) {
+TEST(SerdeTest, VarintOverflowIsCorruption) {
   // An 11-byte continuation run cannot encode a 64-bit value.
   std::string bad(10, '\x80');
   bad.push_back('\x02');
@@ -241,6 +246,49 @@ TEST(CompressionTest, OverlappingMatchDecodes) {
   auto out = Decompress(Compress(input, CompressionKind::kLz));
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, input);
+}
+
+// Both decompress paths must reject `block` with Corruption.
+void ExpectLzBlockRejected(const std::string& block) {
+  auto out = Decompress(block);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsCorruption());
+  auto shared = DecompressShared(SharedValue{block});
+  ASSERT_FALSE(shared.ok());
+  EXPECT_TRUE(shared.status().IsCorruption());
+}
+
+TEST(CompressionTest, RawSizeTheBodyCannotProduceIsRejected) {
+  // An empty LZ body claiming 2^62 raw bytes: rejected before any
+  // allocation, not by reserving the claim.
+  BinaryWriter w;
+  w.PutFixed8(static_cast<uint8_t>(CompressionKind::kLz));
+  w.PutVarint64(uint64_t{1} << 62);
+  w.PutString("");
+  std::string block = w.Finish();
+  ASSERT_EQ(block.size(), 11u);
+  ExpectLzBlockRejected(block);
+}
+
+TEST(CompressionTest, RunPastTheClaimedRawSizeIsRejected) {
+  // Claims 4 raw bytes, then one literal and a 2^28-byte match: rejected at
+  // the match token instead of after writing 256 MiB.
+  BinaryWriter w;
+  w.PutFixed8(static_cast<uint8_t>(CompressionKind::kLz));
+  w.PutVarint64(4);
+  w.PutString("a");
+  w.PutVarint64(uint64_t{1} << 28);
+  w.PutVarint64(1);
+  std::string block = w.Finish();
+  ASSERT_EQ(block.size(), 10u);
+  ExpectLzBlockRejected(block);
+  // A literal run longer than the claim is rejected the same way.
+  BinaryWriter lit;
+  lit.PutFixed8(static_cast<uint8_t>(CompressionKind::kLz));
+  lit.PutVarint64(2);
+  lit.PutString("abc");
+  lit.PutVarint64(0);
+  ExpectLzBlockRejected(lit.Finish());
 }
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {

@@ -113,9 +113,10 @@ TEST(EventTest, SerializationRoundTripAllTypes) {
   std::string buf = w.Finish();
   BinaryReader r(buf);
   for (const Event& e : events) {
-    auto got = Event::DeserializeFrom(&r);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, e);
+    Event got;
+    Event::DeserializeFrom(&r, &got);
+    ASSERT_FALSE(r.failed());
+    EXPECT_EQ(got, e);
   }
   EXPECT_TRUE(r.AtEnd());
 }
@@ -402,8 +403,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeltaPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------------------------------------------------------------------------
-// Bulk vs scalar decode equivalence, move-aware overloads, and allocation
-// discipline of the filter paths.
+// Decode round trips over fuzzed inputs, corrupt-buffer handling, and
+// allocation discipline of the filter paths.
 // ---------------------------------------------------------------------------
 
 std::string RandomString(Rng* rng, size_t max_len) {
@@ -454,7 +455,7 @@ Event RandomEvent(Rng* rng, Timestamp t) {
   }
 }
 
-TEST(BulkDecodeTest, EventListBulkMatchesScalarOnFuzzedInputs) {
+TEST(BulkDecodeTest, EventListRoundTripsFuzzedInputs) {
   Rng rng(20260731);
   for (int round = 0; round < 50; ++round) {
     EventList list(0, 10'000);
@@ -462,21 +463,13 @@ TEST(BulkDecodeTest, EventListBulkMatchesScalarOnFuzzedInputs) {
     for (size_t i = 0; i < n; ++i) {
       list.Append(RandomEvent(&rng, static_cast<Timestamp>(i + 1)));
     }
-    std::string wire = list.Serialize();
-    // Bulk path (the Deserialize hot path).
-    auto bulk = EventList::Deserialize(wire);
-    ASSERT_TRUE(bulk.ok());
-    // Scalar reference path.
-    BinaryReader r(wire);
-    ASSERT_TRUE(r.VerifyChecksum().ok());
-    auto scalar = EventList::DeserializeFrom(&r);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_TRUE(*bulk == *scalar);
-    EXPECT_TRUE(*bulk == list);
+    auto back = EventList::Deserialize(list.Serialize());
+    ASSERT_TRUE(back.ok());
+    EXPECT_TRUE(*back == list);
   }
 }
 
-TEST(BulkDecodeTest, DeltaBulkMatchesScalarOnFuzzedInputs) {
+TEST(BulkDecodeTest, DeltaRoundTripsFuzzedInputs) {
   Rng rng(20260801);
   for (int round = 0; round < 50; ++round) {
     Delta d;
@@ -484,15 +477,9 @@ TEST(BulkDecodeTest, DeltaBulkMatchesScalarOnFuzzedInputs) {
     for (size_t i = 0; i < n; ++i) {
       d.ApplyEvent(RandomEvent(&rng, static_cast<Timestamp>(i + 1)));
     }
-    std::string wire = d.Serialize();
-    auto bulk = Delta::Deserialize(wire);
-    ASSERT_TRUE(bulk.ok());
-    BinaryReader r(wire);
-    ASSERT_TRUE(r.VerifyChecksum().ok());
-    auto scalar = Delta::DeserializeFrom(&r);
-    ASSERT_TRUE(scalar.ok());
-    EXPECT_TRUE(*bulk == *scalar);
-    EXPECT_TRUE(*bulk == d);
+    auto back = Delta::Deserialize(d.Serialize());
+    ASSERT_TRUE(back.ok());
+    EXPECT_TRUE(*back == d);
   }
 }
 
@@ -509,7 +496,7 @@ TEST(BulkDecodeTest, CorruptBuffersErrorWithoutCrashing) {
     auto res = EventList::Deserialize(std::string_view(wire).substr(0, len));
     EXPECT_FALSE(res.ok());
   }
-  // Single-byte flips are caught by the checksum before bulk decode runs.
+  // Single-byte flips are caught by the checksum before decoding runs.
   for (size_t i = 0; i < wire.size(); ++i) {
     std::string bad = wire;
     bad[i] = static_cast<char>(bad[i] ^ 0x5A);

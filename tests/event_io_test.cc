@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -105,6 +106,7 @@ TEST_P(FuzzDeserializers, RandomBytesNeverCrash) {
     (void)Decompress(junk);
     (void)tgi::VersionChainSegment::Deserialize(junk);
     (void)tgi::GraphMeta::Deserialize(junk);
+    (void)tgi::TimespanMeta::Deserialize(junk);
     (void)tgi::DeserializeMicropartBucket(junk);
     (void)EventFromTsvLine(junk);
   }
@@ -133,6 +135,93 @@ TEST_P(FuzzDeserializers, MutatedValidPayloadsFailCleanlyOrRoundTrip) {
     // restoring the original) essentially impossible.
     if (mutated != base) {
       EXPECT_FALSE(res.ok());
+    }
+  }
+}
+
+// Makes 1-4 edits to the body of a checksummed payload (and sometimes
+// truncates it), then re-seals it, so the mutation reaches the decoder's own
+// checks instead of dying at VerifyChecksum. An edit overwrites one byte or
+// sets the continuation bit on a run of bytes, which turns a varint count
+// or length starting there into a huge value.
+std::string MutateAndReseal(std::string_view sealed, Rng* rng) {
+  std::string body(sealed.substr(0, sealed.size() - kChecksumWireSize));
+  size_t edits = 1 + rng->Uniform(4);
+  for (size_t e = 0; e < edits && !body.empty(); ++e) {
+    size_t at = rng->Uniform(body.size());
+    if (rng->Uniform(2) == 0) {
+      body[at] = static_cast<char>(rng->Next() & 0xFF);
+      continue;
+    }
+    size_t end = std::min(body.size(), at + 2 + rng->Uniform(8));
+    for (size_t k = at; k < end; ++k) {
+      body[k] = static_cast<char>(body[k] | 0x80);
+    }
+  }
+  if (rng->Uniform(4) == 0) body.resize(rng->Uniform(body.size() + 1));
+  BinaryWriter w;
+  w.PutRaw(body);
+  return w.FinishWithChecksum();
+}
+
+TEST_P(FuzzDeserializers, ResealedMutationsFailCleanlyOrDecode) {
+  Rng rng(GetParam() + 4242);
+  Delta delta;
+  EventList list(0, 100);
+  for (NodeId i = 0; i < 12; ++i) {
+    Timestamp t = static_cast<Timestamp>(i + 1);
+    Event add = Event::AddNode(t, i, Attributes{{"a", std::to_string(i)}});
+    Event edge = Event::AddEdge(t, i, (i + 1) % 12, i % 2 == 0,
+                                Attributes{{"w", "1"}});
+    Event attr = Event::SetNodeAttr(t, i, "a", "x", std::to_string(i));
+    Event gone = Event::RemoveEdge(t, i, (i + 5) % 12);
+    for (const Event* e : {&add, &edge, &attr, &gone}) {
+      delta.ApplyEvent(*e);
+      list.Append(*e);
+    }
+  }
+  tgi::VersionChainSegment seg;
+  seg.node = 7;
+  seg.tsid = 2;
+  seg.pid = 5;
+  seg.entries = {{2, 0, 5, 10, 20, 3}, {2, 4, 5, 90, 95, 2}};
+  tgi::GraphMeta graph;
+  graph.end = 999;
+  graph.event_count = 12345;
+  tgi::TimespanMeta span;
+  span.tsid = 3;
+  span.checkpoints = {99, 120, 140};
+  span.eventlist_bounds = {{100, 109}, {110, 119}};
+  span.tree = {{-1, -1}, {0, 0}, {0, 1}, {0, 2}};
+
+  using Decode = Status (*)(std::string_view);
+  const std::pair<std::string, Decode> cases[] = {
+      {delta.Serialize(),
+       [](std::string_view s) { return Delta::Deserialize(s).status(); }},
+      {list.Serialize(),
+       [](std::string_view s) { return EventList::Deserialize(s).status(); }},
+      {seg.Serialize(),
+       [](std::string_view s) {
+         return tgi::VersionChainSegment::Deserialize(s).status();
+       }},
+      {graph.Serialize(),
+       [](std::string_view s) {
+         return tgi::GraphMeta::Deserialize(s).status();
+       }},
+      {span.Serialize(),
+       [](std::string_view s) {
+         return tgi::TimespanMeta::Deserialize(s).status();
+       }},
+      {tgi::SerializeMicropartBucket({{1, 0}, {9, 3}, {300, 7}}),
+       [](std::string_view s) {
+         return tgi::DeserializeMicropartBucket(s).status();
+       }},
+  };
+  for (const auto& [base, decode] : cases) {
+    ASSERT_TRUE(decode(base).ok());
+    for (int i = 0; i < 300; ++i) {
+      Status st = decode(MutateAndReseal(base, &rng));
+      EXPECT_TRUE(st.ok() || st.IsCorruption()) << st.ToString();
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <tuple>
 
+#include "common/columnar.h"
 #include "common/rng.h"
 #include "graph/algorithms.h"
 #include "kvstore/cluster.h"
@@ -96,11 +97,7 @@ TEST(MetadataTest, TimespanMetaRoundTrip) {
   m.checkpoints = {99, 120, 140};
   m.eventlist_bounds = {{100, 109}, {110, 119}};
   m.tree = {{-1, -1}, {0, 0}, {0, 1}};
-  BinaryWriter w;
-  m.SerializeTo(&w);
-  std::string buf = w.Finish();
-  BinaryReader r(buf);
-  auto back = tgi::TimespanMeta::DeserializeFrom(&r);
+  auto back = tgi::TimespanMeta::Deserialize(m.Serialize());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, m);
 }
@@ -143,6 +140,63 @@ TEST(MetadataTest, GraphMetaRoundTrip) {
   auto back = tgi::GraphMeta::Deserialize(m.Serialize());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, m);
+}
+
+// A checksummed metadata payload: the given leading varint fields, then an
+// element count of 2^62 and no elements. Decoders must fail on the missing
+// bytes instead of reserving the claimed count.
+std::string SealedWithHostileCount(const std::vector<uint64_t>& fields) {
+  BinaryWriter w;
+  for (uint64_t f : fields) w.PutVarint64(f);
+  w.PutVarint64(uint64_t{1} << 62);
+  return w.FinishWithChecksum();
+}
+
+TEST(MetadataTest, TimespanMetaHostileCountIsCorruption) {
+  // tsid, start, end, event_count, l, interval, k_parts, strategy, then
+  // the checkpoint count.
+  std::string data = SealedWithHostileCount({3, 0, 0, 0, 10, 20, 4, 1});
+  ASSERT_EQ(data.size(), 25u);
+  auto back = tgi::TimespanMeta::Deserialize(data);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsCorruption());
+}
+
+TEST(MetadataTest, VersionChainHostileCountIsCorruption) {
+  std::string data = SealedWithHostileCount({77, 2, 5});  // node, tsid, pid
+  ASSERT_EQ(data.size(), 20u);
+  auto back = tgi::VersionChainSegment::Deserialize(data);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsCorruption());
+}
+
+TEST(MetadataTest, VersionChainTsidAbove32BitsIsCorruption) {
+  // node, tsid, pid, entry count: a legacy body and the columnar head.
+  BinaryWriter fields;
+  for (uint64_t f : {uint64_t{7}, uint64_t{UINT32_MAX} + 1, uint64_t{0},
+                     uint64_t{0}}) {
+    fields.PutVarint64(f);
+  }
+  std::string head = fields.Finish();
+  BinaryWriter legacy;
+  legacy.PutRaw(head);
+  ColumnarBlockWriter columnar(ValueSchema::kVersionChain);
+  columnar.AddColumn(head);
+  for (int i = 0; i < 5; ++i) columnar.AddColumn("");  // no entries
+  for (const std::string& data :
+       {legacy.FinishWithChecksum(), columnar.Finish()}) {
+    auto back = tgi::VersionChainSegment::Deserialize(data);
+    ASSERT_FALSE(back.ok());
+    EXPECT_TRUE(back.status().IsCorruption());
+  }
+}
+
+TEST(MetadataTest, MicropartBucketHostileCountIsCorruption) {
+  std::string data = SealedWithHostileCount({});
+  ASSERT_EQ(data.size(), 17u);
+  auto back = tgi::DeserializeMicropartBucket(data);
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsCorruption());
 }
 
 // ---------------------------------------------------------------------------
