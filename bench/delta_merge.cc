@@ -19,6 +19,10 @@
 //                     keeps an edge; reported for honesty
 //  7. removal-heavy:  remove-node storm (the quadratic incident-edge scan
 //                     regression)
+//  8. to-graph:       Delta::ToGraph's one sized pass over the
+//                     snapshot-merge result, graph freed inside the timer,
+//                     against the AddNode/AddEdge build it must equal
+//                     (exits 1 if the two graphs differ)
 //
 // Output: entries-or-events per second per implementation, and peak RSS at
 // exit (the flat representation also shrinks decoded residency); with
@@ -27,6 +31,7 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -267,8 +272,9 @@ void RunLargeMerge(const Delta& snapshot, size_t rounds) {
 // later level an equal part of the rest up to 90%. Keys overlap across
 // levels and removals leave tombstones. The last 10% becomes the
 // eventlists.
-void RunSnapshotMerge(const std::vector<Event>& events, size_t levels,
-                      size_t k, size_t num_lists, size_t rounds) {
+// Returns the merged delta.
+Delta RunSnapshotMerge(const std::vector<Event>& events, size_t levels,
+                       size_t k, size_t num_lists, size_t rounds) {
   const size_t tree_end = events.size() * 9 / 10;
   std::vector<Delta> rows;
   size_t from = 0;
@@ -337,6 +343,77 @@ void RunSnapshotMerge(const std::vector<Event>& events, size_t levels,
           sum_s * 1e3 / static_cast<double>(rounds), "ms");
   std::printf("# snapshot-merge sink=%zu rows=%zu lists=%zu result=%zu\n",
               sink, rows.size(), lists.size(), sum.Cardinality());
+  return sum;
+}
+
+// The graph ToGraph is specified to equal: AddNode for every present node,
+// then AddEdge for every present edge whose endpoints are both nodes.
+Graph IncrementalGraph(const Delta& d) {
+  Graph g;
+  d.ForEachNodeEntry([&](NodeId id, const std::optional<NodeRecord>& rec) {
+    if (rec.has_value()) g.AddNode(id, rec->attrs);
+  });
+  d.ForEachEdgeEntry(
+      [&](const EdgeKey&, const std::optional<EdgeRecord>& rec) {
+        if (rec.has_value() && g.HasNode(rec->src) && g.HasNode(rec->dst)) {
+          g.AddEdge(rec->src, rec->dst, rec->directed, rec->attrs);
+        }
+      });
+  return g;
+}
+
+// Graph equality plus equal neighbor multisets (== compares records only).
+bool SameGraph(const Graph& a, const Graph& b) {
+  if (!(a == b)) return false;
+  bool same = true;
+  a.ForEachNode([&](NodeId id, const NodeRecord&) {
+    std::vector<NodeId> x = a.Neighbors(id);
+    std::vector<NodeId> y = b.Neighbors(id);
+    std::sort(x.begin(), x.end());
+    std::sort(y.begin(), y.end());
+    same = same && x == y;
+  });
+  return same;
+}
+
+// The last stage of a snapshot read: the merged delta becomes the Graph the
+// analytics run on. Each timed call builds the graph and frees it.
+void RunToGraph(const Delta& merged, size_t rounds) {
+  double sized_s = 0, incremental_s = 0;
+  size_t sink = 0;
+  for (size_t r = 0; r < rounds; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    {
+      Graph g = merged.ToGraph();
+      sink += g.NumEdges();
+    }
+    sized_s += SecondsSince(start);
+  }
+  for (size_t r = 0; r < rounds; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    {
+      Graph g = IncrementalGraph(merged);
+      sink += g.NumEdges();
+    }
+    incremental_s += SecondsSince(start);
+  }
+  const Graph sized = merged.ToGraph();
+  if (!SameGraph(sized, IncrementalGraph(merged))) {
+    std::fprintf(stderr,
+                 "to-graph: ToGraph differs from an incremental build\n");
+    std::exit(1);
+  }
+  const double sized_ms = sized_s * 1e3 / static_cast<double>(rounds);
+  const double incremental_ms =
+      incremental_s * 1e3 / static_cast<double>(rounds);
+  std::printf("%-14s %-14s nodes=%zu edges=%zu  ms/call=%8.3f\n", "to-graph",
+              "sized", sized.NumNodes(), sized.NumEdges(), sized_ms);
+  std::printf("%-14s %-14s nodes=%zu edges=%zu  ms/call=%8.3f\n", "to-graph",
+              "incremental", sized.NumNodes(), sized.NumEdges(),
+              incremental_ms);
+  JsonRow("delta_merge", "to-graph_sized_ms", sized_ms, "ms");
+  JsonRow("delta_merge", "to-graph_incremental_ms", incremental_ms, "ms");
+  std::printf("# to-graph sink=%zu\n", sink);
 }
 
 // Replays `tail_events` onto a copy of `base` (pass empty deltas for the
@@ -485,7 +562,9 @@ void Run() {
   RunLargeMerge(snapshot, rounds);
   // About the path of a warm snapshot in the HGS benchmark: ~75 tree rows
   // and ~30 eventlist rows.
-  RunSnapshotMerge(events, /*levels=*/6, /*k=*/12, /*num_lists=*/30, rounds);
+  const Delta merged = RunSnapshotMerge(events, /*levels=*/6, /*k=*/12,
+                                        /*num_lists=*/30, rounds);
+  RunToGraph(merged, rounds);
 
   // Materialize: the whole history into an empty delta.
   RunReplay("materialize", Delta(), HashDelta(), events, rounds);

@@ -135,20 +135,8 @@ Result<Graph> NodeCentricIndex::GetOneHop(NodeId id, Timestamp t,
     HGS_ASSIGN_OR_RETURN(EventList ns, FetchStream(n, stats));
     ns.ApplyUpTo(t, &acc);
   }
-  Graph out;
-  for (NodeId n : hood) {
-    const auto* rec = acc.FindNode(n);
-    if (rec != nullptr && rec->has_value()) out.AddNode(n, (*rec)->attrs);
-  }
-  acc.ForEachEdgeEntry(
-      [&](const EdgeKey& key, const std::optional<EdgeRecord>& rec) {
-        if (!rec.has_value()) return;
-        if (hood.contains(key.u) && hood.contains(key.v) &&
-            out.HasNode(key.u) && out.HasNode(key.v)) {
-          out.AddEdge(rec->src, rec->dst, rec->directed, rec->attrs);
-        }
-      });
-  return out;
+  // Induced subgraph on the one-hop neighborhood.
+  return acc.FilterByNodes(hood).ToGraph();
 }
 
 uint64_t NodeCentricIndex::StorageBytes() const {

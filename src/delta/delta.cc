@@ -894,31 +894,11 @@ Delta Delta::Union(const Delta& a, const Delta& b) {
 // ---------------------------------------------------------------------------
 
 Graph Delta::ToGraph() const {
-  Graph g;
-  nodes_.ForEachOrdered([&](const NodeMap::Entry& e) {
-    if (e.second.has_value()) g.AddNode(e.first, e.second->attrs);
-  });
-  edges_.ForEachOrdered([&](const EdgeMap::Entry& e) {
-    const auto& rec = e.second;
-    if (rec.has_value() && g.HasNode(rec->src) && g.HasNode(rec->dst)) {
-      g.AddEdge(rec->src, rec->dst, rec->directed, rec->attrs);
-    }
-  });
-  return g;
-}
-
-Graph Delta::ToGraphKeepDangling() const {
-  Graph g;
-  nodes_.ForEachOrdered([&](const NodeMap::Entry& e) {
-    if (e.second.has_value()) g.AddNode(e.first, e.second->attrs);
-  });
-  edges_.ForEachOrdered([&](const EdgeMap::Entry& e) {
-    const auto& rec = e.second;
-    if (rec.has_value()) {
-      g.AddEdge(rec->src, rec->dst, rec->directed, rec->attrs);
-    }
-  });
-  return g;
+  NodeMap node_scratch;
+  EdgeMap edge_scratch;
+  return Graph::FromSortedComponents(
+      nodes_.CompactedOrSelf(&node_scratch).sorted_entries(),
+      edges_.CompactedOrSelf(&edge_scratch).sorted_entries());
 }
 
 Delta Delta::FromGraph(const Graph& g) {

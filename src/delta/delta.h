@@ -230,15 +230,16 @@ class Delta {
   static Delta Union(const Delta& a, const Delta& b);
 
   // -- conversion ----------------------------------------------------------
-  /// Materializes the non-tombstone components as a Graph. Edges with a
-  /// missing endpoint are dropped (arises for partition-scoped deltas whose
-  /// edge has its other endpoint elsewhere).
+  /// Materializes the non-tombstone components as a Graph: AddNode for
+  /// every present node, then AddEdge, in key order, for every present edge
+  /// whose endpoints are both nodes. Edges with a missing endpoint are
+  /// dropped (arises for partition-scoped deltas whose edge has its other
+  /// endpoint elsewhere), as are self-loops. Built in one sized pass over
+  /// the sorted spans (Graph::FromSortedComponents): nodes appended in
+  /// ascending id order, each index sized once, every neighbor list
+  /// reserved to its exact degree; the graph iterates nodes by ascending id
+  /// and edges by ascending canonical key.
   Graph ToGraph() const;
-
-  /// Materializes including dangling edges (both endpoint nodes are created
-  /// implicitly). Used when assembling per-partition fetches where the
-  /// endpoint's record arrives from a sibling partition.
-  Graph ToGraphKeepDangling() const;
 
   /// Snapshot delta of a graph: ∆ = G - ∅ (Example 4).
   static Delta FromGraph(const Graph& g);

@@ -53,7 +53,6 @@ Result<SoN> NodeSetSpec::Fetch(FetchStats* stats) const {
 
   // -- 1. Candidate enumeration. -------------------------------------------
   std::vector<NodeId> candidates;
-  std::unordered_map<NodeId, const NodeRecord*> initial_records;
   Delta snapshot_delta;
   if (explicit_ids_.has_value()) {
     candidates = *explicit_ids_;

@@ -3,19 +3,7 @@
 namespace hgs::taf {
 
 Graph SubgraphT::MaterializeMembers(const Delta& d) const {
-  Graph g;
-  d.ForEachNodeEntry([&](NodeId id, const std::optional<NodeRecord>& rec) {
-    if (rec.has_value() && members_.contains(id)) g.AddNode(id, rec->attrs);
-  });
-  d.ForEachEdgeEntry(
-      [&](const EdgeKey& key, const std::optional<EdgeRecord>& rec) {
-        if (!rec.has_value()) return;
-        if (members_.contains(key.u) && members_.contains(key.v) &&
-            g.HasNode(key.u) && g.HasNode(key.v)) {
-          g.AddEdge(rec->src, rec->dst, rec->directed, rec->attrs);
-        }
-      });
-  return g;
+  return d.FilterByNodes(members_).ToGraph();
 }
 
 Graph SubgraphT::GetVersionAt(Timestamp t) const {

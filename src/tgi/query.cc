@@ -1252,29 +1252,20 @@ Result<Graph> TGIQueryManager::GetKHopNeighborhood(NodeId id, Timestamp t,
     HGS_ASSIGN_OR_RETURN(
         std::vector<Delta> fetched,
         FetchMicroStatesAt(meta, *span, missing, t, replicated, stats));
-    for (size_t i = 0; i < missing.size(); ++i) {
-      acc.Add(fetched[i]);
-      fetched_pids.insert(missing[i]);
+    // One k-way pass folds the ring into the accumulator: equal to Adding
+    // each partition in turn, without re-merging the accumulator each time.
+    if (!fetched.empty()) {
+      std::vector<const Delta*> operands{&acc};
+      for (const Delta& d : fetched) operands.push_back(&d);
+      acc = Delta::SumAll(operands);
     }
+    fetched_pids.insert(missing.begin(), missing.end());
     for (NodeId n : next) visited.insert(n);
     frontier.assign(next.begin(), next.end());
   }
 
   // Induced subgraph on the visited set, from whatever the fetch saw.
-  Graph out;
-  for (NodeId n : visited) {
-    const auto* rec = acc.FindNode(n);
-    if (rec != nullptr && rec->has_value()) out.AddNode(n, (*rec)->attrs);
-  }
-  acc.ForEachEdgeEntry(
-      [&](const EdgeKey& key, const std::optional<EdgeRecord>& rec) {
-        if (!rec.has_value()) return;
-        if (visited.contains(key.u) && visited.contains(key.v) &&
-            out.HasNode(key.u) && out.HasNode(key.v)) {
-          out.AddEdge(rec->src, rec->dst, rec->directed, rec->attrs);
-        }
-      });
-  return out;
+  return acc.FilterByNodes(visited).ToGraph();
 }
 
 Result<std::vector<Event>> TGIQueryManager::GetEventsInRange(

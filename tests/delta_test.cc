@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 #include <unordered_map>
@@ -262,7 +263,6 @@ TEST(DeltaTest, ToGraphDropsDanglingEdges) {
   d.PutEdge(EdgeKey(1, 2), EdgeRecord{.src = 1, .dst = 2, .directed = false, .attrs = {}});
   d.PutNode(1, NodeRecord{});
   EXPECT_EQ(d.ToGraph().NumEdges(), 0u);
-  EXPECT_EQ(d.ToGraphKeepDangling().NumEdges(), 1u);
 }
 
 TEST(DeltaTest, SerializationRoundTrip) {
@@ -827,6 +827,96 @@ TEST_P(FlatMapPropertyTest, ListReplayMatchesPerListReplay) {
       }
     }
   }
+}
+
+// The graph ToGraph is specified to equal: AddNode for every present node,
+// then AddEdge, in entry order, for every present edge whose endpoints are
+// both nodes.
+Graph IncrementalGraph(const Delta& d) {
+  Graph g;
+  d.ForEachNodeEntry([&](NodeId id, const std::optional<NodeRecord>& rec) {
+    if (rec.has_value()) g.AddNode(id, rec->attrs);
+  });
+  d.ForEachEdgeEntry(
+      [&](const EdgeKey&, const std::optional<EdgeRecord>& rec) {
+        if (rec.has_value() && g.HasNode(rec->src) && g.HasNode(rec->dst)) {
+          g.AddEdge(rec->src, rec->dst, rec->directed, rec->attrs);
+        }
+      });
+  return g;
+}
+
+TEST_P(FlatMapPropertyTest, ToGraphMatchesIncrementalBuild) {
+  Rng rng(GetParam() * 49979687 + 13);
+  size_t tailed = 0, foreign = 0;
+  for (int round = 0; round < 40; ++round) {
+    // Dense ids, or ids 2^35 apart (the build's two endpoint lookups).
+    const bool sparse_ids = round % 2 == 1;
+    const uint64_t n = 1 + rng.Uniform(80);
+    auto id = [&](uint64_t i) -> NodeId {
+      return sparse_ids ? (i << 35) + 3 : i + 1000;
+    };
+    Delta d;
+    // Nodes: present with attributes, tombstoned, or absent.
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t roll = rng.Uniform(10);
+      if (roll < 6) {
+        Attributes attrs;
+        if (rng.Bernoulli(0.5)) attrs.Set("a", std::to_string(i));
+        d.PutNode(id(i), NodeRecord{.attrs = attrs});
+      } else if (roll < 8) {
+        d.TombstoneNode(id(i));
+      }
+    }
+    // Edges over a wider id range (missing endpoints), with tombstones,
+    // self-loops, both orientations and, rarely, a record filed under a
+    // foreign key.
+    const size_t m = rng.Uniform(4 * n + 1);
+    for (size_t j = 0; j < m; ++j) {
+      const NodeId u = id(rng.Uniform(n + 3));
+      const NodeId v = rng.Bernoulli(0.05) ? u : id(rng.Uniform(n + 3));
+      EdgeRecord rec{.src = u, .dst = v, .directed = false, .attrs = {}};
+      rec.directed = rng.Bernoulli(0.5);
+      if (rng.Bernoulli(0.3)) rec.attrs.Set("w", std::to_string(j));
+      const uint64_t roll = rng.Uniform(20);
+      if (roll < 3) {
+        d.TombstoneEdge(EdgeKey(u, v));
+      } else if (roll == 3 && n > 1) {
+        d.PutEdge(EdgeKey(id(rng.Uniform(n)), id(rng.Uniform(n))), rec);
+        ++foreign;
+      } else {
+        d.PutEdge(EdgeKey(u, v), rec);
+      }
+    }
+    // Compact, then sometimes leave a fresh append tail on top.
+    d.Compact();
+    if (rng.Bernoulli(0.5)) {
+      for (int j = 0; j < 5; ++j) {
+        const NodeId u = id(rng.Uniform(n));
+        const NodeId v = id(0);
+        EdgeRecord rec{.src = u, .dst = v, .directed = false, .attrs = {}};
+        d.PutNode(u, NodeRecord{});
+        d.PutEdge(EdgeKey(u, v), std::move(rec));
+      }
+    }
+    if (!d.IsCompact()) ++tailed;
+
+    const Graph got = d.ToGraph();
+    const Graph want = IncrementalGraph(d);
+    ASSERT_TRUE(got == want) << "round " << round;
+    want.ForEachNode([&](NodeId node, const NodeRecord&) {
+      std::vector<NodeId> a = got.Neighbors(node);
+      std::vector<NodeId> b = want.Neighbors(node);
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      EXPECT_EQ(a, b) << "round " << round << " node " << node;
+    });
+    // Nodes iterate in ascending id order.
+    const std::vector<NodeId> ids = got.NodeIds();
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  }
+  EXPECT_GT(tailed, 0u);
+  EXPECT_GT(foreign, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatMapPropertyTest,
