@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/types.h"
+
 namespace hgs {
 
 class Rng {
@@ -16,10 +18,7 @@ class Rng {
 
   /// Next raw 64-bit value.
   uint64_t Next() {
-    uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
+    return Mix64(state_ += 0x9E3779B97F4A7C15ull);
   }
 
   /// Uniform integer in [0, bound). bound must be > 0.

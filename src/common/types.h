@@ -64,6 +64,14 @@ struct EdgeKey {
   auto operator<=>(const EdgeKey& o) const = default;
 };
 
+/// splitmix64's finalizer: every input bit reaches every output bit, so
+/// the low bits are well mixed even for dense ids.
+inline constexpr uint64_t Mix64(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 struct EdgeKeyHash {
   size_t operator()(const EdgeKey& k) const {
     // splitmix-style combiner; edges ids are dense so mix well.

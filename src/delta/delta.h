@@ -237,8 +237,9 @@ class Delta {
   /// endpoint elsewhere), as are self-loops. Built in one sized pass over
   /// the sorted spans (Graph::FromSortedComponents): nodes appended in
   /// ascending id order, each index sized once, every neighbor list
-  /// reserved to its exact degree; the graph iterates nodes by ascending id
-  /// and edges by ascending canonical key.
+  /// reserved to its exact degree. The graph iterates nodes by ascending id
+  /// and edges in entry order: ascending canonical key when every edge is
+  /// filed under its own record's key.
   Graph ToGraph() const;
 
   /// Snapshot delta of a graph: ∆ = G - ∅ (Example 4).

@@ -7,21 +7,11 @@ namespace hgs {
 
 namespace {
 
-// splitmix64's finalizer: every input bit reaches every output bit, so the
-// low bits that pick a table position are well mixed even for dense ids.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-uint64_t HashOf(NodeId id) { return Mix(id); }
-uint64_t HashOf(const EdgeKey& key) {
-  return Mix(key.u * 0x9E3779B97F4A7C15ull + key.v);
-}
+// The slot indexes probe linearly from the low bits of these hashes, so
+// dense ids must still spread: node ids go through a full finalizer, and
+// EdgeKeyHash already mixes both endpoints.
+uint64_t HashOf(NodeId id) { return Mix64(id); }
+uint64_t HashOf(const EdgeKey& key) { return EdgeKeyHash{}(key); }
 
 }  // namespace
 
@@ -182,33 +172,13 @@ Graph Graph::FromSortedComponents(std::span<const NodeComponent> nodes,
   Graph g;
   // 1. Nodes, in ascending id order; then their index, sized once.
   g.nodes_.reserve(nodes.size());
-  NodeId min_id = kInvalidNodeId;
-  NodeId max_id = 0;
   for (const auto& [id, rec] : nodes) {
     if (rec.has_value()) {
       g.nodes_.push_back(NodeEntry{.key = id, .record = *rec, .neighbors = {}});
-      min_id = std::min(min_id, id);
-      max_id = std::max(max_id, id);
     }
   }
   g.node_index_.Reserve(g.nodes_, g.nodes_.size());
-
-  // Endpoint slots for the edge pass. Node ids are usually dense; when
-  // they span at most 4x the node count, a direct id -> slot table (4
-  // bytes per id, no probing) answers instead of the index.
-  std::vector<uint32_t> direct;
-  if (!g.nodes_.empty() && (max_id - min_id) / 4 < g.nodes_.size()) {
-    direct.assign(max_id - min_id + 1, SlotIndex::kEmpty);
-    for (size_t slot = 0; slot < g.nodes_.size(); ++slot) {
-      direct[g.nodes_[slot].key - min_id] = static_cast<uint32_t>(slot);
-    }
-  }
-  auto slot_of = [&](NodeId id) {
-    if (!direct.empty()) {
-      // Ids below min_id wrap around to a large offset.
-      const NodeId offset = id - min_id;
-      return offset < direct.size() ? direct[offset] : SlotIndex::kEmpty;
-    }
+  auto slot_of = [&g](NodeId id) {
     const size_t pos = g.node_index_.Find(g.nodes_, id);
     return pos == SlotIndex::kNoPos ? SlotIndex::kEmpty
                                     : g.node_index_.SlotAt(pos);
@@ -216,41 +186,25 @@ Graph Graph::FromSortedComponents(std::span<const NodeComponent> nodes,
 
   // 2. One pass over the edges: keep those AddEdge would take (present,
   // not a self-loop, both endpoints nodes), noting their endpoint slots,
-  // and count degrees. Entries are sorted by canonical key, so runs share
-  // their low endpoint and its lookup is made once per run.
+  // and count degrees.
   struct Kept {
-    const EdgeComponent* entry;
+    const EdgeRecord* record;
     uint32_t src_slot;
     uint32_t dst_slot;
   };
   std::vector<Kept> kept;
   kept.reserve(edges.size());
   std::vector<uint32_t> degree(g.nodes_.size(), 0);
-  // Entries stored under their record's own key are unique, so their
-  // index inserts need no key compares. A delta may hold an edge under a
-  // foreign key; then records can collide and each insert probes.
-  bool keys_unique = true;
-  NodeId low_id = kInvalidNodeId;
-  uint32_t low_slot = SlotIndex::kEmpty;
-  for (const EdgeComponent& entry : edges) {
-    if (!entry.second.has_value()) continue;
-    const EdgeRecord& rec = *entry.second;
-    if (rec.src == rec.dst) continue;  // AddEdge drops self-loops
-    const EdgeKey key(rec.src, rec.dst);
-    keys_unique = keys_unique && key == entry.first;
-    if (key.u != low_id) {
-      low_id = key.u;
-      low_slot = slot_of(key.u);
-    }
-    if (low_slot == SlotIndex::kEmpty) continue;
-    const uint32_t high_slot = slot_of(key.v);
-    if (high_slot == SlotIndex::kEmpty) continue;
-    ++degree[low_slot];
-    ++degree[high_slot];
-    const bool src_low = rec.src == key.u;
-    kept.push_back(Kept{.entry = &entry,
-                        .src_slot = src_low ? low_slot : high_slot,
-                        .dst_slot = src_low ? high_slot : low_slot});
+  for (const auto& [key, rec] : edges) {
+    if (!rec.has_value() || rec->src == rec->dst) continue;
+    const uint32_t src_slot = slot_of(rec->src);
+    if (src_slot == SlotIndex::kEmpty) continue;
+    const uint32_t dst_slot = slot_of(rec->dst);
+    if (dst_slot == SlotIndex::kEmpty) continue;
+    ++degree[src_slot];
+    ++degree[dst_slot];
+    kept.push_back(
+        Kept{.record = &*rec, .src_slot = src_slot, .dst_slot = dst_slot});
   }
 
   // 3. Every neighbor list reserved to its exact degree.
@@ -258,22 +212,19 @@ Graph Graph::FromSortedComponents(std::span<const NodeComponent> nodes,
     g.nodes_[slot].neighbors.reserve(degree[slot]);
   }
 
-  // 4. The edges, into an index sized once.
+  // 4. The edges, into an index sized once. A delta may file two records
+  // of one edge under different keys; as with AddEdge, the later wins.
   g.edges_.reserve(kept.size());
   g.edge_index_.Reserve(g.edges_, kept.size());
   for (const Kept& k : kept) {
-    const EdgeRecord& rec = *k.entry->second;
-    const EdgeKey key(rec.src, rec.dst);
-    const size_t pos = keys_unique ? g.edge_index_.FreePosition(key)
-                                   : g.edge_index_.Probe(g.edges_, key);
-    if (g.edge_index_.SlotAt(pos) != SlotIndex::kEmpty) {
-      g.edges_[g.edge_index_.SlotAt(pos)].record = rec;  // later entry wins
-      continue;
+    const EdgeRecord& rec = *k.record;
+    const auto [slot, appended] =
+        g.edge_index_.FindOrAppend(&g.edges_, EdgeKey(rec.src, rec.dst));
+    g.edges_[slot].record = rec;
+    if (appended) {
+      g.nodes_[k.src_slot].neighbors.push_back(rec.dst);
+      g.nodes_[k.dst_slot].neighbors.push_back(rec.src);
     }
-    g.edge_index_.Set(pos, static_cast<uint32_t>(g.edges_.size()));
-    g.edges_.push_back(EdgeEntry{.key = key, .record = rec});
-    g.nodes_[k.src_slot].neighbors.push_back(rec.dst);
-    g.nodes_[k.dst_slot].neighbors.push_back(rec.src);
   }
   return g;
 }

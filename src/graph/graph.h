@@ -19,9 +19,11 @@
 // mutation. Editing a record through GetMutable* moves nothing.
 //
 // Iteration order (ForEachNode, ForEachEdge, NodeIds): a graph from
-// Delta::ToGraph visits nodes in ascending id and edges in ascending
-// canonical key order. Otherwise entries appear in insertion order, except
-// that each erase moves the then-last entry into the erased one's position.
+// Delta::ToGraph visits nodes in ascending id and edges in the delta's
+// entry order. That is ascending canonical key order when every edge entry
+// is filed under its own record's key, as in every delta the store builds.
+// Otherwise entries appear in insertion order, except that each erase moves
+// the then-last entry into the erased one's position.
 //
 // Const methods never mutate (the indexes are maintained eagerly), so any
 // number of threads may read one graph concurrently.
@@ -117,18 +119,7 @@ class Graph {
     template <typename Entry, typename Key>
     size_t Find(const std::vector<Entry>& entries, const Key& key) const;
 
-    /// Position holding the entry with `key`, else the empty position where
-    /// it belongs. Requires a non-empty table.
-    template <typename Entry, typename Key>
-    size_t Probe(const std::vector<Entry>& entries, const Key& key) const;
-
-    /// The empty position where `key`, known to be absent, belongs; no key
-    /// compares. Requires a non-empty table.
-    template <typename Key>
-    size_t FreePosition(const Key& key) const;
-
     uint32_t SlotAt(size_t pos) const { return table_[pos]; }
-    void Set(size_t pos, uint32_t slot) { table_[pos] = slot; }
 
     /// Grows the table, if needed, so that `n` entries fit at most half
     /// full, re-inserting every entry of `entries`. Throws
@@ -149,6 +140,16 @@ class Graph {
 
    private:
     size_t mask() const { return table_.size() - 1; }
+
+    /// Position holding the entry with `key`, else the empty position where
+    /// it belongs. Requires a non-empty table.
+    template <typename Entry, typename Key>
+    size_t Probe(const std::vector<Entry>& entries, const Key& key) const;
+
+    /// The empty position where `key`, known to be absent, belongs; no key
+    /// compares. Requires a non-empty table.
+    template <typename Key>
+    size_t FreePosition(const Key& key) const;
 
     std::vector<uint32_t> table_;
   };

@@ -848,9 +848,9 @@ Graph IncrementalGraph(const Delta& d) {
 
 TEST_P(FlatMapPropertyTest, ToGraphMatchesIncrementalBuild) {
   Rng rng(GetParam() * 49979687 + 13);
-  size_t tailed = 0, foreign = 0;
+  size_t tailed = 0, foreign = 0, own_keyed = 0;
   for (int round = 0; round < 40; ++round) {
-    // Dense ids, or ids 2^35 apart (the build's two endpoint lookups).
+    // Dense ids, or ids 2^35 apart.
     const bool sparse_ids = round % 2 == 1;
     const uint64_t n = 1 + rng.Uniform(80);
     auto id = [&](uint64_t i) -> NodeId {
@@ -872,6 +872,7 @@ TEST_P(FlatMapPropertyTest, ToGraphMatchesIncrementalBuild) {
     // self-loops, both orientations and, rarely, a record filed under a
     // foreign key.
     const size_t m = rng.Uniform(4 * n + 1);
+    bool round_foreign = false;
     for (size_t j = 0; j < m; ++j) {
       const NodeId u = id(rng.Uniform(n + 3));
       const NodeId v = rng.Bernoulli(0.05) ? u : id(rng.Uniform(n + 3));
@@ -884,6 +885,7 @@ TEST_P(FlatMapPropertyTest, ToGraphMatchesIncrementalBuild) {
       } else if (roll == 3 && n > 1) {
         d.PutEdge(EdgeKey(id(rng.Uniform(n)), id(rng.Uniform(n))), rec);
         ++foreign;
+        round_foreign = true;
       } else {
         d.PutEdge(EdgeKey(u, v), rec);
       }
@@ -911,12 +913,21 @@ TEST_P(FlatMapPropertyTest, ToGraphMatchesIncrementalBuild) {
       std::sort(b.begin(), b.end());
       EXPECT_EQ(a, b) << "round " << round << " node " << node;
     });
-    // Nodes iterate in ascending id order.
+    // Nodes iterate in ascending id order; edges too, unless some entry
+    // is filed under a foreign key.
     const std::vector<NodeId> ids = got.NodeIds();
     EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    if (!round_foreign) {
+      std::vector<EdgeKey> keys;
+      got.ForEachEdge(
+          [&](const EdgeKey& key, const EdgeRecord&) { keys.push_back(key); });
+      EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << "round " << round;
+      ++own_keyed;
+    }
   }
   EXPECT_GT(tailed, 0u);
   EXPECT_GT(foreign, 0u);
+  EXPECT_GT(own_keyed, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatMapPropertyTest,
