@@ -1,13 +1,10 @@
-// Ingest pipeline throughput: row-at-a-time puts vs group commit vs the
-// sharded encode pipeline (thread sweep) vs BulkLoad, on the Dataset 2
-// event stream.
+// Ingest pipeline throughput: the sharded encode pipeline (thread sweep) vs
+// BulkLoad, on the Dataset 2 event stream. Every configuration
+// group-commits its rows: one write submission per storage node per table.
 //
 // Two regimes, same stream:
 //   * io  — the simulated commodity-store latency model with write charging
-//     enabled. Every row-at-a-time Put pays a seek; a group commit pays one
-//     seek per storage-node batch. Expect the group-commit rows to beat the
-//     row-puts baseline by roughly (rows per span / node count), visible
-//     even on a single-core host.
+//     enabled: every node batch pays a seek.
 //   * cpu — latency disabled. Isolates the encode pipeline (leaf
 //     compaction, intersection-tree algebra, partition splits, row
 //     serialization) sharded across the worker pool; scaling with the
@@ -35,7 +32,6 @@ struct Spec {
   const char* name;    // table label
   const char* metric;  // JSON metric stem
   size_t threads;      // TGIOptions::ingest_threads
-  bool group_commit;   // TGIOptions::group_commit_puts
   bool bulk;           // BulkLoad instead of BuildFrom
 };
 
@@ -53,7 +49,6 @@ Outcome RunOnce(const std::vector<Event>& events, const ClusterOptions& copts,
                 const Spec& spec) {
   TGIOptions opts = hgs::bench::DefaultTGIOptions();
   opts.ingest_threads = spec.threads;
-  opts.group_commit_puts = spec.group_commit;
   Cluster cluster(copts);
   TGI tgi(&cluster, opts);
   auto start = std::chrono::steady_clock::now();
@@ -91,22 +86,19 @@ void PrintRow(const char* regime, const Spec& spec, const Outcome& o) {
 int main(int argc, char** argv) {
   hgs::bench::InitBenchTelemetry(&argc, argv);
   hgs::bench::PrintPreamble(
-      "Ingest pipeline: row-at-a-time vs group commit vs sharded encode vs "
-      "BulkLoad",
-      "group commit collapses per-row seeks into per-node batches; the "
-      "thread sweep shards the encode work; all configurations store "
+      "Ingest pipeline: sharded encode vs BulkLoad",
+      "the thread sweep shards the encode work; all configurations store "
       "byte-identical contents");
 
   auto events = hgs::bench::Dataset2();
   std::printf("# events=%zu\n", events.size());
 
-  const Spec kRowPuts = {"row-puts (1t)", "row_puts_1t", 1, false, false};
   const Spec kSweep[] = {
-      {"group-commit (1t)", "group_commit_1t", 1, true, false},
-      {"sharded (2t)", "sharded_2t", 2, true, false},
-      {"sharded (4t)", "sharded_4t", 4, true, false},
-      {"sharded (8t)", "sharded_8t", 8, true, false},
-      {"bulkload (8t)", "bulkload_8t", 8, true, true},
+      {"serial (1t)", "serial_1t", 1, false},
+      {"sharded (2t)", "sharded_2t", 2, false},
+      {"sharded (4t)", "sharded_4t", 4, false},
+      {"sharded (8t)", "sharded_8t", 8, false},
+      {"bulkload (8t)", "bulkload_8t", 8, true},
   };
 
   uint64_t fingerprint = 0;
@@ -126,15 +118,6 @@ int main(int argc, char** argv) {
   io_opts.latency.charge_writes = true;
 
   std::printf("\n== io regime (write latency charged, 4 nodes) ==\n");
-  Outcome io_base = RunOnce(events, io_opts, kRowPuts);
-  PrintRow("io", kRowPuts, io_base);
-  check(io_base);
-  hgs::bench::JsonRow("ingest", std::string("io_") + kRowPuts.metric +
-                                    "_events_per_sec",
-                      io_base.events_per_sec, "events/s");
-
-  double io_group_1t = 0;
-  double io_sharded_8t = 0;
   for (const Spec& spec : kSweep) {
     Outcome o = RunOnce(events, io_opts, spec);
     PrintRow("io", spec, o);
@@ -142,34 +125,16 @@ int main(int argc, char** argv) {
     hgs::bench::JsonRow("ingest",
                         std::string("io_") + spec.metric + "_events_per_sec",
                         o.events_per_sec, "events/s");
-    if (std::string(spec.metric) == "group_commit_1t") {
-      io_group_1t = o.events_per_sec;
-      // The batching win in counters: same rows, far fewer round trips.
-      hgs::bench::JsonRow("ingest", "io_group_commit_put_batches",
+    if (std::string(spec.metric) == "serial_1t") {
+      // Write counters (the same for every configuration).
+      hgs::bench::JsonRow("ingest", "io_put_batches",
                           static_cast<double>(o.put_batches), "batches");
-      hgs::bench::JsonRow("ingest", "io_row_puts_put_batches",
-                          static_cast<double>(io_base.put_batches),
-                          "batches");
       hgs::bench::JsonRow("ingest", "rows_put",
                           static_cast<double>(o.rows_put), "rows");
       hgs::bench::JsonRow("ingest", "bytes_put",
                           static_cast<double>(o.bytes_put), "bytes");
     }
-    if (std::string(spec.metric) == "sharded_8t") {
-      io_sharded_8t = o.events_per_sec;
-    }
   }
-  double group_speedup =
-      io_base.events_per_sec > 0 ? io_group_1t / io_base.events_per_sec : 0;
-  double sharded_speedup =
-      io_base.events_per_sec > 0 ? io_sharded_8t / io_base.events_per_sec : 0;
-  std::printf("group-commit vs row-puts: %.2fx; sharded 8t vs row-puts: "
-              "%.2fx\n",
-              group_speedup, sharded_speedup);
-  hgs::bench::JsonRow("ingest", "io_group_commit_speedup_vs_row_puts",
-                      group_speedup, "x");
-  hgs::bench::JsonRow("ingest", "io_sharded_8t_speedup_vs_row_puts",
-                      sharded_speedup, "x");
 
   // -- cpu regime: latency off ----------------------------------------------
   ClusterOptions cpu_opts = hgs::bench::MakeClusterOptions(4, 1);
@@ -185,9 +150,7 @@ int main(int argc, char** argv) {
     hgs::bench::JsonRow("ingest",
                         std::string("cpu_") + spec.metric + "_events_per_sec",
                         o.events_per_sec, "events/s");
-    if (std::string(spec.metric) == "group_commit_1t") {
-      cpu_1t = o.events_per_sec;
-    }
+    if (std::string(spec.metric) == "serial_1t") cpu_1t = o.events_per_sec;
     if (std::string(spec.metric) == "sharded_8t") cpu_8t = o.events_per_sec;
   }
   double cpu_scaling = cpu_1t > 0 ? cpu_8t / cpu_1t : 0;

@@ -104,12 +104,24 @@ class ColumnarBlockReader {
 
 // -- encode/decode cursors ---------------------------------------------------
 
+/// a - b and a + b in two's complement: the delta codecs wrap where int64
+/// arithmetic would overflow, so every int64 sequence round-trips and
+/// hostile deltas decode to some value instead of undefined behaviour.
+inline int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 /// Delta-of-previous encoder for monotone-ish integer columns (timestamps,
 /// sorted ids): emits zigzag varints of successive differences.
 struct DeltaInt64Encoder {
   int64_t prev = 0;
   void Put(BinaryWriter* w, int64_t v) {
-    w->PutSigned64(v - prev);
+    w->PutSigned64(WrappingSub(v, prev));
     prev = v;
   }
 };
@@ -118,7 +130,7 @@ struct DeltaInt64Encoder {
 struct DeltaInt64Decoder {
   int64_t prev = 0;
   int64_t Next(BinaryReader* r) {
-    prev += r->ReadSigned64();
+    prev = WrappingAdd(prev, r->ReadSigned64());
     return prev;
   }
 };

@@ -3,23 +3,10 @@
 // each guarded by its own mutex, so concurrent fetch clients rarely
 // contend. Eviction is least-recently-used within a shard, driven by the
 // per-entry byte charge supplied at insert time.
-//
-// Optional TinyLFU-style admission (opt-in): each shard keeps a doorkeeper
-// bit array in front of a 4-bit count-min sketch. Every probe and insert
-// records the key's frequency (first sighting sets the doorkeeper bit;
-// repeats feed the sketch), and an insert that would evict is admitted only
-// if the candidate's estimated frequency beats the LRU victim's. One cold
-// scan over the key space — every key seen once — then bounces off the
-// doorkeeper instead of flushing a hot working set. Counters age by halving
-// (and the doorkeeper resets) every sample-window accesses, so the sketch
-// tracks recent popularity rather than all-time counts.
 
 #ifndef HGS_COMMON_LRU_CACHE_H_
 #define HGS_COMMON_LRU_CACHE_H_
 
-#include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -38,7 +25,7 @@ struct LruCacheCounters {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
-  uint64_t admission_rejects = 0;  ///< inserts bounced by TinyLFU admission
+  uint64_t admission_rejects = 0;  ///< puts larger than a shard budget
   uint64_t bytes_used = 0;
   uint64_t entries = 0;
 
@@ -48,119 +35,17 @@ struct LruCacheCounters {
   }
 };
 
-namespace internal {
-
-/// Doorkeeper + 4-bit count-min sketch: the frequency estimator behind
-/// TinyLFU admission. Not thread-safe; the owning shard's mutex guards it.
-class FrequencySketch {
- public:
-  /// Records one access. The first sighting of a hash lands in the
-  /// doorkeeper; repeats increment the sketch (4 rows, conservative update:
-  /// only counters at the current minimum grow, which keeps collision
-  /// overestimation down; saturating at 15). Every kSampleWindow accesses
-  /// all counters halve and the doorkeeper clears, aging out stale
-  /// popularity.
-  void Record(uint64_t hash) {
-    if (++accesses_ >= kSampleWindow) Age();
-    if (!TestAndSetDoor(hash)) return;
-    uint8_t min_count = 15;
-    for (int row = 0; row < kRows; ++row) {
-      min_count = std::min(min_count, GetCounter(row, Slot(hash, row)));
-    }
-    if (min_count >= 15) return;
-    for (int row = 0; row < kRows; ++row) {
-      size_t slot = Slot(hash, row);
-      if (GetCounter(row, slot) == min_count) {
-        SetCounter(row, slot, static_cast<uint8_t>(min_count + 1));
-      }
-    }
-  }
-
-  /// Estimated recent frequency: doorkeeper bit + min over sketch rows.
-  uint32_t Estimate(uint64_t hash) const {
-    uint32_t est = TestDoor(hash) ? 1 : 0;
-    uint8_t min_count = 15;
-    for (int row = 0; row < kRows; ++row) {
-      min_count = std::min(min_count, GetCounter(row, Slot(hash, row)));
-    }
-    return est + min_count;
-  }
-
- private:
-  static constexpr int kRows = 4;
-  static constexpr size_t kSlots = 1024;          // per row, power of two
-  // Short window relative to the table: long one-hit streams age out
-  // before their collision floor can rival a genuinely hot key's count.
-  static constexpr uint64_t kSampleWindow = 4 * kSlots;
-  static constexpr size_t kDoorBits = 8 * kSlots;  // power of two
-
-  static size_t Slot(uint64_t hash, int row) {
-    // Independent-ish row hashes from one 64-bit input.
-    uint64_t h = hash * (0x9E3779B97F4A7C15ull + 2ull * row + 1ull);
-    return static_cast<size_t>(h >> 32) & (kSlots - 1);
-  }
-
-  bool TestDoor(uint64_t hash) const {
-    size_t bit = static_cast<size_t>(hash ^ (hash >> 17)) & (kDoorBits - 1);
-    return (door_[bit >> 3] >> (bit & 7)) & 1;
-  }
-  /// Returns true if the bit was already set (the key is a repeat).
-  bool TestAndSetDoor(uint64_t hash) {
-    size_t bit = static_cast<size_t>(hash ^ (hash >> 17)) & (kDoorBits - 1);
-    uint8_t mask = static_cast<uint8_t>(1u << (bit & 7));
-    bool was_set = (door_[bit >> 3] & mask) != 0;
-    door_[bit >> 3] |= mask;
-    return was_set;
-  }
-
-  uint8_t GetCounter(int row, size_t slot) const {
-    uint8_t packed = counters_[row][slot >> 1];
-    return (slot & 1) ? (packed >> 4) : (packed & 0x0F);
-  }
-  void SetCounter(int row, size_t slot, uint8_t v) {
-    uint8_t& packed = counters_[row][slot >> 1];
-    if (slot & 1) {
-      packed = static_cast<uint8_t>((packed & 0x0F) | (v << 4));
-    } else {
-      packed = static_cast<uint8_t>((packed & 0xF0) | v);
-    }
-  }
-
-  void Age() {
-    accesses_ = 0;
-    for (auto& row : counters_) {
-      for (uint8_t& packed : row) {
-        // Halve both nibbles in place.
-        packed = static_cast<uint8_t>((packed >> 1) & 0x77);
-      }
-    }
-    door_.fill(0);
-  }
-
-  uint64_t accesses_ = 0;
-  std::array<std::array<uint8_t, kSlots / 2>, kRows> counters_{};
-  std::array<uint8_t, kDoorBits / 8> door_{};
-};
-
-}  // namespace internal
-
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedLruCache {
  public:
   /// `capacity_bytes` is the total budget across all shards; 0 disables the
-  /// cache (every Get misses, Put is a no-op). `tinylfu_admission` enables
-  /// the doorkeeper/sketch admission filter (see file comment).
-  explicit ShardedLruCache(size_t capacity_bytes, size_t num_shards = 16,
-                           bool tinylfu_admission = false)
-      : capacity_bytes_(capacity_bytes), tinylfu_(tinylfu_admission) {
+  /// cache (every Get misses, Put is a no-op).
+  explicit ShardedLruCache(size_t capacity_bytes, size_t num_shards = 16)
+      : capacity_bytes_(capacity_bytes) {
     if (num_shards == 0) num_shards = 1;
     shards_.reserve(num_shards);
     for (size_t i = 0; i < num_shards; ++i) {
       shards_.push_back(std::make_unique<Shard>());
-      if (tinylfu_) {
-        shards_.back()->sketch =
-            std::make_unique<internal::FrequencySketch>();
-      }
     }
     shard_capacity_ = capacity_bytes_ / num_shards;
     if (capacity_bytes_ > 0 && shard_capacity_ == 0) shard_capacity_ = 1;
@@ -169,10 +54,8 @@ class ShardedLruCache {
   /// Looks up `key`, refreshing its recency on a hit.
   std::optional<Value> Get(const Key& key) {
     if (capacity_bytes_ == 0) return std::nullopt;
-    uint64_t hash = Hash{}(key);
-    Shard& shard = ShardForHash(hash);
+    Shard& shard = ShardFor(key);
     MutexLock lock(shard.mu);
-    if (shard.sketch != nullptr) shard.sketch->Record(hash);
     auto it = shard.map.find(key);
     if (it == shard.map.end()) {
       ++shard.misses;
@@ -185,43 +68,22 @@ class ShardedLruCache {
 
   /// Inserts or replaces `key`, accounting `charge` bytes against the
   /// budget and evicting LRU entries as needed. An entry larger than a
-  /// whole shard's budget is not admitted — and any existing entry under
-  /// the key is dropped, so a rejected replacement never leaves a stale
-  /// value behind. With TinyLFU admission on, a new key whose insert would
-  /// evict must beat the LRU victim's estimated frequency to get in.
+  /// whole shard's budget is not admitted (counted in admission_rejects),
+  /// and any existing entry under the key is dropped, so a rejected
+  /// replacement never leaves a stale value behind.
   void Put(const Key& key, Value value, size_t charge) {
     if (capacity_bytes_ == 0) return;
-    if (charge > shard_capacity_) {
-      Erase(key);
-      return;
-    }
-    uint64_t hash = Hash{}(key);
-    Shard& shard = ShardForHash(hash);
+    Shard& shard = ShardFor(key);
     MutexLock lock(shard.mu);
-    if (shard.sketch != nullptr) shard.sketch->Record(hash);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
       shard.bytes -= it->second->charge;
       shard.lru.erase(it->second);
       shard.map.erase(it);
-    } else if (shard.sketch != nullptr &&
-               shard.bytes + charge > shard_capacity_ && !shard.lru.empty()) {
-      // Admission: the candidate must beat EVERY entry its insert would
-      // displace, walked coldest-first — a large-charge candidate cannot
-      // buy its way in past one cold tiny victim, and an admitted one
-      // never flushes a hotter entry sitting behind the tail. A one-hit
-      // wonder (doorkeeper only) loses to anything the sketch has seen
-      // again, so a cold sweep cannot flush the shard.
-      const uint32_t cand = shard.sketch->Estimate(hash);
-      size_t bytes_after = shard.bytes + charge;
-      for (auto vit = shard.lru.rbegin();
-           vit != shard.lru.rend() && bytes_after > shard_capacity_; ++vit) {
-        if (cand <= shard.sketch->Estimate(Hash{}(vit->key))) {
-          ++shard.admission_rejects;
-          return;
-        }
-        bytes_after -= vit->charge;
-      }
+    }
+    if (charge > shard_capacity_) {
+      ++shard.admission_rejects;
+      return;
     }
     EvictToFitLocked(shard, charge);
     shard.lru.push_front(Entry{key, std::move(value), charge});
@@ -323,10 +185,6 @@ class ShardedLruCache {
     uint64_t insertions GUARDED_BY(mu) = 0;
     uint64_t evictions GUARDED_BY(mu) = 0;
     uint64_t admission_rejects GUARDED_BY(mu) = 0;
-    // Present only with TinyLFU admission on (~2.5 KiB per shard). The
-    // pointer is written once at construction; the sketch state behind it
-    // mutates on every probe, under the shard lock.
-    std::unique_ptr<internal::FrequencySketch> sketch PT_GUARDED_BY(mu);
   };
 
   /// Evicts LRU entries until `charge` more bytes fit in the shard budget.
@@ -341,15 +199,11 @@ class ShardedLruCache {
   }
 
   Shard& ShardFor(const Key& key) const {
-    return ShardForHash(Hash{}(key));
-  }
-  Shard& ShardForHash(uint64_t hash) const {
-    return *shards_[hash % shards_.size()];
+    return *shards_[Hash{}(key) % shards_.size()];
   }
 
   size_t capacity_bytes_;
   size_t shard_capacity_;
-  bool tinylfu_;
   // unique_ptr keeps Shard (with its mutex) immovable while the vector is
   // sized once in the constructor.
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -356,11 +356,9 @@ Status Cluster::FinishWrite(size_t acks, size_t replicas, const char* what) {
 }
 
 Status Cluster::Put(std::string_view table, uint64_t partition,
-                    std::string_view key, std::string_view value,
-                    ValueSchema schema, std::optional<CompressionKind> codec) {
+                    std::string_view key, std::string_view value) {
   std::string phys = PhysicalKey(table, partition, key);
-  std::shared_ptr<const std::string> stored =
-      SealForStorage(value, schema, codec);
+  std::shared_ptr<const std::string> stored = SealForStorage(value);
   ReplicaSet replicas = Replicas(PlacementToken(table, partition));
   size_t acks = 0;
   for (uint32_t node : replicas) {
@@ -649,13 +647,11 @@ Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
 
 Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     std::string_view table, const std::vector<MultiGetKey>& keys,
-    size_t* node_batches, size_t* value_copies, ReadCallStats* call_stats,
-    std::vector<Status>* key_status) {
+    size_t* node_batches, size_t* value_copies, ReadCallStats* call_stats) {
   std::vector<std::optional<SharedValue>> out(keys.size());
   if (node_batches != nullptr) *node_batches = 0;
   if (value_copies != nullptr) *value_copies = 0;
   if (call_stats != nullptr) *call_stats = ReadCallStats{};
-  if (key_status != nullptr) key_status->assign(keys.size(), Status::OK());
   if (keys.empty()) return out;
 
   Deadline deadline = MakeDeadline();
@@ -668,12 +664,7 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     tokens[i] = PlacementToken(table, keys[i].partition);
     std::array<uint32_t, kMaxReplicas> order;
     size_t candidates = ServingOrder(Replicas(tokens[i]), &order);
-    if (candidates == 0) {
-      Status err = Status::IOError("no live replica for key");
-      if (key_status == nullptr) return err;  // strict legacy contract
-      (*key_status)[i] = err;                 // degrade: serve the rest
-      continue;
-    }
+    if (candidates == 0) return Status::IOError("no live replica for key");
     by_node[order[0]].push_back(i);
   }
 
@@ -700,7 +691,7 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
   // whose serving node failed mid-flight, served corrupt bytes, or answered
   // NotFound while dirty retries through the per-key Get path, which
   // carries the full retry/failover/hedging machinery.
-  Status fatal;  // first unservable key's error, strict mode only
+  Status fatal;  // first unservable key's error
   auto resolve = [&](size_t i, size_t serving_node,
                      Result<SharedValue>& res) {
     if (res.ok()) {
@@ -732,11 +723,7 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
       return;
     }
     if (retry.status().IsNotFound()) return;  // absent
-    if (key_status != nullptr) {
-      (*key_status)[i] = retry.status();
-    } else if (fatal.ok()) {
-      fatal = retry.status();
-    }
+    if (fatal.ok()) fatal = retry.status();
   };
 
   struct HedgeGroup {
@@ -800,16 +787,7 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
       }
     }
 
-    if (deadline_hit) {
-      Status derr = DeadlineError(Status::OK());
-      if (key_status == nullptr) return derr;
-      for (size_t i : b.idxs) {
-        if (!out[i].has_value() && (*key_status)[i].ok()) {
-          (*key_status)[i] = derr;
-        }
-      }
-      continue;
-    }
+    if (deadline_hit) return DeadlineError(Status::OK());
 
     if (use_hedges) {
       std::unordered_set<size_t> served;
@@ -1019,14 +997,6 @@ void Cluster::PublishTouched(std::vector<EpochKey> touched) {
       next->sub.insert(it, {key, next->global});
     }
   }
-  epochs_ = std::move(next);
-}
-
-void Cluster::BumpPublishEpoch() {
-  MutexLock lock(epoch_mu_);
-  auto next = std::make_shared<EpochVector>();
-  next->global = epochs_->global + 1;
-  next->base = next->global;
   epochs_ = std::move(next);
 }
 

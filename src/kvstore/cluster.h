@@ -160,13 +160,13 @@ struct ClusterResilienceStats {
 };
 
 /// The publish-epoch map: an immutable snapshot of the index's visibility
-/// state. `global` counts publishes; a scope absent from `sub` was last
-/// invalidated at `base`. Readers pin one EpochVectorRef for the duration
-/// of a query and key their caches by `SubEpoch(scope)`, so a publish that
-/// touched scopes {A, B} leaves every other scope's cache entries valid.
+/// state. `global` counts publishes; a scope absent from `sub` has never
+/// been published and is at sub-epoch 0. Readers pin one EpochVectorRef for
+/// the duration of a query and key their caches by `SubEpoch(scope)`, so a
+/// publish that touched scopes {A, B} leaves every other scope's cache
+/// entries valid.
 struct EpochVector {
   uint64_t global = 0;
-  uint64_t base = 0;
   /// Sorted by EpochKey; values are the epoch of the scope's last publish.
   std::vector<std::pair<EpochKey, uint64_t>> sub;
 
@@ -177,7 +177,7 @@ struct EpochVector {
           return e.first < k;
         });
     if (it != sub.end() && it->first == key) return it->second;
-    return base;
+    return 0;
   }
 };
 
@@ -190,14 +190,10 @@ class Cluster {
   /// Writes to all replicas of the token's placement group. Succeeds when
   /// at least the configured ack level's replica count committed; replicas
   /// that missed the write get a hint. A met ack level with missed
-  /// replicas counts as a degraded write.
-  /// `schema` and `codec` mirror the PutRow fields: the writer's payload
-  /// declaration (kColumnar eligibility) and an optional per-row override
-  /// of the cluster-wide compression.
+  /// replicas counts as a degraded write. The value is stored opaque under
+  /// the cluster-wide compression; MultiPut takes per-row schemas and codecs.
   Status Put(std::string_view table, uint64_t partition, std::string_view key,
-             std::string_view value,
-             ValueSchema schema = ValueSchema::kOpaque,
-             std::optional<CompressionKind> codec = std::nullopt);
+             std::string_view value);
 
   /// Group-committed batch write: each row is compressed once, rows are
   /// grouped by replica storage node, and every node receives its whole
@@ -232,18 +228,12 @@ class Cluster {
   /// Keys whose node fails mid-flight (or whose value fails its checksum)
   /// fall back to per-key Get with its full resilience machinery. Slow
   /// node batches are hedged to the keys' alternate replicas when hedging
-  /// is enabled.
-  ///
-  /// When `key_status` is non-null the batch degrades gracefully: keys
-  /// with no live replica (or that exhaust failover) report their error
-  /// per key while the rest of the batch is served, and the call itself
-  /// returns OK. When null, any unservable key fails the whole call (the
-  /// strict legacy contract).
+  /// is enabled. Any key that no replica can serve (none live, failover
+  /// exhausted, deadline passed) fails the whole call.
   Result<std::vector<std::optional<SharedValue>>> MultiGet(
       std::string_view table, const std::vector<MultiGetKey>& keys,
       size_t* node_batches = nullptr, size_t* value_copies = nullptr,
-      ReadCallStats* call_stats = nullptr,
-      std::vector<Status>* key_status = nullptr);
+      ReadCallStats* call_stats = nullptr);
 
   /// All pairs of the partition whose key begins with `key_prefix`, in key
   /// order, with the same resilience behavior as Get (retries, failover,
@@ -329,19 +319,13 @@ class Cluster {
     return epochs_;
   }
 
-  /// The global publish counter (compatibility accessor): bumped by every
-  /// publish, scoped or blanket.
+  /// The global publish counter: bumped by every PublishTouched.
   uint64_t publish_epoch() const { return epochs()->global; }
 
   /// Scoped publish: advances the global epoch and copies-on-write only
   /// the touched scopes' sub-epochs. Cache entries keyed under any other
   /// scope's sub-epoch remain valid.
   void PublishTouched(std::vector<EpochKey> touched);
-
-  /// Blanket publish: advances the global epoch and invalidates every
-  /// scope (base jumps to the new global, the sub map empties). The
-  /// conservative fallback for writers that don't track what they touched.
-  void BumpPublishEpoch();
 
  private:
   using Deadline = std::optional<std::chrono::steady_clock::time_point>;

@@ -47,8 +47,9 @@ struct LatencyModel {
   /// When true, writes are charged the same seek/per-key/per-byte costs as
   /// reads (a put is a round trip too). Off by default: the paper's
   /// evaluation measures retrieval, not construction, and the existing
-  /// figure benches assume free writes. The ingest bench turns this on to
-  /// make the group-commit batching discipline measurable.
+  /// figure benches assume free writes. bench_ingest and hgsbench's
+  /// live-ingest workload turn it on, so ingest pays one round trip per
+  /// node batch.
   bool charge_writes = false;
   /// Wait implementation. Precise waits hit sub-millisecond deadlines by
   /// spinning the residue the OS sleep can't express (use when exact
@@ -72,8 +73,7 @@ struct StorageNodeStats {
   std::atomic<uint64_t> bytes_stored{0};
   std::atomic<uint64_t> simulated_micros{0};
   // Write-side counters (the ingest path's FetchStats analogue): every
-  // write submission is one batch, so row-at-a-time ingest shows
-  // put_batches == rows_put while group-committed ingest shows
+  // write submission is one batch, so group-committed ingest shows
   // put_batches << rows_put.
   std::atomic<uint64_t> put_batches{0};
   std::atomic<uint64_t> rows_put{0};

@@ -145,11 +145,7 @@ Status TGIBuilder::Finish() {
     touched.swap(touched_scopes_);
   }
   touched.push_back(MakeEpochKey(tgi::kGraphTable, 0));
-  if (options_.coarse_publish_epoch) {
-    cluster_->BumpPublishEpoch();
-  } else {
-    cluster_->PublishTouched(std::move(touched));
-  }
+  cluster_->PublishTouched(std::move(touched));
   return Status::OK();
 }
 
@@ -602,18 +598,7 @@ Status TGIBuilder::BuildTimespanFrom(std::span<const Event> events,
   // ---- 4. Group commit. ---------------------------------------------------
   // One batched submission per storage node per table (the MultiGet
   // batching discipline, mirrored for writes), then the span's metadata row
-  // as the single sequencing step that completes the span. The row-at-a-
-  // time fallback is bench_ingest's measured baseline.
-  auto commit = [&](std::string_view table, std::vector<PutRow> rows) {
-    if (options_.group_commit_puts) {
-      return cluster_->MultiPut(table, std::move(rows));
-    }
-    for (const PutRow& row : rows) {
-      HGS_RETURN_NOT_OK(cluster_->Put(table, row.partition, row.key, row.value,
-                                      row.schema, row.codec));
-    }
-    return Status::OK();
-  };
+  // as the single sequencing step that completes the span.
   size_t n_delta_rows = evl_rows.size() + aux_evl_rows.size();
   for (const auto& rows : tree_rows) n_delta_rows += rows.size();
   std::vector<PutRow> delta_rows;
@@ -633,8 +618,10 @@ Status TGIBuilder::BuildTimespanFrom(std::span<const Event> events,
   for (const PutRow& row : version_rows) {
     touched.push_back(MakeEpochKey(tgi::kVersionsTable, row.partition));
   }
-  HGS_RETURN_NOT_OK(commit(tgi::kDeltasTable, std::move(delta_rows)));
-  HGS_RETURN_NOT_OK(commit(tgi::kVersionsTable, std::move(version_rows)));
+  HGS_RETURN_NOT_OK(
+      cluster_->MultiPut(tgi::kDeltasTable, std::move(delta_rows)));
+  HGS_RETURN_NOT_OK(
+      cluster_->MultiPut(tgi::kVersionsTable, std::move(version_rows)));
 
   // Micropartitions table (locality partitioning only). Buckets are few
   // and small; built serially, committed as one batch.
@@ -659,7 +646,7 @@ Status TGIBuilder::BuildTimespanFrom(std::span<const Event> events,
       touched.push_back(MakeEpochKey(tgi::kMicropartsTable, row.partition));
     }
     HGS_RETURN_NOT_OK(
-        commit(tgi::kMicropartsTable, std::move(micropart_rows)));
+        cluster_->MultiPut(tgi::kMicropartsTable, std::move(micropart_rows)));
   }
 
   // ---- 5. Timespan metadata (the sequencing step). ------------------------

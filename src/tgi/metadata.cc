@@ -45,7 +45,7 @@ std::string EncodeColumnarSegmentPayload(const VersionChainSegment& seg) {
     el_enc.Put(&elidx, e.eventlist_index);
     pids.PutVarint32(e.pid);
     first_enc.Put(&firsts, e.first_time);
-    lasts.PutSigned64(e.last_time - e.first_time);
+    lasts.PutSigned64(WrappingSub(e.last_time, e.first_time));
     counts.PutVarint32(e.event_count);
   }
 
@@ -96,7 +96,7 @@ Result<VersionChainSegment> DecodeColumnarSegment(std::string_view payload) {
     e.eventlist_index = static_cast<uint32_t>(el_index);
     e.pid = pids.ReadVarint32();
     e.first_time = first_dec.Next(&firsts);
-    e.last_time = e.first_time + lasts.ReadSigned64();
+    e.last_time = WrappingAdd(e.first_time, lasts.ReadSigned64());
     e.event_count = counts.ReadVarint32();
     if (els.failed() || pids.failed() || firsts.failed() || lasts.failed() ||
         counts.failed()) {
@@ -217,9 +217,16 @@ Result<TimespanMeta> TimespanMeta::Deserialize(std::string_view data) {
   }
   uint64_t n_tree = r.ReadVarint64();
   m.tree.reserve(std::min<uint64_t>(n_tree, r.remaining()));
+  const auto n_checkpoints = static_cast<int64_t>(m.checkpoints.size());
   for (uint64_t i = 0; i < n_tree && !r.failed(); ++i) {
     int64_t parent = r.ReadSigned64();
     int64_t cp = r.ReadSigned64();
+    // The builder numbers the tree breadth-first, so a parent precedes its
+    // child; PathToCheckpoint relies on that to terminate in range.
+    if (parent < -1 || parent >= static_cast<int64_t>(i) || cp < -1 ||
+        cp >= n_checkpoints) {
+      return Status::Corruption("timespan meta: tree index out of range");
+    }
     m.tree.push_back(TreeNode{.parent = static_cast<int32_t>(parent),
                               .checkpoint_index = static_cast<int32_t>(cp)});
   }

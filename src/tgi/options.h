@@ -97,20 +97,6 @@ struct TGIOptions {
   /// per hardware thread; 1 = fully serial.
   size_t ingest_threads = 0;
 
-  /// Commit encoded rows via Cluster::MultiPut group batches (one batched
-  /// submission per storage node per table). false falls back to
-  /// row-at-a-time Cluster::Put — the pre-pipeline write contract, kept as
-  /// the measured baseline of bench_ingest. Storage contents are identical
-  /// either way.
-  bool group_commit_puts = true;
-
-  /// Publish metadata with the blanket global-epoch bump instead of the
-  /// partition-scoped PublishTouched. A blanket publish colds every
-  /// reader's cache tiers on the next query; the scoped publish (default)
-  /// invalidates only the (table, partition) scopes the writer touched.
-  /// Kept as bench_mixed_workload's measured baseline.
-  bool coarse_publish_epoch = false;
-
   /// Per-table-family compression overrides. When set, builder writes of
   /// the matching row family are sealed with this codec instead of the
   /// cluster-wide ClusterOptions::compression: `row_compression` covers the
@@ -122,12 +108,6 @@ struct TGIOptions {
   std::optional<CompressionKind> row_compression;
   std::optional<CompressionKind> eventlist_compression;
   std::optional<CompressionKind> versions_compression;
-
-  /// TinyLFU-style admission on both read-side cache tiers: a doorkeeper
-  /// bit array plus a small frequency sketch gate inserts that would evict,
-  /// so one cold snapshot scan over the whole key space cannot flush a hot
-  /// node-history working set. Off by default (pure LRU admission).
-  bool cache_tinylfu_admission = false;
 
   /// Effective checkpoint interval after defaulting rules.
   size_t EffectiveCheckpointInterval() const {

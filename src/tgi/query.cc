@@ -152,17 +152,16 @@ std::vector<std::pair<Timestamp, Delta>> NodeHistory::Materialize() const {
 TGIQueryManager::TGIQueryManager(Cluster* cluster, size_t fetch_parallelism,
                                  size_t read_cache_bytes,
                                  size_t read_cache_shards,
-                                 size_t decoded_cache_bytes,
-                                 bool tinylfu_admission)
+                                 size_t decoded_cache_bytes)
     : cluster_(cluster),
       fetch_parallelism_(fetch_parallelism == 0 ? 1 : fetch_parallelism) {
   if (read_cache_bytes > 0) {
-    read_cache_ = std::make_unique<ReadCache>(
-        read_cache_bytes, read_cache_shards, tinylfu_admission);
+    read_cache_ =
+        std::make_unique<ReadCache>(read_cache_bytes, read_cache_shards);
   }
   if (decoded_cache_bytes > 0) {
-    decoded_cache_ = std::make_unique<DecodedCache>(
-        decoded_cache_bytes, read_cache_shards, tinylfu_admission);
+    decoded_cache_ =
+        std::make_unique<DecodedCache>(decoded_cache_bytes, read_cache_shards);
   }
 }
 

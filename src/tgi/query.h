@@ -168,12 +168,10 @@ class TGIQueryManager {
   /// either tier; TGI::OpenQueryManager passes the TGIOptions knobs). The
   /// two tiers are independent: bytes serve re-fetches without round trips,
   /// decoded objects serve repeats without deserialization.
-  /// `tinylfu_admission` enables the TinyLFU admission filter on both tiers.
   explicit TGIQueryManager(Cluster* cluster, size_t fetch_parallelism = 1,
                            size_t read_cache_bytes = 0,
                            size_t read_cache_shards = 16,
-                           size_t decoded_cache_bytes = 0,
-                           bool tinylfu_admission = false);
+                           size_t decoded_cache_bytes = 0);
 
   /// Loads graph + timespan metadata. Metadata and the read cache refresh
   /// automatically when the cluster's publish epoch changes (AppendBatch).

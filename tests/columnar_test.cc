@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -149,6 +150,70 @@ TEST(ColumnarVersionChainTest, SegmentsRoundTrip) {
     seg.entries.push_back(e);
   }
   ExpectColumnarRoundTrip(seg, ValueSchema::kVersionChain);
+}
+
+// -- extreme values ----------------------------------------------------------
+// The delta-of-previous columns see differences that do not fit in int64
+// (0 -> 2^63 as a signed id, kMinTimestamp + 1 -> kMaxTimestamp - 1). They
+// must wrap and round-trip. Each payload pads the extremes with ordinary
+// entries so the columnar arm, not the LZ fallback, wins the size race.
+
+template <typename T>
+void ExpectColumnarArmRoundTrip(const T& obj, ValueSchema schema) {
+  std::string packed = Compress(obj.Serialize(), CompressionKind::kColumnar,
+                                schema);
+  ASSERT_EQ(packed[0], static_cast<char>(CompressionKind::kColumnar));
+  ExpectColumnarRoundTrip(obj, schema);
+}
+
+TEST(ColumnarExtremesTest, DeltaWithExtremeNodeIdsRoundTrips) {
+  constexpr NodeId kHalf = NodeId{1} << 63;
+  constexpr NodeId kTop = std::numeric_limits<NodeId>::max();
+  Delta d;
+  for (NodeId id = 1; id <= 64; ++id) {
+    d.PutNode(id, NodeRecord{});
+    d.PutEdge(EdgeKey(id, id + 1), EdgeRecord{.src = id, .dst = id + 1,
+                                              .directed = false, .attrs = {}});
+  }
+  for (NodeId id : {NodeId{0}, kHalf, kTop}) d.PutNode(id, NodeRecord{});
+  d.PutEdge(EdgeKey(0, kTop),
+            EdgeRecord{.src = kTop, .dst = 0, .directed = true, .attrs = {}});
+  d.PutEdge(EdgeKey(kHalf, kTop),
+            EdgeRecord{.src = kHalf, .dst = kTop, .directed = true,
+                       .attrs = {}});
+  d.Compact();
+  ExpectColumnarArmRoundTrip(d, ValueSchema::kDelta);
+}
+
+TEST(ColumnarExtremesTest, EventListSpanningTheTimestampRangeRoundTrips) {
+  EventList el(kMinTimestamp, kMaxTimestamp);
+  el.Append(Event::AddNode(kMinTimestamp + 1, 0));
+  for (Timestamp t = 1; t <= 64; ++t) {
+    el.Append(Event::AddEdge(1'000'000 + 37 * t,
+                             static_cast<NodeId>(t * 1009 % 4096),
+                             static_cast<NodeId>(t * 31 % 4096)));
+  }
+  el.Append(Event::AddNode(kMaxTimestamp - 1, 65));
+  ExpectColumnarArmRoundTrip(el, ValueSchema::kEventList);
+}
+
+TEST(ColumnarExtremesTest, VersionEntrySpanningTheTimestampRangeRoundTrips) {
+  tgi::VersionChainSegment seg;
+  seg.node = 9;
+  seg.tsid = 1;
+  seg.pid = 2;
+  seg.entries.push_back(
+      tgi::VersionEntry{.tsid = 1, .eventlist_index = 0, .pid = 2,
+                        .first_time = kMinTimestamp + 1,
+                        .last_time = kMaxTimestamp - 1, .event_count = 2});
+  for (uint32_t i = 1; i <= 200; ++i) {
+    Timestamp t = 10 * static_cast<Timestamp>(i);
+    seg.entries.push_back(tgi::VersionEntry{.tsid = 1, .eventlist_index = i,
+                                            .pid = 2, .first_time = t,
+                                            .last_time = t + 5,
+                                            .event_count = 3});
+  }
+  ExpectColumnarArmRoundTrip(seg, ValueSchema::kVersionChain);
 }
 
 // -- dictionary edge cases ---------------------------------------------------

@@ -139,26 +139,62 @@ TEST_P(FuzzDeserializers, MutatedValidPayloadsFailCleanlyOrRoundTrip) {
   }
 }
 
+// Offset of a columnar payload's first column byte: past the magic, the
+// schema byte, the column count and the column length table.
+size_t ColumnsOffset(std::string_view payload) {
+  BinaryReader r(payload);
+  for (size_t i = 0; i <= kColumnarMagicSize; ++i) r.ReadFixed8();
+  uint64_t ncols = r.ReadVarint64();
+  for (uint64_t i = 0; i < ncols; ++i) r.ReadVarint64();
+  return payload.size() - r.remaining();
+}
+
+// The columnar payload of a legacy serialization: its kColumnar block with
+// the compression envelope stripped.
+std::string ColumnarPayload(std::string_view legacy, ValueSchema schema) {
+  auto payload = DecompressShared(
+      SharedValue{Compress(legacy, CompressionKind::kColumnar, schema)});
+  return payload.ok() ? std::string(payload->view()) : std::string();
+}
+
 // Makes 1-4 edits to the body of a checksummed payload (and sometimes
 // truncates it), then re-seals it, so the mutation reaches the decoder's own
-// checks instead of dying at VerifyChecksum. An edit overwrites one byte or
+// checks instead of dying at VerifyChecksum. An edit overwrites one byte,
 // sets the continuation bit on a run of bytes, which turns a varint count
-// or length starting there into a huge value.
+// or length starting there into a huge value, or overwrites ten bytes with
+// the widest zigzag varint (INT64_MAX), an extreme step for a
+// delta-of-previous column. A columnar payload keeps its container header
+// and length: its edits land in column bytes and reach the schema
+// decoder's cursors, where a truncation would only break the length table.
 std::string MutateAndReseal(std::string_view sealed, Rng* rng) {
   std::string body(sealed.substr(0, sealed.size() - kChecksumWireSize));
+  const size_t from = IsColumnarPayload(sealed) ? ColumnsOffset(sealed) : 0;
   size_t edits = 1 + rng->Uniform(4);
-  for (size_t e = 0; e < edits && !body.empty(); ++e) {
-    size_t at = rng->Uniform(body.size());
-    if (rng->Uniform(2) == 0) {
-      body[at] = static_cast<char>(rng->Next() & 0xFF);
-      continue;
-    }
-    size_t end = std::min(body.size(), at + 2 + rng->Uniform(8));
-    for (size_t k = at; k < end; ++k) {
-      body[k] = static_cast<char>(body[k] | 0x80);
+  for (size_t e = 0; e < edits && from < body.size(); ++e) {
+    size_t at = from + rng->Uniform(body.size() - from);
+    switch (rng->Uniform(3)) {
+      case 0:
+        body[at] = static_cast<char>(rng->Next() & 0xFF);
+        break;
+      case 1: {
+        size_t end = std::min(body.size(), at + 2 + rng->Uniform(8));
+        for (size_t k = at; k < end; ++k) {
+          body[k] = static_cast<char>(body[k] | 0x80);
+        }
+        break;
+      }
+      default: {
+        static constexpr unsigned char kWidest[10] = {
+            0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01};
+        for (size_t k = 0; k < 10 && at + k < body.size(); ++k) {
+          body[at + k] = static_cast<char>(kWidest[k]);
+        }
+      }
     }
   }
-  if (rng->Uniform(4) == 0) body.resize(rng->Uniform(body.size() + 1));
+  if (from == 0 && rng->Uniform(4) == 0) {
+    body.resize(rng->Uniform(body.size() + 1));
+  }
   BinaryWriter w;
   w.PutRaw(body);
   return w.FinishWithChecksum();
@@ -185,6 +221,24 @@ TEST_P(FuzzDeserializers, ResealedMutationsFailCleanlyOrDecode) {
   seg.tsid = 2;
   seg.pid = 5;
   seg.entries = {{2, 0, 5, 10, 20, 3}, {2, 4, 5, 90, 95, 2}};
+  // Larger, less repetitive values for the columnar cases, so the columnar
+  // form beats LZ.
+  Delta wide_delta;
+  for (NodeId i = 0; i < 40; ++i) {
+    NodeId id = i * 37;
+    NodeId other = (i * 13 % 40) * 37;
+    wide_delta.PutNode(
+        id, NodeRecord{.attrs = Attributes{{"a", std::to_string(i % 5)}}});
+    wide_delta.PutEdge(EdgeKey(id, other),
+                       EdgeRecord{.src = id, .dst = other,
+                                  .directed = i % 2 == 0, .attrs = {}});
+  }
+  wide_delta.Compact();
+  tgi::VersionChainSegment long_seg = seg;
+  for (uint32_t i = 5; i < 64; ++i) {
+    Timestamp t = 100 + 10 * static_cast<Timestamp>(i);
+    long_seg.entries.push_back({2, i, 5, t, t + 4, 2});
+  }
   tgi::GraphMeta graph;
   graph.end = 999;
   graph.event_count = 12345;
@@ -195,15 +249,19 @@ TEST_P(FuzzDeserializers, ResealedMutationsFailCleanlyOrDecode) {
   span.tree = {{-1, -1}, {0, 0}, {0, 1}, {0, 2}};
 
   using Decode = Status (*)(std::string_view);
+  const Decode decode_delta = [](std::string_view s) {
+    return Delta::Deserialize(s).status();
+  };
+  const Decode decode_list = [](std::string_view s) {
+    return EventList::Deserialize(s).status();
+  };
+  const Decode decode_seg = [](std::string_view s) {
+    return tgi::VersionChainSegment::Deserialize(s).status();
+  };
   const std::pair<std::string, Decode> cases[] = {
-      {delta.Serialize(),
-       [](std::string_view s) { return Delta::Deserialize(s).status(); }},
-      {list.Serialize(),
-       [](std::string_view s) { return EventList::Deserialize(s).status(); }},
-      {seg.Serialize(),
-       [](std::string_view s) {
-         return tgi::VersionChainSegment::Deserialize(s).status();
-       }},
+      {delta.Serialize(), decode_delta},
+      {list.Serialize(), decode_list},
+      {seg.Serialize(), decode_seg},
       {graph.Serialize(),
        [](std::string_view s) {
          return tgi::GraphMeta::Deserialize(s).status();
@@ -216,14 +274,23 @@ TEST_P(FuzzDeserializers, ResealedMutationsFailCleanlyOrDecode) {
        [](std::string_view s) {
          return tgi::DeserializeMicropartBucket(s).status();
        }},
+      {ColumnarPayload(wide_delta.Serialize(), ValueSchema::kDelta),
+       decode_delta},
+      {ColumnarPayload(list.Serialize(), ValueSchema::kEventList),
+       decode_list},
+      {ColumnarPayload(long_seg.Serialize(), ValueSchema::kVersionChain),
+       decode_seg},
   };
+  size_t columnar_cases = 0;
   for (const auto& [base, decode] : cases) {
     ASSERT_TRUE(decode(base).ok());
+    if (IsColumnarPayload(base)) ++columnar_cases;
     for (int i = 0; i < 300; ++i) {
       Status st = decode(MutateAndReseal(base, &rng));
       EXPECT_TRUE(st.ok() || st.IsCorruption()) << st.ToString();
     }
   }
+  EXPECT_EQ(columnar_cases, 3u);  // the columnar arm won for all three
 }
 
 TEST_P(FuzzDeserializers, TruncatedValidPayloadsFailCleanly) {

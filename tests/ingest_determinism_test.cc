@@ -1,7 +1,7 @@
-// Parallel-ingest determinism: whatever the worker count — and whether rows
-// are committed one at a time, group-committed, or built bottom-up by
-// BulkLoad — the pipeline must write byte-identical storage contents to
-// fully serial ingest, and queries over the results must agree. Also covers
+// Parallel-ingest determinism: whatever the worker count — and whether
+// timespans are built in stream order or bottom-up by BulkLoad — the
+// pipeline must write byte-identical storage contents to fully serial
+// ingest, and queries over the results must agree. Also covers
 // the batch-validation prepass (atomic rejection, offending index in the
 // error) and BulkLoad's alignment precondition. The suite runs under TSan
 // in CI alongside the stress tests.
@@ -50,11 +50,10 @@ struct BuildOutcome {
 };
 
 BuildOutcome BuildWith(const std::vector<Event>& events, size_t threads,
-                       bool group_commit, bool bulk, bool columnar = false) {
+                       bool bulk, bool columnar = false) {
   Cluster cluster(FastCluster());
   TGIOptions opts = SmallOpts();
   opts.ingest_threads = threads;
-  opts.group_commit_puts = group_commit;
   if (columnar) {
     opts.row_compression = CompressionKind::kColumnar;
     opts.eventlist_compression = CompressionKind::kColumnar;
@@ -68,25 +67,21 @@ BuildOutcome BuildWith(const std::vector<Event>& events, size_t threads,
 
 TEST(IngestDeterminismTest, ThreadCountsAndBulkLoadAreByteIdentical) {
   auto events = History(4242, 6'000);
-  BuildOutcome serial = BuildWith(events, 1, /*group_commit=*/false,
-                                  /*bulk=*/false);
+  BuildOutcome serial = BuildWith(events, 1, /*bulk=*/false);
   ASSERT_GT(serial.keys, 0u);
   struct Config {
     size_t threads;
-    bool group_commit;
     bool bulk;
   };
   const Config configs[] = {
-      {1, true, false},  // group commit, serial encode
-      {2, true, false},  // sharded encode
-      {8, true, false},  // oversubscribed sharding
-      {8, true, true},   // BulkLoad bottom-up
+      {2, false},  // sharded encode
+      {8, false},  // oversubscribed sharding
+      {8, true},   // BulkLoad bottom-up
   };
   for (const Config& c : configs) {
-    BuildOutcome got = BuildWith(events, c.threads, c.group_commit, c.bulk);
+    BuildOutcome got = BuildWith(events, c.threads, c.bulk);
     EXPECT_EQ(got.fingerprint, serial.fingerprint)
-        << "threads=" << c.threads << " group_commit=" << c.group_commit
-        << " bulk=" << c.bulk;
+        << "threads=" << c.threads << " bulk=" << c.bulk;
     EXPECT_EQ(got.keys, serial.keys)
         << "threads=" << c.threads << " bulk=" << c.bulk;
   }
@@ -97,30 +92,26 @@ TEST(IngestDeterminismTest, ColumnarEncodingIsByteIdenticalAcrossThreads) {
   // function of the serialized bytes, so parallel ingest with the columnar
   // codec enabled must stay byte-deterministic too.
   auto events = History(5151, 6'000);
-  BuildOutcome serial = BuildWith(events, 1, /*group_commit=*/false,
-                                  /*bulk=*/false, /*columnar=*/true);
+  BuildOutcome serial =
+      BuildWith(events, 1, /*bulk=*/false, /*columnar=*/true);
   ASSERT_GT(serial.keys, 0u);
   // And it must differ from the uncompressed build only in value bytes,
   // never in key count.
-  BuildOutcome plain = BuildWith(events, 1, false, false, false);
+  BuildOutcome plain = BuildWith(events, 1, false, false);
   EXPECT_EQ(serial.keys, plain.keys);
   struct Config {
     size_t threads;
-    bool group_commit;
     bool bulk;
   };
   const Config configs[] = {
-      {1, true, false},
-      {2, true, false},
-      {8, true, false},
-      {8, true, true},
+      {2, false},
+      {8, false},
+      {8, true},
   };
   for (const Config& c : configs) {
-    BuildOutcome got = BuildWith(events, c.threads, c.group_commit, c.bulk,
-                                 /*columnar=*/true);
+    BuildOutcome got = BuildWith(events, c.threads, c.bulk, /*columnar=*/true);
     EXPECT_EQ(got.fingerprint, serial.fingerprint)
-        << "threads=" << c.threads << " group_commit=" << c.group_commit
-        << " bulk=" << c.bulk;
+        << "threads=" << c.threads << " bulk=" << c.bulk;
     EXPECT_EQ(got.keys, serial.keys)
         << "threads=" << c.threads << " bulk=" << c.bulk;
   }

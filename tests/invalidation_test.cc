@@ -65,20 +65,7 @@ TEST(EpochVectorTest, PublishTouchedMovesOnlyTouchedScopes) {
   EXPECT_EQ(after->SubEpoch(a), after->global);
   EXPECT_EQ(after->SubEpoch(b), before->SubEpoch(b));  // untouched scope
   // The pinned old map is immutable: the publish didn't mutate it.
-  EXPECT_EQ(before->SubEpoch(a), before->base);
-}
-
-TEST(EpochVectorTest, BumpPublishEpochInvalidatesEveryScope) {
-  Cluster cluster(FastCluster());
-  EpochKey a = MakeEpochKey("deltas", 3);
-  cluster.PublishTouched({a});
-  EpochVectorRef scoped = cluster.epochs();
-  cluster.BumpPublishEpoch();
-  EpochVectorRef blanket = cluster.epochs();
-  EXPECT_EQ(blanket->global, scoped->global + 1);
-  // Every scope — touched before or never — moves to the new base.
-  EXPECT_EQ(blanket->SubEpoch(a), blanket->global);
-  EXPECT_EQ(blanket->SubEpoch(MakeEpochKey("versions", 99)), blanket->global);
+  EXPECT_EQ(before->SubEpoch(a), 0u);
 }
 
 TEST(EpochVectorTest, ConcurrentPublishesAndReadersAreSafe) {
@@ -103,7 +90,6 @@ TEST(EpochVectorTest, ConcurrentPublishesAndReadersAreSafe) {
   for (uint64_t i = 0; i < 2'000; ++i) {
     cluster.PublishTouched({MakeEpochKey("deltas", i % 8),
                             MakeEpochKey("versions", i % 5)});
-    if (i % 100 == 99) cluster.BumpPublishEpoch();
   }
   stop.store(true);
   for (auto& t : readers) t.join();
@@ -212,32 +198,6 @@ TEST(InvalidationPrecisionTest, TouchedVersionScopeInvalidatesWarmHistory) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(hist->events.events()[i], expected[i]);
   }
-}
-
-TEST(InvalidationPrecisionTest, CoarsePublishColdsEverything) {
-  // The baseline knob: with coarse_publish_epoch the append bumps the
-  // global epoch, and even the untouched warm span re-fetches.
-  Cluster cluster(FastCluster());
-  TGIOptions opts = SmallOptions();
-  opts.coarse_publish_epoch = true;
-  TGI tgi(&cluster, opts);
-  auto events = SmallHistory(95, 8'000);
-  size_t half = events.size() / 2;
-  ASSERT_TRUE(tgi.BuildFrom({events.begin(), events.begin() + half}).ok());
-  auto qm = tgi.OpenQueryManager(2).value();
-
-  Timestamp t1 = events[half / 2].time;
-  ASSERT_TRUE(qm->GetSnapshot(t1).ok());
-  FetchStats warm;
-  ASSERT_TRUE(qm->GetSnapshot(t1, &warm).ok());
-  ASSERT_EQ(warm.kv_batches, 0u);
-
-  ASSERT_TRUE(tgi.AppendBatch({events.begin() + half, events.end()}).ok());
-  FetchStats post;
-  auto snap = qm->GetSnapshot(t1, &post);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_GT(post.kv_batches, 0u);  // blanket invalidation: warm set gone
-  EXPECT_TRUE(*snap == workload::ReplayToGraph(events, t1));
 }
 
 // ---------------------------------------------------------------------------

@@ -463,7 +463,7 @@ TEST(FaultToleranceTest, AckOneToleratesDownReplicaAsDegradedWrite) {
   EXPECT_TRUE(d.Put("t", 1, "k2", "v").IsIOError());
 }
 
-TEST(FaultToleranceTest, MultiGetDegradesPerKeyWhenKeysAreDead) {
+TEST(FaultToleranceTest, MultiGetFailsWhenAKeyHasNoLiveReplica) {
   Cluster c(FastOptions(3, 1));
   std::vector<MultiGetKey> keys;
   for (uint64_t p = 0; p < 30; ++p) {
@@ -472,29 +472,16 @@ TEST(FaultToleranceTest, MultiGetDegradesPerKeyWhenKeysAreDead) {
     keys.push_back(MultiGetKey{p, key});
   }
   c.SetNodeDown(0, true);
-  // Strict contract (no key_status): the whole call fails because some
-  // keys' only replica is down.
-  auto strict = c.MultiGet("t", keys);
-  EXPECT_FALSE(strict.ok());
-  // Graceful contract: dead keys report per-key errors, the rest serve.
-  std::vector<Status> key_status;
-  auto multi = c.MultiGet("t", keys, nullptr, nullptr, nullptr, &key_status);
+  // Some keys' only replica is down, so the whole call fails.
+  EXPECT_FALSE(c.MultiGet("t", keys).ok());
+  // With the node back, the same batch serves every key.
+  c.SetNodeDown(0, false);
+  auto multi = c.MultiGet("t", keys);
   ASSERT_TRUE(multi.ok());
-  ASSERT_EQ(key_status.size(), keys.size());
-  size_t dead = 0;
-  size_t served = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (!key_status[i].ok()) {
-      ++dead;
-      EXPECT_FALSE((*multi)[i].has_value());
-    } else {
-      ++served;
-      ASSERT_TRUE((*multi)[i].has_value()) << keys[i].key;
-      EXPECT_EQ(*(*multi)[i], "v" + std::to_string(i));
-    }
+    ASSERT_TRUE((*multi)[i].has_value()) << keys[i].key;
+    EXPECT_EQ(*(*multi)[i], "v" + std::to_string(i));
   }
-  EXPECT_GT(dead, 0u);
-  EXPECT_GT(served, 0u);
 }
 
 TEST(FaultToleranceTest, TransientFaultsRetryAndFailOver) {

@@ -280,9 +280,9 @@ TEST(CorruptionTest, FlippedDeltaByteSurfacesAsCorruption) {
 TEST(SharedValueLifetimeTest, LiveViewsRaceOverwritesAndEpochBumps) {
   // Readers hold SharedValue views of fetched values while a writer
   // continuously overwrites the same keys — freeing each old buffer as the
-  // last view drops — and bumps the publish epoch. Under ASan/TSan this is
-  // the lifetime proof for the zero-copy path: no view ever dangles, and
-  // every held view stays byte-identical to what was read.
+  // last view drops — and publishes the scopes it wrote. Under ASan/TSan
+  // this is the lifetime proof for the zero-copy path: no view ever
+  // dangles, and every held view stays byte-identical to what was read.
   Cluster cluster(FastCluster(2));
   constexpr int kKeys = 64;
   auto payload = [](int k, int round) {
@@ -296,6 +296,10 @@ TEST(SharedValueLifetimeTest, LiveViewsRaceOverwritesAndEpochBumps) {
                     .Put("life", static_cast<uint64_t>(k % 5),
                          "key" + std::to_string(k), payload(k, 0))
                     .ok());
+  }
+  std::vector<EpochKey> life_scopes;
+  for (uint64_t p = 0; p < 5; ++p) {
+    life_scopes.push_back(MakeEpochKey("life", p));
   }
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
@@ -311,7 +315,7 @@ TEST(SharedValueLifetimeTest, LiveViewsRaceOverwritesAndEpochBumps) {
           bad++;
         }
       }
-      cluster.BumpPublishEpoch();
+      cluster.PublishTouched(life_scopes);
     }
   });
   ParallelFor(8, 8, [&](size_t tid) {

@@ -191,6 +191,29 @@ TEST(MetadataTest, VersionChainTsidAbove32BitsIsCorruption) {
   }
 }
 
+// Sealed TimespanMeta payloads whose tree breaks the builder's breadth-first
+// numbering. PathToCheckpoint climbs parent links from a leaf and indexes
+// the tree with them, so Deserialize must reject each: a self-parent would
+// climb forever, and a parent or checkpoint index past the end would read
+// out of range.
+TEST(MetadataTest, TimespanMetaTreeIndexOutOfRangeIsCorruption) {
+  tgi::TimespanMeta m;
+  m.eventlist_size = 10;
+  m.checkpoint_interval = 20;
+  m.checkpoints = {100, 120};
+  const std::pair<const char*, std::vector<tgi::TreeNode>> hostile[] = {
+      {"self-parent", {{-1, -1}, {1, 0}, {0, 1}}},
+      {"parent past the end", {{-1, -1}, {0, 0}, {7, 1}}},
+      {"checkpoint index past the end", {{-1, -1}, {0, 0}, {0, 2}}},
+  };
+  for (const auto& [what, tree] : hostile) {
+    m.tree = tree;
+    auto back = tgi::TimespanMeta::Deserialize(m.Serialize());
+    ASSERT_FALSE(back.ok()) << what;
+    EXPECT_TRUE(back.status().IsCorruption()) << what;
+  }
+}
+
 TEST(MetadataTest, MicropartBucketHostileCountIsCorruption) {
   std::string data = SealedWithHostileCount({});
   ASSERT_EQ(data.size(), 17u);
