@@ -109,20 +109,18 @@ SoN SoN::Timeslice(Timestamp from, Timestamp to) const {
 }
 
 Graph SoN::GetGraphAt(Timestamp t) const {
-  std::unordered_set<NodeId> member_ids;
-  member_ids.reserve(nodes_.size());
-  for (const NodeT& n : nodes_) member_ids.insert(n.id());
+  std::vector<StaticNodeView> views;
+  views.reserve(nodes_.size());
   Graph g;
   for (const NodeT& n : nodes_) {
-    StaticNodeView v = n.GetStateAt(t);
-    if (!v.exists) continue;
-    g.AddNode(v.id, v.attrs);
+    const StaticNodeView& v = views.emplace_back(n.GetStateAt(t));
+    if (v.exists) g.AddNode(v.id, v.attrs);
   }
-  for (const NodeT& n : nodes_) {
-    StaticNodeView v = n.GetStateAt(t);
+  // g holds exactly the members present at t, so an edge whose endpoints
+  // are both in g is an edge between members.
+  for (const StaticNodeView& v : views) {
     for (const EdgeRecord& e : v.edges) {
-      if (member_ids.contains(e.src) && member_ids.contains(e.dst) &&
-          g.HasNode(e.src) && g.HasNode(e.dst)) {
+      if (g.HasNode(e.src) && g.HasNode(e.dst)) {
         g.AddEdge(e.src, e.dst, e.directed, e.attrs);
       }
     }

@@ -96,7 +96,7 @@ class SoN {
       auto it = node.GetIterator();
       series.emplace_back(node.GetStartTime(), fn(it.CurrentVersion()));
       while (it.HasNextEvent()) {
-        StaticNodeView v = it.GetNextVersion();
+        const StaticNodeView& v = it.GetNextVersion();
         series.emplace_back(it.CurrentTime(), fn(v));
       }
     });
@@ -119,10 +119,10 @@ class SoN {
       R value = fn(it.CurrentVersion());
       series.emplace_back(node.GetStartTime(), value);
       while (it.HasNextEvent()) {
-        StaticNodeView before = it.CurrentVersion();
-        const Event& e = it.GetNextEvent();
-        value = fdelta(before, value, e);
+        const Event& e = it.PeekNextEvent();
+        value = fdelta(it.CurrentVersion(), value, e);
         series.emplace_back(e.time, value);
+        it.GetNextEvent();
       }
     });
     return out;

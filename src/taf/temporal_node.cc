@@ -11,6 +11,9 @@ std::vector<Timestamp> NodeT::ChangePoints() const {
   return out;
 }
 
+// ForEachEdgeEntry visits keys in ascending order, and one node's incident
+// keys in that order have ascending neighbor ids, so the vectors come out
+// sorted and paired without a sort.
 StaticNodeView NodeT::ViewFromDelta(NodeId id, const Delta& d) {
   StaticNodeView view;
   view.id = id;
@@ -19,37 +22,27 @@ StaticNodeView NodeT::ViewFromDelta(NodeId id, const Delta& d) {
   if (view.exists) view.attrs = (*rec)->attrs;
   d.ForEachEdgeEntry(
       [&](const EdgeKey& key, const std::optional<EdgeRecord>& e) {
-        if (!e.has_value()) return;
-        if (key.u == id) {
-          view.neighbors.push_back(key.v);
-          view.edges.push_back(*e);
-        } else if (key.v == id) {
-          view.neighbors.push_back(key.u);
-          view.edges.push_back(*e);
-        }
+        if (!e.has_value() || (key.u != id && key.v != id)) return;
+        view.neighbors.push_back(key.u == id ? key.v : key.u);
+        view.edges.push_back(*e);
       });
-  std::sort(view.neighbors.begin(), view.neighbors.end());
-  std::sort(view.edges.begin(), view.edges.end(),
-            [](const EdgeRecord& a, const EdgeRecord& b) {
-              return EdgeKey(a.src, a.dst) < EdgeKey(b.src, b.dst);
-            });
   return view;
 }
 
 StaticNodeView NodeT::GetStateAt(Timestamp t) const {
-  Delta state = history_.initial;
-  history_.events.ApplyUpTo(t, &state);
-  return ViewFromDelta(history_.node, state);
+  Iterator it(this);
+  while (it.HasNextEvent() && it.PeekNextEvent().time <= t) it.GetNextEvent();
+  return std::move(it.view_);
 }
 
 std::vector<std::pair<Timestamp, StaticNodeView>> NodeT::GetVersions() const {
   std::vector<std::pair<Timestamp, StaticNodeView>> out;
   out.reserve(history_.events.size() + 1);
-  Delta state = history_.initial;
-  out.emplace_back(history_.from, ViewFromDelta(history_.node, state));
-  for (const Event& e : history_.events.events()) {
-    state.ApplyEvent(e);
-    out.emplace_back(e.time, ViewFromDelta(history_.node, state));
+  Iterator it(this);
+  out.emplace_back(it.CurrentTime(), it.CurrentVersion());
+  while (it.HasNextEvent()) {
+    const StaticNodeView& v = it.GetNextVersion();
+    out.emplace_back(it.CurrentTime(), v);
   }
   return out;
 }
@@ -59,29 +52,89 @@ std::vector<NodeId> NodeT::GetNeighborIDsAt(Timestamp t) const {
 }
 
 NodeT::Iterator::Iterator(const NodeT* node)
-    : node_(node), state_(node->history_.initial),
+    : node_(node),
+      view_(ViewFromDelta(node->history_.node, node->history_.initial)),
       time_(node->history_.from) {}
 
 const Event& NodeT::Iterator::PeekNextEvent() const {
   return node_->history_.events.events()[next_];
 }
 
-StaticNodeView NodeT::Iterator::GetNextVersion() {
-  const Event& e = node_->history_.events.events()[next_++];
-  state_.ApplyEvent(e);
-  time_ = e.time;
-  return ViewFromDelta(node_->history_.node, state_);
+const StaticNodeView& NodeT::Iterator::GetNextVersion() {
+  GetNextEvent();
+  return view_;
 }
 
 const Event& NodeT::Iterator::GetNextEvent() {
   const Event& e = node_->history_.events.events()[next_++];
-  state_.ApplyEvent(e);
+  Apply(e);
   time_ = e.time;
   return e;
 }
 
-StaticNodeView NodeT::Iterator::CurrentVersion() const {
-  return ViewFromDelta(node_->history_.node, state_);
+void NodeT::Iterator::Apply(const Event& e) {
+  StaticNodeView& v = view_;
+  if (e.IsNodeEvent() && e.u == v.id) {
+    switch (e.type) {
+      case EventType::kAddNode:
+        v.exists = true;
+        v.attrs = e.attrs;
+        break;
+      case EventType::kRemoveNode:
+        v.exists = false;
+        v.attrs = Attributes();
+        v.neighbors.clear();
+        v.edges.clear();
+        break;
+      case EventType::kSetNodeAttr:
+        // An absent node's attrs are empty, so this creates the node with
+        // only this attribute.
+        v.exists = true;
+        v.attrs.Set(e.key, e.value);
+        break;
+      default:  // kDelNodeAttr: a no-op on an absent node
+        v.attrs.Erase(e.key);
+        break;
+    }
+    return;
+  }
+  // What remains changes at most the edge to `other`: an edge event on an
+  // incident edge, or the removal of a neighbor, which tombstones every
+  // edge incident to that neighbor.
+  if (e.IsNodeEvent() ? e.type != EventType::kRemoveNode
+                      : !e.Touches(v.id)) {
+    return;
+  }
+  const NodeId other = e.u == v.id ? e.v : e.u;
+  auto pos = std::lower_bound(v.neighbors.begin(), v.neighbors.end(), other);
+  const auto i = pos - v.neighbors.begin();
+  const bool present = pos != v.neighbors.end() && *pos == other;
+  switch (e.type) {
+    case EventType::kRemoveNode:
+    case EventType::kRemoveEdge:
+      if (present) {
+        v.neighbors.erase(pos);
+        v.edges.erase(v.edges.begin() + i);
+      }
+      break;
+    case EventType::kDelEdgeAttr:
+      if (present) v.edges[i].attrs.Erase(e.key);
+      break;
+    default:  // kAddEdge, kSetEdgeAttr: both create a missing edge as (u, v)
+      if (!present) {
+        v.neighbors.insert(pos, other);
+        v.edges.insert(v.edges.begin() + i,
+                       EdgeRecord{.src = e.u, .dst = e.v,
+                                  .directed = e.directed, .attrs = {}});
+      }
+      if (e.type == EventType::kSetEdgeAttr) {
+        v.edges[i].attrs.Set(e.key, e.value);
+      } else {
+        v.edges[i] = EdgeRecord{.src = e.u, .dst = e.v,
+                                .directed = e.directed, .attrs = e.attrs};
+      }
+      break;
+  }
 }
 
 }  // namespace hgs::taf

@@ -231,6 +231,10 @@ Result<TimespanMeta> TimespanMeta::Deserialize(std::string_view data) {
                               .checkpoint_index = static_cast<int32_t>(cp)});
   }
   HGS_RETURN_NOT_OK(r.BulkStatus());
+  // Readers divide by the eventlist size; the builder never writes 0.
+  if (m.eventlist_size == 0) {
+    return Status::Corruption("timespan meta: eventlist size is 0");
+  }
   return m;
 }
 

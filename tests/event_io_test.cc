@@ -244,6 +244,8 @@ TEST_P(FuzzDeserializers, ResealedMutationsFailCleanlyOrDecode) {
   graph.event_count = 12345;
   tgi::TimespanMeta span;
   span.tsid = 3;
+  span.eventlist_size = 10;
+  span.checkpoint_interval = 20;
   span.checkpoints = {99, 120, 140};
   span.eventlist_bounds = {{100, 109}, {110, 119}};
   span.tree = {{-1, -1}, {0, 0}, {0, 1}, {0, 2}};

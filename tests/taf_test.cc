@@ -1,11 +1,14 @@
 // Tests for the Temporal Graph Analysis Framework: NodeT/SubgraphT
-// semantics, SoN/SoTS operators against brute-force references, the
+// semantics, the NodeT iterator's in-place view against an event-replay
+// oracle, SoN/SoTS operators against brute-force references, the
 // incremental-vs-fresh computation equivalence (Fig 8), Compare/Evolution
 // (Fig 7), temporal aggregation, and worker-count invariance.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "kvstore/cluster.h"
@@ -129,10 +132,12 @@ TEST_F(TafFixture, VersionIteratorAgreesWithGetVersions) {
   auto it = busy->GetIterator();
   size_t idx = 1;
   while (it.HasNextEvent()) {
-    StaticNodeView v = it.GetNextVersion();
+    const StaticNodeView& v = it.GetNextVersion();
     ASSERT_LT(idx, versions.size());
     EXPECT_EQ(v.Degree(), versions[idx].second.Degree());
     EXPECT_EQ(v.attrs, versions[idx].second.attrs);
+    EXPECT_EQ(v.neighbors, versions[idx].second.neighbors);
+    EXPECT_EQ(v.edges, versions[idx].second.edges);
     ++idx;
   }
   EXPECT_EQ(idx, versions.size());
@@ -457,6 +462,305 @@ TEST(TafDedupTest, SameTimestampInternalEventsAppliedOnce) {
   ASSERT_NE(n3, nullptr);
   EXPECT_EQ(n3->attrs.Get("c").value_or(""), "d");
 }
+
+// ---------------------------------------------------------------------------
+// The maintained view. NodeT::Iterator updates one StaticNodeView in place
+// per event; after every event it must equal a replay of the history
+// through Delta::ApplyEvent followed by a view built from scratch.
+// ---------------------------------------------------------------------------
+
+// The view of node `id` in `d`, built from scratch: every present incident
+// edge entry is collected, then neighbors and edges are sorted separately.
+// This is the oracle; it does not assume the neighbors[i]/edges[i] pairing
+// the maintained view keeps.
+StaticNodeView ReplayView(NodeId id, const Delta& d) {
+  StaticNodeView view;
+  view.id = id;
+  const auto* rec = d.FindNode(id);
+  view.exists = rec != nullptr && rec->has_value();
+  if (view.exists) view.attrs = (*rec)->attrs;
+  d.ForEachEdgeEntry(
+      [&](const EdgeKey& key, const std::optional<EdgeRecord>& e) {
+        if (!e.has_value() || (key.u != id && key.v != id)) return;
+        view.neighbors.push_back(key.u == id ? key.v : key.u);
+        view.edges.push_back(*e);
+      });
+  std::sort(view.neighbors.begin(), view.neighbors.end());
+  std::sort(view.edges.begin(), view.edges.end(),
+            [](const EdgeRecord& a, const EdgeRecord& b) {
+              return EdgeKey(a.src, a.dst) < EdgeKey(b.src, b.dst);
+            });
+  return view;
+}
+
+// Empty when the views are equal, else the first field that differs.
+std::string ViewDiff(const StaticNodeView& want, const StaticNodeView& got) {
+  if (got.id != want.id) return "id";
+  if (got.exists != want.exists) return "exists";
+  if (got.attrs != want.attrs) return "attrs";
+  if (got.neighbors != want.neighbors) {
+    return "neighbors (" + std::to_string(got.neighbors.size()) + " vs " +
+           std::to_string(want.neighbors.size()) + ")";
+  }
+  if (got.edges.size() != want.edges.size()) return "edge count";
+  for (size_t i = 0; i < want.edges.size(); ++i) {
+    const EdgeRecord& g = got.edges[i];
+    const EdgeRecord& w = want.edges[i];
+    const std::string at = " of edges[" + std::to_string(i) + "]";
+    if (g.src != w.src) return "src" + at;
+    if (g.dst != w.dst) return "dst" + at;
+    if (g.directed != w.directed) return "directed" + at;
+    if (g.attrs != w.attrs) return "attrs" + at;
+  }
+  return "";
+}
+
+std::string Describe(const Event& e) {
+  return std::string(EventTypeToString(e.type)) + "(" + std::to_string(e.u) +
+         ", " + std::to_string(e.v) + ") at " + std::to_string(e.time);
+}
+
+// One node's history shape: neighbors come from ids [0, pool), which holds
+// the node itself (self-loops) and ids on both sides of it (both canonical
+// key orientations).
+struct HistoryShape {
+  NodeId pool;
+  size_t initial_events;  ///< replayed into the initial state
+  size_t events;
+  double self_removal;  ///< chance that an event removes the node itself
+};
+
+// A random event around node `self`: edge churn on incident edges given as
+// (self, w) or (w, self) with a random directed flag, attribute sets and
+// deletes on the node and its edges whether present or not, re-adds without
+// a remove, removals of the node and of its neighbors, and events that do
+// not touch the node. `linked` collects every id ever linked to `self`, so
+// removals often hit a present edge.
+Event RandomEventAround(Rng* rng, Timestamp t, NodeId self, NodeId pool,
+                        double self_removal, std::vector<NodeId>* linked) {
+  auto any = [&] { return static_cast<NodeId>(rng->Uniform(pool)); };
+  auto known = [&] {
+    return linked->empty() || rng->Bernoulli(0.2)
+               ? any()
+               : (*linked)[rng->Uniform(linked->size())];
+  };
+  auto other = [&] {  // an id other than self
+    NodeId w = any();
+    return w == self ? (self + 1) % pool : w;
+  };
+  auto key = [&] {
+    return std::string(1, static_cast<char>('a' + rng->Uniform(3)));
+  };
+  auto value = [&] { return std::to_string(rng->Uniform(10)); };
+  auto oriented = [&](Event e) {
+    if (rng->Bernoulli(0.5)) std::swap(e.u, e.v);
+    e.directed = rng->Bernoulli(0.5);
+    return e;
+  };
+  if (rng->Bernoulli(self_removal)) return Event::RemoveNode(t, self);
+  const uint64_t pick = rng->Uniform(100);
+  if (pick < 30) {
+    const NodeId w = any();
+    linked->push_back(w);
+    Attributes attrs;
+    if (rng->Bernoulli(0.5)) attrs.Set(key(), value());
+    return oriented(Event::AddEdge(t, self, w, false, std::move(attrs)));
+  }
+  if (pick < 42) return oriented(Event::RemoveEdge(t, self, known()));
+  if (pick < 52) {
+    return oriented(Event::SetEdgeAttr(t, self, known(), key(), value()));
+  }
+  if (pick < 58) return oriented(Event::DelEdgeAttr(t, self, known(), key()));
+  if (pick < 62) {
+    return Event::AddNode(t, self, Attributes{{key(), value()}});
+  }
+  if (pick < 68) return Event::SetNodeAttr(t, self, key(), value());
+  if (pick < 72) return Event::DelNodeAttr(t, self, key());
+  if (pick < 80) {
+    const NodeId w = known();
+    return Event::RemoveNode(t, w == self ? other() : w);
+  }
+  // Events that do not touch the node.
+  switch (rng->Uniform(6)) {
+    case 0:
+      return oriented(Event::AddEdge(t, other(), other()));
+    case 1:
+      return Event::RemoveEdge(t, other(), other());
+    case 2:
+      return oriented(Event::SetEdgeAttr(t, other(), other(), key(), value()));
+    case 3:
+      return Event::AddNode(t, other());
+    case 4:
+      return Event::SetNodeAttr(t, other(), key(), value());
+    default:
+      return Event::DelNodeAttr(t, other(), key());
+  }
+}
+
+NodeHistory RandomHistory(Rng* rng, NodeId self, const HistoryShape& shape) {
+  NodeHistory h;
+  h.node = self;
+  h.from = 1'000;
+  std::vector<NodeId> linked;
+  for (size_t i = 0; i < shape.initial_events; ++i) {
+    h.initial.ApplyEvent(RandomEventAround(rng, static_cast<Timestamp>(i),
+                                           self, shape.pool,
+                                           shape.self_removal, &linked));
+  }
+  // Runs of events share a timestamp; successive times are 2 apart, so
+  // t + 1 lies strictly between two change times.
+  Timestamp t = h.from + 2;
+  for (size_t i = 0; i < shape.events; ++i) {
+    if (rng->Bernoulli(0.6)) t += 2;
+    h.events.Append(RandomEventAround(rng, t, self, shape.pool,
+                                      shape.self_removal, &linked));
+  }
+  h.to = t + 2;
+  h.events.SetScope(h.from, h.to);
+  return h;
+}
+
+class MaintainedViewTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MaintainedViewTest, MatchesReplayAfterEveryEvent) {
+  Rng rng(GetParam() * 6151 + 17);
+  const auto engine = std::make_shared<const TAFEngine>(nullptr, 2);
+  // A hub whose degree climbs into the hundreds, a small pool where every
+  // edge is re-added, flipped and removed many times, and a node that
+  // starts absent from an empty initial state.
+  const HistoryShape shapes[] = {
+      {.pool = 600, .initial_events = 900, .events = 700, .self_removal = 0},
+      {.pool = 12, .initial_events = 30, .events = 600, .self_removal = 0.05},
+      {.pool = 60, .initial_events = 0, .events = 400, .self_removal = 0.01},
+  };
+  // Coverage of the cases the update must get right, summed over shapes.
+  size_t max_degree = 0, self_loops = 0, flips = 0, self_removals = 0;
+  size_t re_adds = 0, adds_after_removal = 0, neighbor_removals = 0;
+  size_t absent_attr_sets = 0, absent_attr_dels = 0, untouched = 0;
+  for (const HistoryShape& shape : shapes) {
+    SCOPED_TRACE("seed " + std::to_string(GetParam()) + ", pool " +
+                 std::to_string(shape.pool));
+    const NodeId self = shape.pool / 2;
+    const NodeT node(RandomHistory(&rng, self, shape));
+    const std::vector<Event>& events = node.history().events.events();
+
+    // want[k]: the replayed view after the first k events.
+    std::vector<StaticNodeView> want;
+    Delta state = node.history().initial;
+    want.push_back(ReplayView(self, state));
+    bool removed = false;
+    for (const Event& e : events) {
+      const StaticNodeView& before = want.back();
+      const NodeId other = e.u == self ? e.v : e.u;
+      auto at = std::lower_bound(before.neighbors.begin(),
+                                 before.neighbors.end(), other);
+      const bool linked = at != before.neighbors.end() && *at == other;
+      const bool absent = e.IsNodeEvent() ? !before.exists : !linked;
+      if (!e.Touches(self)) {
+        ++untouched;
+        if (e.type == EventType::kRemoveNode && linked) ++neighbor_removals;
+      } else if (e.type == EventType::kRemoveNode) {
+        if (before.Degree() > 0) ++self_removals;
+        removed = true;
+      } else if (e.type == EventType::kAddNode) {
+        if (before.exists) ++re_adds;
+        if (absent && removed) ++adds_after_removal;
+      } else if (e.type == EventType::kSetNodeAttr ||
+                 e.type == EventType::kSetEdgeAttr) {
+        if (absent) ++absent_attr_sets;
+      } else if (e.type == EventType::kDelNodeAttr ||
+                 e.type == EventType::kDelEdgeAttr) {
+        if (absent) ++absent_attr_dels;
+      } else if (e.type == EventType::kAddEdge && linked) {
+        const EdgeRecord& old = before.edges[at - before.neighbors.begin()];
+        if (old.src != e.u || old.directed != e.directed) ++flips;
+      }
+      state.ApplyEvent(e);
+      want.push_back(ReplayView(self, state));
+      max_degree = std::max(max_degree, want.back().Degree());
+      if (std::binary_search(want.back().neighbors.begin(),
+                             want.back().neighbors.end(), self)) {
+        ++self_loops;
+      }
+    }
+
+    // The iterator, advanced both ways.
+    auto it = node.GetIterator();
+    ASSERT_EQ(ViewDiff(want[0], it.CurrentVersion()), "") << "initial view";
+    for (size_t k = 0; k < events.size(); ++k) {
+      ASSERT_TRUE(it.HasNextEvent());
+      const StaticNodeView* v = nullptr;
+      if (k % 2 == 0) {
+        v = &it.GetNextVersion();
+      } else {
+        EXPECT_EQ(&it.GetNextEvent(), &events[k]);
+        v = &it.CurrentVersion();
+      }
+      ASSERT_EQ(it.CurrentTime(), events[k].time);
+      ASSERT_EQ(ViewDiff(want[k + 1], *v), "")
+          << "after event " << k << ": " << Describe(events[k]);
+    }
+    EXPECT_FALSE(it.HasNextEvent());
+
+    const auto versions = node.GetVersions();
+    ASSERT_EQ(versions.size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(versions[k].first,
+                k == 0 ? node.GetStartTime() : events[k - 1].time);
+      ASSERT_EQ(ViewDiff(want[k], versions[k].second), "") << "version " << k;
+    }
+
+    // GetStateAt before the first event, then at and just after every
+    // change time: each sees every event up to and including its time.
+    for (Timestamp t : {node.GetStartTime() - 1, node.GetStartTime()}) {
+      ASSERT_EQ(ViewDiff(want[0], node.GetStateAt(t)), "") << "at " << t;
+    }
+    for (size_t k = 0; k < events.size(); ++k) {
+      if (k + 1 < events.size() && events[k + 1].time == events[k].time) {
+        continue;  // not the last event of its timestamp
+      }
+      for (Timestamp t : {events[k].time, events[k].time + 1}) {
+        ASSERT_EQ(ViewDiff(want[k + 1], node.GetStateAt(t)), "") << "at " << t;
+      }
+    }
+
+    // The operators: NodeComputeTemporal sees every version, and
+    // NodeComputeDelta hands fdelta the view from before each event.
+    const SoN son(engine, {node}, node.GetStartTime(), node.GetEndTime());
+    const std::function<StaticNodeView(const StaticNodeView&)> copy =
+        [](const StaticNodeView& v) { return v; };
+    const std::function<StaticNodeView(const StaticNodeView&,
+                                       const StaticNodeView&, const Event&)>
+        copy_before = [](const StaticNodeView& before, const StaticNodeView&,
+                         const Event&) { return before; };
+    const auto temporal = son.NodeComputeTemporal(copy);
+    const auto delta = son.NodeComputeDelta(copy, copy_before);
+    ASSERT_EQ(temporal.size(), 1u);
+    ASSERT_EQ(delta.size(), 1u);
+    ASSERT_EQ(temporal[0].size(), want.size());
+    ASSERT_EQ(delta[0].size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(ViewDiff(want[k], temporal[0][k].second), "")
+          << "temporal version " << k;
+      // delta[0][k + 1] is fdelta's value for event k: the view before it.
+      ASSERT_EQ(ViewDiff(want[k == 0 ? 0 : k - 1], delta[0][k].second), "")
+          << "pre-event view " << k;
+    }
+  }
+  EXPECT_GE(max_degree, 200u);
+  EXPECT_GT(self_loops, 0u);
+  EXPECT_GT(flips, 0u);
+  EXPECT_GT(self_removals, 0u);
+  EXPECT_GT(re_adds, 0u);
+  EXPECT_GT(adds_after_removal, 0u);
+  EXPECT_GT(neighbor_removals, 0u);
+  EXPECT_GT(absent_attr_sets, 0u);
+  EXPECT_GT(absent_attr_dels, 0u);
+  EXPECT_GT(untouched, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MaintainedViewTest,
+                         ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(TempAggregationTest, MaxMinMean) {
   Series s = {{0, 1.0}, {10, 5.0}, {20, 3.0}};

@@ -214,6 +214,20 @@ TEST(MetadataTest, TimespanMetaTreeIndexOutOfRangeIsCorruption) {
   }
 }
 
+// DidPath divides by the stored eventlist size, so a sealed payload that
+// stores 0 there must be rejected rather than decoded.
+TEST(MetadataTest, TimespanMetaZeroEventlistSizeIsCorruption) {
+  tgi::TimespanMeta m;
+  m.checkpoint_interval = 20;
+  m.checkpoints = {100};
+  m.tree = {{-1, 0}};
+  auto back = tgi::TimespanMeta::Deserialize(m.Serialize());
+  ASSERT_FALSE(back.ok());
+  EXPECT_TRUE(back.status().IsCorruption());
+  m.eventlist_size = 10;  // the same payload with a valid size decodes
+  EXPECT_TRUE(tgi::TimespanMeta::Deserialize(m.Serialize()).ok());
+}
+
 TEST(MetadataTest, MicropartBucketHostileCountIsCorruption) {
   std::string data = SealedWithHostileCount({});
   ASSERT_EQ(data.size(), 17u);
