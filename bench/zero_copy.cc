@@ -143,10 +143,10 @@ int main(int argc, char** argv) {
   auto scan_view = Measure([&](Measured* m) {
     for (int rep = 0; rep < kReps; ++rep) {
       for (uint64_t p = 0; p < 8; ++p) {
-        size_t copies = 0;
-        auto rows = cluster.Scan("zc", p, "", &copies);
+        FetchStats call;
+        auto rows = cluster.Scan("zc", p, "", &call);
         if (!rows.ok()) std::abort();
-        m->value_copies += copies;
+        m->value_copies += call.value_copies;
         for (const KVPair& kv : *rows) {
           m->checksum ^= Fnv1a64(kv.value.data(), kv.value.size());
         }
@@ -158,10 +158,10 @@ int main(int argc, char** argv) {
   auto scan_copy = Measure([&](Measured* m) {
     for (int rep = 0; rep < kReps; ++rep) {
       for (uint64_t p = 0; p < 8; ++p) {
-        size_t copies = 0;
-        auto rows = cluster.Scan("zc", p, "", &copies);
+        FetchStats call;
+        auto rows = cluster.Scan("zc", p, "", &call);
         if (!rows.ok()) std::abort();
-        m->value_copies += copies;
+        m->value_copies += call.value_copies;
         for (const KVPair& kv : *rows) {
           // The pre-refactor contract: every value lands in its own string.
           std::string owned = kv.value.ToString();
@@ -180,10 +180,10 @@ int main(int argc, char** argv) {
   }
   auto multiget_view = Measure([&](Measured* m) {
     for (int rep = 0; rep < kReps; ++rep) {
-      size_t copies = 0;
-      auto got = cluster.MultiGet("zc", keys, nullptr, &copies);
+      FetchStats call;
+      auto got = cluster.MultiGet("zc", keys, &call);
       if (!got.ok()) std::abort();
-      m->value_copies += copies;
+      m->value_copies += call.value_copies;
       for (const auto& v : *got) {
         if (v.has_value()) m->checksum ^= Fnv1a64(v->data(), v->size());
       }
@@ -193,10 +193,10 @@ int main(int argc, char** argv) {
 
   auto multiget_copy = Measure([&](Measured* m) {
     for (int rep = 0; rep < kReps; ++rep) {
-      size_t copies = 0;
-      auto got = cluster.MultiGet("zc", keys, nullptr, &copies);
+      FetchStats call;
+      auto got = cluster.MultiGet("zc", keys, &call);
       if (!got.ok()) std::abort();
-      m->value_copies += copies;
+      m->value_copies += call.value_copies;
       for (const auto& v : *got) {
         if (!v.has_value()) continue;
         std::string owned = v->ToString();

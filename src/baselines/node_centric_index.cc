@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
+#include "common/mutex.h"
 #include "graph/algorithms.h"
 #include "kvstore/kv_types.h"
 
@@ -66,23 +66,14 @@ Result<Graph> NodeCentricIndex::GetSnapshot(Timestamp t, FetchStats* stats) {
   // node-local view. Edge events are deduplicated by the Graph structure.
   Graph g;
   Mutex mu;
-  std::atomic<bool> failed{false};
-  Status first_error;
-  FetchStats agg;
-  ParallelFor(all_nodes_.size(), 8, [&](size_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    FetchStats local;
-    auto stream = FetchStream(all_nodes_[i], &local);
-    MutexLock lock(mu);
-    agg.Merge(local);
-    if (!stream.ok()) {
-      if (!failed.exchange(true)) first_error = stream.status();
-      return;
-    }
-    stream->ApplyUpTo(t, &g);
-  });
-  if (stats != nullptr) stats->Merge(agg);
-  if (failed.load()) return first_error;
+  HGS_RETURN_NOT_OK(RunTasks(
+      all_nodes_.size(), 8, stats, [&](size_t i, FetchStats* local) -> Status {
+        HGS_ASSIGN_OR_RETURN(EventList stream,
+                             FetchStream(all_nodes_[i], local));
+        MutexLock lock(mu);
+        stream.ApplyUpTo(t, &g);
+        return Status::OK();
+      }));
   return g;
 }
 

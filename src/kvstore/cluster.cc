@@ -1,10 +1,10 @@
 #include "kvstore/cluster.h"
 
+#include <algorithm>
 #include <future>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 namespace hgs {
@@ -16,15 +16,52 @@ namespace {
 /// latencies the simulation deals in.
 constexpr auto kPollQuantum = std::chrono::microseconds(100);
 
-/// Decompresses a stored value into a zero-copy window when possible,
-/// bumping `*value_copies` when the codec forced a materialization.
-Result<SharedValue> DecompressCounted(const SharedValue& stored,
-                                      size_t* value_copies) {
-  HGS_ASSIGN_OR_RETURN(SharedValue out, DecompressShared(stored));
-  if (value_copies != nullptr && out.owner() != stored.owner()) {
-    ++*value_copies;
+/// Upper bound of the exponential retry backoff.
+constexpr int64_t kRetryBackoffCapMicros = 2'000;
+
+/// Verifies and strips the checksum of every value of a replica's answer,
+/// in place. A failure means corrupt bytes: a replica failure.
+Status Unseal(SharedValue* value) {
+  HGS_ASSIGN_OR_RETURN(*value, UnsealValue(*value));
+  return Status::OK();
+}
+
+Status Unseal(std::vector<KVPair>* rows) {
+  for (KVPair& kv : *rows) HGS_RETURN_NOT_OK(Unseal(&kv.value));
+  return Status::OK();
+}
+
+/// Decompresses every value of a verified answer in place, into zero-copy
+/// windows where the codec allows; each value the codec had to materialize
+/// counts one value copy.
+Status DecompressInPlace(SharedValue* value, FetchStats* stats) {
+  HGS_ASSIGN_OR_RETURN(SharedValue out, DecompressShared(*value));
+  if (stats != nullptr && out.owner() != value->owner()) ++stats->value_copies;
+  *value = std::move(out);
+  return Status::OK();
+}
+
+Status DecompressInPlace(std::vector<KVPair>* rows, FetchStats* stats) {
+  for (KVPair& kv : *rows) {
+    HGS_RETURN_NOT_OK(DecompressInPlace(&kv.value, stats));
   }
-  return out;
+  return Status::OK();
+}
+
+/// Waits for `fut` until it is ready or `deadline` passes, polling so an
+/// abandoned request cannot hold the caller; false on the deadline.
+template <typename Future>
+bool AwaitUntil(
+    const Future& fut,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+  if (!deadline.has_value()) {
+    fut.wait();
+    return true;
+  }
+  while (fut.wait_for(kPollQuantum) != std::future_status::ready) {
+    if (std::chrono::steady_clock::now() >= *deadline) return false;
+  }
+  return true;
 }
 
 /// Recovers the placement token embedded in a physical key
@@ -64,7 +101,7 @@ Cluster::Cluster(ClusterOptions options) : options_(options) {
   for (size_t i = 0; i < options_.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<StorageNode>(
         static_cast<int>(i), options_.server_threads_per_node,
-        options_.latency, options_.fault_seed));
+        options_.latency));
     node_state_.push_back(std::make_unique<NodeClientState>());
   }
 }
@@ -123,11 +160,10 @@ Status Cluster::DeadlineError(const Status& last) const {
 
 void Cluster::Backoff(size_t attempt, const Deadline& deadline) const {
   int64_t us = options_.retry_backoff_micros;
-  for (size_t i = 1; i < attempt && us < options_.retry_backoff_cap_micros;
-       ++i) {
+  for (size_t i = 1; i < attempt && us < kRetryBackoffCapMicros; ++i) {
     us *= 2;
   }
-  us = std::min(us, options_.retry_backoff_cap_micros);
+  us = std::min(us, kRetryBackoffCapMicros);
   if (deadline.has_value()) {
     auto remain = std::chrono::duration_cast<std::chrono::microseconds>(
                       *deadline - std::chrono::steady_clock::now())
@@ -137,27 +173,27 @@ void Cluster::Backoff(size_t attempt, const Deadline& deadline) const {
   if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
-void Cluster::CountFailover(ReadCallStats* s) {
+void Cluster::CountFailover(FetchStats* s) {
   resilience_.failovers.fetch_add(1, std::memory_order_relaxed);
   if (s != nullptr) ++s->failovers;
 }
 
-void Cluster::CountRetry(ReadCallStats* s) {
+void Cluster::CountRetry(FetchStats* s) {
   resilience_.retries.fetch_add(1, std::memory_order_relaxed);
   if (s != nullptr) ++s->retries;
 }
 
-void Cluster::CountChecksumFailure(ReadCallStats* s) {
+void Cluster::CountChecksumFailure(FetchStats* s) {
   resilience_.checksum_failures.fetch_add(1, std::memory_order_relaxed);
   if (s != nullptr) ++s->checksum_failures;
 }
 
-void Cluster::CountHedge(ReadCallStats* s) {
+void Cluster::CountHedge(FetchStats* s) {
   resilience_.hedges.fetch_add(1, std::memory_order_relaxed);
   if (s != nullptr) ++s->hedges;
 }
 
-void Cluster::CountHedgeWin(ReadCallStats* s) {
+void Cluster::CountHedgeWin(FetchStats* s) {
   resilience_.hedge_wins.fetch_add(1, std::memory_order_relaxed);
   if (s != nullptr) ++s->hedge_wins;
 }
@@ -516,59 +552,50 @@ size_t Cluster::ServingOrder(const ReplicaSet& replicas,
   return count;
 }
 
+size_t Cluster::HedgeTarget(const ReplicaSet& replicas, size_t primary) const {
+  for (uint32_t r : replicas) {
+    if (r != primary && !nodes_[r]->IsDown()) return r;
+  }
+  return nodes_.size();
+}
+
 template <typename T, typename SubmitFn>
 Result<T> Cluster::HedgedSubmit(size_t primary, const ReplicaSet& replicas,
                                 const std::string& phys, SubmitFn&& submit,
-                                const Deadline& deadline,
-                                ReadCallStats* call_stats, size_t* winner) {
+                                const Deadline& deadline, FetchStats* stats,
+                                size_t* winner) {
   *winner = primary;
+  if (stats != nullptr) ++stats->kv_batches;
   std::future<Result<T>> fut = submit(primary, phys);
-  int64_t hedge_us = options_.hedge_after_micros;
-  if (hedge_us <= 0) {
-    if (!deadline.has_value()) return fut.get();
-    // No hedging, but the deadline still bounds how long we wait: poll the
-    // future and abandon it when the budget runs out.
-    while (fut.wait_for(kPollQuantum) != std::future_status::ready) {
-      if (DeadlinePassed(deadline)) return DeadlineError(Status::OK());
-    }
+  const int64_t hedge_us = options_.hedge_after_micros;
+  size_t alt = nodes_.size();
+  if (hedge_us > 0 && fut.wait_for(std::chrono::microseconds(hedge_us)) !=
+                          std::future_status::ready) {
+    if (DeadlinePassed(deadline)) return DeadlineError(Status::OK());
+    alt = HedgeTarget(replicas, primary);
+  }
+  if (alt == nodes_.size()) {
+    // Answered in time, hedging off, or nowhere to hedge: the deadline
+    // still bounds how long we wait.
+    if (!AwaitUntil(fut, deadline)) return DeadlineError(Status::OK());
     return fut.get();
   }
-  if (fut.wait_for(std::chrono::microseconds(hedge_us)) ==
-      std::future_status::ready) {
-    return fut.get();
-  }
-  if (DeadlinePassed(deadline)) return DeadlineError(Status::OK());
 
   // Primary is slow: fire a second-chance request at another live replica
   // and race the two. The losing future is abandoned — its task completes
   // harmlessly in the node's server pool.
-  size_t alt = nodes_.size();
-  for (uint32_t r : replicas) {
-    if (r != primary && !nodes_[r]->IsDown()) {
-      alt = r;
-      break;
-    }
-  }
-  if (alt == nodes_.size()) return fut.get();  // nowhere to hedge
-  CountHedge(call_stats);
+  CountHedge(stats);
+  if (stats != nullptr) ++stats->kv_batches;
   std::future<Result<T>> hedge = submit(alt, phys);
-
-  auto wait_out = [this, &deadline](std::future<Result<T>>& f) {
-    while (f.wait_for(kPollQuantum) != std::future_status::ready) {
-      if (DeadlinePassed(deadline)) return false;
-    }
-    return true;
-  };
-
   while (true) {
     if (fut.wait_for(kPollQuantum) == std::future_status::ready) {
       Result<T> res = fut.get();
       if (UsableAnswer(res)) return res;
       // Primary failed hard; the hedge is the only hope left.
-      if (!wait_out(hedge)) return res;
+      if (!AwaitUntil(hedge, deadline)) return res;
       Result<T> second = hedge.get();
       if (UsableAnswer(second)) {
-        CountHedgeWin(call_stats);
+        CountHedgeWin(stats);
         *winner = alt;
         return second;
       }
@@ -577,12 +604,12 @@ Result<T> Cluster::HedgedSubmit(size_t primary, const ReplicaSet& replicas,
     if (hedge.wait_for(kPollQuantum) == std::future_status::ready) {
       Result<T> second = hedge.get();
       if (UsableAnswer(second)) {
-        CountHedgeWin(call_stats);
+        CountHedgeWin(stats);
         *winner = alt;
         return second;
       }
       // Hedge failed hard; fall back to however long the primary takes.
-      if (!wait_out(fut)) return second;
+      if (!AwaitUntil(fut, deadline)) return second;
       return fut.get();
     }
     if (DeadlinePassed(deadline)) {
@@ -591,70 +618,91 @@ Result<T> Cluster::HedgedSubmit(size_t primary, const ReplicaSet& replicas,
   }
 }
 
-Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
-                                 std::string_view key, size_t* value_copies,
-                                 ReadCallStats* call_stats) {
-  if (value_copies != nullptr) *value_copies = 0;
-  if (call_stats != nullptr) *call_stats = ReadCallStats{};
-  std::string phys = PhysicalKey(table, partition, key);
-  ReplicaSet replicas = Replicas(PlacementToken(table, partition));
-  Deadline deadline = MakeDeadline();
-
+template <typename T, typename SubmitFn>
+Result<T> Cluster::ReadReplicas(const ReplicaSet& replicas,
+                                const std::string& phys, SubmitFn&& submit,
+                                const Deadline& deadline, FetchStats* stats) {
   std::array<uint32_t, kMaxReplicas> order;
   size_t candidates = ServingOrder(replicas, &order);
   Status last = Status::IOError("no replica available");
-  bool tried = false;
-  for (size_t i = 0; i < candidates; ++i) {
-    size_t node = order[i];
-    if (tried) CountFailover(call_stats);
-    tried = true;
+  for (size_t c = 0; c < candidates; ++c) {
+    size_t node = order[c];
+    if (c > 0) CountFailover(stats);
     for (size_t attempt = 0;; ++attempt) {
       if (DeadlinePassed(deadline)) return DeadlineError(last);
       size_t winner = node;
-      Result<SharedValue> res = HedgedSubmit<SharedValue>(
-          node, replicas, phys,
-          [this](size_t target, const std::string& k) {
-            return nodes_[target]->SubmitGet(k);
-          },
-          deadline, call_stats, &winner);
+      Result<T> res = HedgedSubmit<T>(node, replicas, phys, submit, deadline,
+                                      stats, &winner);
       if (res.ok()) {
-        Result<SharedValue> unsealed = UnsealValue(*res);
-        if (!unsealed.ok()) {
-          // Corrupt bytes: a replica failure, not a query error. Fail over.
-          CountChecksumFailure(call_stats);
-          last = unsealed.status();
-          break;
+        last = Unseal(&*res);
+        if (last.ok()) {
+          HGS_RETURN_NOT_OK(DecompressInPlace(&*res, stats));
+          return res;
         }
-        return DecompressCounted(*unsealed, value_copies);
-      }
-      if (res.status().IsNotFound()) {
-        // NotFound from a clean replica is authoritative. From a dirty
-        // replica (rejoined with hints pending) the key may simply have
-        // missed it — fall through to the next replica.
-        if (!NodeDirty(winner)) return res.status();
-        last = res.status();
+        // Corrupt bytes (one bad row spoils a whole scan): a replica
+        // failure, not a query error. Fail over.
+        CountChecksumFailure(stats);
         break;
       }
       last = res.status();
+      if (last.IsNotFound()) {
+        // NotFound from a clean replica is authoritative. From a dirty
+        // replica (rejoined with hints pending) the key may simply have
+        // missed it — fall through to the next replica.
+        if (!NodeDirty(winner)) return last;
+        break;
+      }
       if (nodes_[node]->IsDown()) break;  // crashed mid-flight: fail over
       if (attempt >= options_.max_retries) break;
-      CountRetry(call_stats);
+      CountRetry(stats);
       Backoff(attempt + 1, deadline);
     }
   }
   return last;
 }
 
+Result<SharedValue> Cluster::ReadKey(const ReplicaSet& replicas,
+                                     const std::string& phys,
+                                     const Deadline& deadline,
+                                     FetchStats* stats) {
+  return ReadReplicas<SharedValue>(
+      replicas, phys,
+      [this](size_t node, const std::string& key) {
+        return nodes_[node]->SubmitGet(key);
+      },
+      deadline, stats);
+}
+
+Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
+                                 std::string_view key, FetchStats* stats) {
+  return ReadKey(Replicas(PlacementToken(table, partition)),
+                 PhysicalKey(table, partition, key), MakeDeadline(), stats);
+}
+
 Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     std::string_view table, const std::vector<MultiGetKey>& keys,
-    size_t* node_batches, size_t* value_copies, ReadCallStats* call_stats) {
+    FetchStats* stats) {
   std::vector<std::optional<SharedValue>> out(keys.size());
-  if (node_batches != nullptr) *node_batches = 0;
-  if (value_copies != nullptr) *value_copies = 0;
-  if (call_stats != nullptr) *call_stats = ReadCallStats{};
   if (keys.empty()) return out;
-
   Deadline deadline = MakeDeadline();
+  auto phys_of = [&](size_t i) {
+    return PhysicalKey(table, keys[i].partition, keys[i].key);
+  };
+
+  // One node request for a group of keys (indices into `keys`).
+  struct Batch {
+    size_t node;
+    std::vector<size_t> idxs;
+    std::future<std::vector<Result<SharedValue>>> fut;
+  };
+  auto submit = [&](size_t node, std::vector<size_t> idxs) {
+    std::vector<std::string> phys;
+    phys.reserve(idxs.size());
+    for (size_t i : idxs) phys.push_back(phys_of(i));
+    if (stats != nullptr) ++stats->kv_batches;
+    auto fut = nodes_[node]->SubmitMultiGet(std::move(phys));
+    return Batch{node, std::move(idxs), std::move(fut)};
+  };
 
   // Pick a serving replica per key (clean live nodes preferred) and group
   // the key indices by node.
@@ -667,151 +715,100 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     if (candidates == 0) return Status::IOError("no live replica for key");
     by_node[order[0]].push_back(i);
   }
-
-  struct Batch {
-    size_t node;
-    std::vector<size_t> idxs;  // indices into `keys`
-    std::future<std::vector<Result<SharedValue>>> fut;
-  };
   std::vector<Batch> inflight;
   inflight.reserve(by_node.size());
   for (auto& [node, idxs] : by_node) {
-    std::vector<std::string> phys;
-    phys.reserve(idxs.size());
-    for (size_t i : idxs) {
-      phys.push_back(PhysicalKey(table, keys[i].partition, keys[i].key));
-    }
-    std::future<std::vector<Result<SharedValue>>> fut =
-        nodes_[node]->SubmitMultiGet(std::move(phys));
-    inflight.push_back(Batch{node, std::move(idxs), std::move(fut)});
+    inflight.push_back(submit(node, std::move(idxs)));
   }
-  if (node_batches != nullptr) *node_batches += inflight.size();
 
-  // Per-key final resolution, shared by the primary and hedge paths. A key
-  // whose serving node failed mid-flight, served corrupt bytes, or answered
-  // NotFound while dirty retries through the per-key Get path, which
-  // carries the full retry/failover/hedging machinery.
+  // Settles key i from one node's answer. A verified value or an
+  // authoritative absence is used as is (true). Corrupt bytes, a hard
+  // error or a dirty replica's NotFound send the key through Get's replica
+  // loop instead, under the call's deadline (false).
   Status fatal;  // first unservable key's error
-  auto resolve = [&](size_t i, size_t serving_node,
-                     Result<SharedValue>& res) {
+  auto resolve = [&](size_t i, size_t node, Result<SharedValue>& res) {
     if (res.ok()) {
-      Result<SharedValue> unsealed = UnsealValue(*res);
-      if (unsealed.ok()) {
-        Result<SharedValue> plain =
-            DecompressCounted(*unsealed, value_copies);
-        if (plain.ok()) {
-          out[i] = std::move(*plain);
-          return;
-        }
-      } else {
-        CountChecksumFailure(call_stats);
+      Status sealed = Unseal(&*res);
+      if (sealed.ok() && DecompressInPlace(&*res, stats).ok()) {
+        out[i] = std::move(*res);
+        return true;
       }
-    } else if (res.status().IsNotFound() && !NodeDirty(serving_node)) {
-      return;  // authoritative absence -> nullopt
+      if (!sealed.ok()) CountChecksumFailure(stats);
+    } else if (res.status().IsNotFound() && !NodeDirty(node)) {
+      return true;  // authoritative absence -> nullopt
     }
-    // (Get's out-params reset, so accumulate through locals.)
-    if (node_batches != nullptr) ++*node_batches;
-    size_t retry_copies = 0;
-    ReadCallStats retry_stats;
     Result<SharedValue> retry =
-        Get(table, keys[i].partition, keys[i].key, &retry_copies,
-            &retry_stats);
-    if (value_copies != nullptr) *value_copies += retry_copies;
-    if (call_stats != nullptr) call_stats->Merge(retry_stats);
+        ReadKey(Replicas(tokens[i]), phys_of(i), deadline, stats);
     if (retry.ok()) {
       out[i] = std::move(*retry);
-      return;
+    } else if (!retry.status().IsNotFound() && fatal.ok()) {
+      fatal = retry.status();
     }
-    if (retry.status().IsNotFound()) return;  // absent
-    if (fatal.ok()) fatal = retry.status();
-  };
-
-  struct HedgeGroup {
-    size_t node;
-    std::vector<size_t> idxs;
-    std::future<std::vector<Result<SharedValue>>> fut;
+    return false;
   };
 
   const int64_t hedge_us = options_.hedge_after_micros;
   for (Batch& b : inflight) {
-    std::vector<HedgeGroup> hedges;
-    bool use_hedges = false;
-    bool deadline_hit = false;
+    // A slow batch is hedged: its keys regroup by each key's next live
+    // replica and second-chance batches go there. Keys without one stay
+    // with the primary (`stay` holds their positions in b.idxs).
+    std::vector<Batch> hedges;
+    std::vector<size_t> stay;
     if (hedge_us > 0 &&
         b.fut.wait_for(std::chrono::microseconds(hedge_us)) !=
             std::future_status::ready) {
-      // Slow batch: regroup its keys by each key's next live replica and
-      // fire second-chance batches there.
       std::unordered_map<size_t, std::vector<size_t>> alt_nodes;
-      for (size_t i : b.idxs) {
-        ReplicaSet replicas = Replicas(tokens[i]);
-        for (uint32_t r : replicas) {
-          if (r != b.node && !nodes_[r]->IsDown()) {
-            alt_nodes[r].push_back(i);
-            break;
-          }
+      for (size_t j = 0; j < b.idxs.size(); ++j) {
+        size_t alt = HedgeTarget(Replicas(tokens[b.idxs[j]]), b.node);
+        if (alt == nodes_.size()) {
+          stay.push_back(j);
+        } else {
+          alt_nodes[alt].push_back(b.idxs[j]);
         }
       }
       for (auto& [node, idxs] : alt_nodes) {
-        std::vector<std::string> phys;
-        phys.reserve(idxs.size());
-        for (size_t i : idxs) {
-          phys.push_back(PhysicalKey(table, keys[i].partition, keys[i].key));
-        }
-        std::future<std::vector<Result<SharedValue>>> fut =
-            nodes_[node]->SubmitMultiGet(std::move(phys));
-        hedges.push_back(HedgeGroup{node, std::move(idxs), std::move(fut)});
-        CountHedge(call_stats);
-      }
-      if (node_batches != nullptr) *node_batches += hedges.size();
-      // Race the primary batch against the hedge side: whichever is fully
-      // ready first serves the keys.
-      while (!hedges.empty()) {
-        if (b.fut.wait_for(kPollQuantum) == std::future_status::ready) break;
-        bool all_ready = true;
-        for (HedgeGroup& h : hedges) {
-          if (h.fut.wait_for(std::chrono::seconds(0)) !=
-              std::future_status::ready) {
-            all_ready = false;
-            break;
-          }
-        }
-        if (all_ready) {
-          use_hedges = true;
-          break;
-        }
-        if (DeadlinePassed(deadline)) {
-          deadline_hit = true;
-          break;
-        }
+        CountHedge(stats);
+        hedges.push_back(submit(node, std::move(idxs)));
       }
     }
 
-    if (deadline_hit) return DeadlineError(Status::OK());
-
-    if (use_hedges) {
-      std::unordered_set<size_t> served;
-      for (HedgeGroup& h : hedges) {
-        CountHedgeWin(call_stats);
-        std::vector<Result<SharedValue>> batch = h.fut.get();
-        for (size_t j = 0; j < h.idxs.size(); ++j) {
-          resolve(h.idxs[j], h.node, batch[j]);
-          served.insert(h.idxs[j]);
-        }
+    // Wait for the primary batch, or for every hedge batch to answer
+    // first, never past the deadline.
+    bool hedged = false;
+    if (hedges.empty()) {
+      if (!AwaitUntil(b.fut, deadline)) return DeadlineError(Status::OK());
+    } else {
+      while (b.fut.wait_for(kPollQuantum) != std::future_status::ready) {
+        hedged = std::all_of(hedges.begin(), hedges.end(), [](const Batch& h) {
+          return h.fut.wait_for(std::chrono::seconds(0)) ==
+                 std::future_status::ready;
+        });
+        if (hedged) break;
+        if (DeadlinePassed(deadline)) return DeadlineError(Status::OK());
       }
-      // Keys with no alternate replica still need the primary's answer;
-      // otherwise the slow primary batch is abandoned.
-      if (served.size() < b.idxs.size()) {
-        std::vector<Result<SharedValue>> pbatch = b.fut.get();
-        for (size_t j = 0; j < b.idxs.size(); ++j) {
-          if (served.count(b.idxs[j]) != 0) continue;
-          resolve(b.idxs[j], b.node, pbatch[j]);
-        }
+    }
+
+    if (!hedged) {
+      std::vector<Result<SharedValue>> answers = b.fut.get();
+      for (size_t j = 0; j < b.idxs.size(); ++j) {
+        resolve(b.idxs[j], b.node, answers[j]);
       }
     } else {
-      std::vector<Result<SharedValue>> pbatch = b.fut.get();
-      for (size_t j = 0; j < b.idxs.size(); ++j) {
-        resolve(b.idxs[j], b.node, pbatch[j]);
+      // A hedge batch wins when one of its own answers is used.
+      for (Batch& h : hedges) {
+        std::vector<Result<SharedValue>> answers = h.fut.get();
+        bool won = false;
+        for (size_t j = 0; j < h.idxs.size(); ++j) {
+          won |= resolve(h.idxs[j], h.node, answers[j]);
+        }
+        if (won) CountHedgeWin(stats);
+      }
+      // Keys without an alternate still need the primary's answer;
+      // otherwise the slow primary batch is abandoned.
+      if (!stay.empty()) {
+        if (!AwaitUntil(b.fut, deadline)) return DeadlineError(Status::OK());
+        std::vector<Result<SharedValue>> answers = b.fut.get();
+        for (size_t j : stay) resolve(b.idxs[j], b.node, answers[j]);
       }
     }
     if (!fatal.ok()) return fatal;
@@ -822,66 +819,25 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
 Result<std::vector<KVPair>> Cluster::Scan(std::string_view table,
                                           uint64_t partition,
                                           std::string_view key_prefix,
-                                          size_t* value_copies,
-                                          ReadCallStats* call_stats) {
-  if (value_copies != nullptr) *value_copies = 0;
-  if (call_stats != nullptr) *call_stats = ReadCallStats{};
-  std::string phys_prefix = PhysicalKey(table, partition, key_prefix);
-  size_t strip = table.size() + 1 + 8;  // logical key offset
-  ReplicaSet replicas = Replicas(PlacementToken(table, partition));
-  Deadline deadline = MakeDeadline();
-
-  std::array<uint32_t, kMaxReplicas> order;
-  size_t candidates = ServingOrder(replicas, &order);
-  Status last = Status::IOError("no replica available");
-  bool tried = false;
-  for (size_t i = 0; i < candidates; ++i) {
-    size_t node = order[i];
-    if (tried) CountFailover(call_stats);
-    tried = true;
-    for (size_t attempt = 0;; ++attempt) {
-      if (DeadlinePassed(deadline)) return DeadlineError(last);
-      size_t winner = node;
-      Result<std::vector<KVPair>> res =
-          HedgedSubmit<std::vector<KVPair>>(
-              node, replicas, phys_prefix,
-              [this](size_t target, const std::string& prefix) {
-                return nodes_[target]->SubmitScan(prefix);
-              },
-              deadline, call_stats, &winner);
-      if (res.ok()) {
-        std::vector<KVPair> out;
-        out.reserve(res->size());
-        size_t copies = 0;
-        bool clean = true;
-        for (KVPair& kv : *res) {
-          Result<SharedValue> unsealed = UnsealValue(kv.value);
-          if (!unsealed.ok()) {
-            // One corrupt row spoils the replica's whole answer: fail over.
-            CountChecksumFailure(call_stats);
-            last = unsealed.status();
-            clean = false;
-            break;
-          }
-          HGS_ASSIGN_OR_RETURN(SharedValue plain,
-                               DecompressCounted(*unsealed, &copies));
-          out.push_back(KVPair{kv.key.substr(strip), std::move(plain)});
-        }
-        if (clean) {
-          if (value_copies != nullptr) *value_copies += copies;
-          return out;
-        }
-        break;  // next replica
-      }
-      last = res.status();
-      if (res.status().IsNotFound()) break;  // defensive: scans don't 404
-      if (nodes_[node]->IsDown()) break;
-      if (attempt >= options_.max_retries) break;
-      CountRetry(call_stats);
-      Backoff(attempt + 1, deadline);
-    }
+                                          FetchStats* stats) {
+  HGS_ASSIGN_OR_RETURN(
+      std::vector<KVPair> rows,
+      ReadReplicas<std::vector<KVPair>>(
+          Replicas(PlacementToken(table, partition)),
+          PhysicalKey(table, partition, key_prefix),
+          [this](size_t node, const std::string& prefix) {
+            return nodes_[node]->SubmitScan(prefix);
+          },
+          MakeDeadline(), stats));
+  // Logical keys in a right-sized vector: callers such as the byte cache
+  // keep the answer, and charge it by its key and value sizes.
+  const size_t strip = table.size() + 1 + 8;  // logical key offset
+  std::vector<KVPair> out;
+  out.reserve(rows.size());
+  for (KVPair& kv : rows) {
+    out.push_back(KVPair{kv.key.substr(strip), std::move(kv.value)});
   }
-  return last;
+  return out;
 }
 
 // -- Administration and telemetry --------------------------------------------

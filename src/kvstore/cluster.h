@@ -12,8 +12,9 @@
 //     read; a mismatch is a replica failure, not a query error;
 //   * reads retry transient errors with capped exponential backoff, fail
 //     over across replicas, optionally hedge a second-chance request to
-//     another replica after `hedge_after_micros`, and observe a per-request
-//     deadline;
+//     another replica after `hedge_after_micros`, and observe one deadline
+//     per call; Get, Scan and MultiGet's per-key fallback share one
+//     replica loop, and each call counts what it did into one FetchStats;
 //   * writes honor an ack level (one/quorum/all) and queue hinted handoffs
 //     for replicas that miss a write or delete; ReplayHints/RepairNode
 //     bring a rejoined node back to byte-identical contents;
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "common/compression.h"
+#include "common/fetch_stats.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "kvstore/storage_node.h"
@@ -69,11 +71,11 @@ struct ClusterOptions {
   /// hinting (writes).
   size_t max_retries = 2;
   /// Capped exponential backoff between retries: base * 2^(attempt-1), at
-  /// most the cap.
+  /// most 2 ms.
   int64_t retry_backoff_micros = 100;
-  int64_t retry_backoff_cap_micros = 2'000;
-  /// Per-request wall-clock budget for reads; 0 = unbounded. Exceeding it
-  /// fails the request with an IOError mentioning the deadline.
+  /// Wall-clock budget of one read call (Get, Scan or MultiGet, retries,
+  /// failovers, hedges and per-key fallbacks included); 0 = unbounded.
+  /// Exceeding it fails the call with an IOError mentioning the deadline.
   int64_t request_deadline_micros = 0;
   /// Hedged reads: when > 0 and a replica has not answered within this
   /// budget, fire a second-chance request at another replica and take
@@ -82,8 +84,6 @@ struct ClusterOptions {
   /// Per-node hinted-handoff queue bound. Overflow drops the oldest hint
   /// and pins the node dirty until a full RepairNode.
   size_t hint_limit_per_node = 65'536;
-  /// Seed for the per-node fault injectors (deterministic scripting).
-  uint64_t fault_seed = 0xFA17;
 };
 
 /// One key of a batched read: the partition it lives in plus its logical
@@ -122,26 +122,9 @@ struct ReplicaSet {
   const uint32_t* end() const { return nodes.data() + count; }
 };
 
-/// Per-call resilience accounting for one read. Aggregated into FetchStats
-/// by the TGI query layer; lifetime totals are also kept on the Cluster.
-struct ReadCallStats {
-  uint64_t failovers = 0;          ///< replicas abandoned for another
-  uint64_t retries = 0;            ///< same-replica transient-error retries
-  uint64_t hedges = 0;             ///< second-chance requests fired
-  uint64_t hedge_wins = 0;         ///< hedged requests whose answer was used
-  uint64_t checksum_failures = 0;  ///< values rejected by the checksum
-
-  void Merge(const ReadCallStats& o) {
-    failovers += o.failovers;
-    retries += o.retries;
-    hedges += o.hedges;
-    hedge_wins += o.hedge_wins;
-    checksum_failures += o.checksum_failures;
-  }
-};
-
 /// Cluster-lifetime resilience counters (atomic, aggregated like the
-/// per-node read/write stats).
+/// per-node read/write stats). Every read event counted here is also
+/// counted into the FetchStats of the call it happened in.
 struct ClusterResilienceStats {
   std::atomic<uint64_t> failovers{0};
   std::atomic<uint64_t> retries{0};
@@ -206,44 +189,46 @@ class Cluster {
   Status MultiPut(std::string_view table, std::vector<PutRow> rows,
                   size_t* put_batches = nullptr);
 
+  // Every read call adds what it did to `stats` when non-null, never
+  // resetting it: one kv_batches per node request it submits, the value
+  // copies of the answer it returns, and the failovers, retries, hedges,
+  // hedge wins and checksum failures it caused (each also counted in
+  // resilience()).
+
   /// Reads one replica (load-balanced over clean live replicas, dirty ones
   /// last), with transient-error retries, replica failover, checksum
-  /// verification, optional hedging and a per-request deadline. NotFound
+  /// verification, optional hedging and the call's deadline. NotFound
   /// when no replica holds the key — but NotFound from a dirty replica
   /// (rejoined with hints pending) falls through to the next replica. The
   /// returned value is a zero-copy view of the serving node's buffer
   /// (decompression of an uncompressed block is a header-stripping window;
   /// an LZ block materializes one shared buffer — the read path's only
-  /// value copy, counted into `value_copies` when non-null).
+  /// value copy).
   Result<SharedValue> Get(std::string_view table, uint64_t partition,
-                          std::string_view key,
-                          size_t* value_copies = nullptr,
-                          ReadCallStats* call_stats = nullptr);
+                          std::string_view key, FetchStats* stats = nullptr);
 
   /// Batched point reads. Keys are grouped by the storage node serving
   /// them (replica choice is load-balanced, preferring clean live nodes)
   /// and each group is dispatched as one node request, so the latency
   /// model charges one seek per node batch instead of one per key. Returns
   /// one entry per input key, in input order; absent keys yield nullopt.
-  /// Keys whose node fails mid-flight (or whose value fails its checksum)
-  /// fall back to per-key Get with its full resilience machinery. Slow
-  /// node batches are hedged to the keys' alternate replicas when hedging
-  /// is enabled. Any key that no replica can serve (none live, failover
-  /// exhausted, deadline passed) fails the whole call.
+  /// Keys whose node fails mid-flight, whose value fails its checksum or
+  /// whose dirty replica answers NotFound fall back to Get's replica loop.
+  /// Slow node batches are hedged to the keys' alternate replicas when
+  /// hedging is enabled. Batch waits and fallbacks all run under the
+  /// call's one deadline. Any key that no replica can serve (none live,
+  /// failover exhausted, deadline passed) fails the whole call.
   Result<std::vector<std::optional<SharedValue>>> MultiGet(
       std::string_view table, const std::vector<MultiGetKey>& keys,
-      size_t* node_batches = nullptr, size_t* value_copies = nullptr,
-      ReadCallStats* call_stats = nullptr);
+      FetchStats* stats = nullptr);
 
   /// All pairs of the partition whose key begins with `key_prefix`, in key
-  /// order, with the same resilience behavior as Get (retries, failover,
-  /// checksum verification, hedging, deadline). Keys returned are logical
-  /// (table/token stripped); values are zero-copy views (see Get for the
-  /// `value_copies` contract).
+  /// order, through Get's replica loop (retries, failover, checksum
+  /// verification, hedging, deadline). Keys returned are logical
+  /// (table/token stripped); values are zero-copy views, as Get's.
   Result<std::vector<KVPair>> Scan(std::string_view table, uint64_t partition,
                                    std::string_view key_prefix,
-                                   size_t* value_copies = nullptr,
-                                   ReadCallStats* call_stats = nullptr);
+                                   FetchStats* stats = nullptr);
 
   /// Deletes from all replicas, observing the write ack level like Put;
   /// replicas that miss the delete get a tombstone hint so the key cannot
@@ -376,15 +361,37 @@ class Cluster {
   /// the same keys.
   void SupersedeHints(size_t node, const std::string& phys);
 
-  /// Submits `submit(node)` with optional hedging: if the primary has not
-  /// answered within hedge_after_micros and another live replica exists,
-  /// fires a second-chance request there; the first usable answer (ok or
-  /// NotFound) wins. `*winner` reports which node's answer was returned.
+  /// Submits `submit(node, phys)` with optional hedging: if the primary
+  /// has not answered within hedge_after_micros and another live replica
+  /// exists, fires a second-chance request there; the first usable answer
+  /// (ok or NotFound) wins. `*winner` reports which node's answer was
+  /// returned.
   template <typename T, typename SubmitFn>
   Result<T> HedgedSubmit(size_t primary, const ReplicaSet& replicas,
                          const std::string& phys, SubmitFn&& submit,
-                         const Deadline& deadline, ReadCallStats* call_stats,
+                         const Deadline& deadline, FetchStats* stats,
                          size_t* winner);
+
+  /// The replica loop of one read (T is SharedValue for a point read,
+  /// std::vector<KVPair> for a scan): replicas in serving order, transient
+  /// errors retried with backoff, then failover; a checksum mismatch or a
+  /// dirty replica's NotFound falls through to the next replica, and a
+  /// clean replica's NotFound is the answer. Every request goes through
+  /// HedgedSubmit under `deadline`. Returns the verified, decompressed
+  /// answer.
+  template <typename T, typename SubmitFn>
+  Result<T> ReadReplicas(const ReplicaSet& replicas, const std::string& phys,
+                         SubmitFn&& submit, const Deadline& deadline,
+                         FetchStats* stats);
+
+  /// ReadReplicas for one point read.
+  Result<SharedValue> ReadKey(const ReplicaSet& replicas,
+                              const std::string& phys,
+                              const Deadline& deadline, FetchStats* stats);
+
+  /// The first live replica other than `primary` (where a hedge goes), or
+  /// num_nodes() when there is none.
+  size_t HedgeTarget(const ReplicaSet& replicas, size_t primary) const;
 
   /// Orders the live replicas of `replicas` for serving: clean nodes first
   /// (rotated by the load-balancing counter), dirty nodes last. Returns
@@ -392,11 +399,11 @@ class Cluster {
   size_t ServingOrder(const ReplicaSet& replicas,
                       std::array<uint32_t, kMaxReplicas>* order) const;
 
-  void CountFailover(ReadCallStats* s);
-  void CountRetry(ReadCallStats* s);
-  void CountChecksumFailure(ReadCallStats* s);
-  void CountHedge(ReadCallStats* s);
-  void CountHedgeWin(ReadCallStats* s);
+  void CountFailover(FetchStats* s);
+  void CountRetry(FetchStats* s);
+  void CountChecksumFailure(FetchStats* s);
+  void CountHedge(FetchStats* s);
+  void CountHedgeWin(FetchStats* s);
 
   /// Delete one row on one node with transient-error retries.
   Status DeleteRowFromNode(size_t node, const std::string& phys,

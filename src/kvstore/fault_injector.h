@@ -69,11 +69,6 @@ class FaultInjector {
     armed_.store(profile.HasTransientFaults(), std::memory_order_relaxed);
   }
 
-  FaultProfile profile() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return profile_;
-  }
-
   void SetCrashed(bool crashed) EXCLUDES(mu_) {
     MutexLock lock(mu_);
     profile_.crashed = crashed;

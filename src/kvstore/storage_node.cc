@@ -4,11 +4,19 @@
 
 namespace hgs {
 
+namespace {
+
+/// Base seed of the per-node fault injectors; each node mixes in its id,
+/// so a scripted fault scenario replays identically run to run.
+constexpr uint64_t kFaultSeed = 0xFA17;
+
+}  // namespace
+
 StorageNode::StorageNode(int node_id, size_t server_threads,
-                         LatencyModel latency, uint64_t fault_seed)
+                         LatencyModel latency)
     : node_id_(node_id),
       latency_(latency),
-      faults_(fault_seed ^ (0x9E3779B97F4A7C15ull *
+      faults_(kFaultSeed ^ (0x9E3779B97F4A7C15ull *
                             static_cast<uint64_t>(node_id + 1))),
       servers_(server_threads) {}
 
@@ -59,32 +67,6 @@ SharedValue StorageNode::MaybeCorrupt(SharedValue value) {
   std::string bytes(value.view());
   bytes[seed % bytes.size()] ^= 0x40;
   return SharedValue(std::move(bytes));
-}
-
-Result<SharedValue> StorageNode::DoGet(const std::string& key) {
-  if (IsDown()) return DownError();
-  FaultDecision fault = faults_.OnRequest();
-  if (fault.fail) {
-    ChargeLatency(1, 0, fault.extra_micros);
-    return TransientFault();
-  }
-  SharedValue value;
-  {
-    MutexLock lock(mu_);
-    auto it = data_.find(key);
-    if (it == data_.end()) {
-      // A miss still costs a seek.
-      stats_.get_requests.fetch_add(1, std::memory_order_relaxed);
-      ChargeLatency(1, 0, fault.extra_micros);
-      return Status::NotFound("key not found");
-    }
-    value = SharedValue(it->second, *it->second);
-  }
-  stats_.get_requests.fetch_add(1, std::memory_order_relaxed);
-  stats_.keys_read.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_read.fetch_add(value.size(), std::memory_order_relaxed);
-  ChargeLatency(1, value.size(), fault.extra_micros);
-  return MaybeCorrupt(std::move(value));
 }
 
 std::vector<Result<SharedValue>> StorageNode::DoMultiGet(
@@ -158,7 +140,9 @@ Result<std::vector<KVPair>> StorageNode::DoScan(const std::string& prefix) {
 
 std::future<Result<SharedValue>> StorageNode::SubmitGet(std::string key) {
   return servers_.Submit(
-      [this, key = std::move(key)]() { return DoGet(key); });
+      [this, keys = std::vector<std::string>{std::move(key)}]() {
+        return std::move(DoMultiGet(keys).front());
+      });
 }
 
 std::future<std::vector<Result<SharedValue>>> StorageNode::SubmitMultiGet(
@@ -171,13 +155,6 @@ std::future<Result<std::vector<KVPair>>> StorageNode::SubmitScan(
     std::string prefix) {
   return servers_.Submit(
       [this, prefix = std::move(prefix)]() { return DoScan(prefix); });
-}
-
-Status StorageNode::Put(std::string key, std::string value) {
-  auto stored = std::make_shared<const std::string>(std::move(value));
-  std::vector<NodePutRow> rows;
-  rows.push_back(NodePutRow{std::move(key), std::move(stored)});
-  return PutBatch(std::move(rows));
 }
 
 Status StorageNode::PutBatch(std::vector<NodePutRow> rows) {

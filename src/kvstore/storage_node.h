@@ -94,14 +94,14 @@ struct NodePutRow {
 
 class StorageNode {
  public:
-  StorageNode(int node_id, size_t server_threads, LatencyModel latency,
-              uint64_t fault_seed = 0);
+  StorageNode(int node_id, size_t server_threads, LatencyModel latency);
 
   int node_id() const { return node_id_; }
 
-  /// Point read. NotFound if the key is absent. The returned value is a
-  /// zero-copy view of the node's resident buffer; the shared owner keeps
-  /// it valid across overwrites and deletes of the key.
+  /// Point read: a one-key SubmitMultiGet. NotFound if the key is absent.
+  /// The returned value is a zero-copy view of the node's resident buffer;
+  /// the shared owner keeps it valid across overwrites and deletes of the
+  /// key.
   std::future<Result<SharedValue>> SubmitGet(std::string key);
 
   /// Batched point reads served as ONE request: the seek cost is charged
@@ -116,16 +116,11 @@ class StorageNode {
   /// Values are zero-copy views of node memory.
   std::future<Result<std::vector<KVPair>>> SubmitScan(std::string prefix);
 
-  /// Point write, counted as a degenerate batch of one. Synchronous; only
-  /// charged simulated latency when the model's `charge_writes` is on.
-  /// Fails (without applying) when the node is crashed or the injector
-  /// draws a transient fault.
-  Status Put(std::string key, std::string value);
-
   /// Group commit: applies all rows under one lock acquisition and counts
   /// the whole batch as ONE write submission (one seek when writes are
   /// charged), mirroring SubmitMultiGet on the read side. Fails atomically
-  /// (no row applied) on crash or transient fault.
+  /// (no row applied) on crash or transient fault. Synchronous; only
+  /// charged simulated latency when the model's `charge_writes` is on.
   Status PutBatch(std::vector<NodePutRow> rows);
 
   /// PutBatch through the node's server pool, so one client can commit to
@@ -145,7 +140,6 @@ class StorageNode {
   void SetFaultProfile(const FaultProfile& profile) {
     faults_.SetProfile(profile);
   }
-  FaultProfile fault_profile() const { return faults_.profile(); }
 
   size_t NumKeys() const;
 
@@ -176,7 +170,6 @@ class StorageNode {
   void ResetStats();
 
  private:
-  Result<SharedValue> DoGet(const std::string& key);
   std::vector<Result<SharedValue>> DoMultiGet(
       const std::vector<std::string>& keys);
   Result<std::vector<KVPair>> DoScan(const std::string& prefix);

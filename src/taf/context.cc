@@ -1,11 +1,8 @@
 #include "taf/context.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 #include <utility>
-
-#include "common/mutex.h"
 
 namespace hgs::taf {
 
@@ -16,6 +13,18 @@ namespace {
 /// retrieval).
 std::pair<size_t, size_t> ShareBounds(size_t n, size_t shares, size_t w) {
   return {n * w / shares, n * (w + 1) / shares};
+}
+
+/// RunTasks over the engine's workers (TAFEngine::ParallelOver's degree),
+/// minus the tasks' wall time: the tasks overlap, so the caller times the
+/// whole fetch instead.
+Status FetchInShares(const TAFEngine& engine, size_t n, FetchStats* stats,
+                     const std::function<Status(size_t, FetchStats*)>& fn) {
+  FetchStats tasks;
+  Status st = RunTasks(n, engine.num_workers(), &tasks, fn);
+  tasks.wall_seconds = 0;
+  if (stats != nullptr) stats->Merge(tasks);
+  return st;
 }
 
 }  // namespace
@@ -98,38 +107,22 @@ Result<SoN> NodeSetSpec::Fetch(FetchStats* stats) const {
   // GetNodeHistories call (Fig 10), so the physical fetch cost is bounded
   // by partitions touched per share, not by candidate count.
   std::vector<NodeT> nodes(candidates.size());
-  std::atomic<bool> failed{false};
-  Status first_error;
-  Mutex mu;
-  FetchStats agg;
   size_t shares = std::min(engine_->num_workers(),
                            std::max<size_t>(candidates.size(), 1));
-  engine_->ParallelOver(shares, [&](size_t w) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    auto [begin, end] = ShareBounds(candidates.size(), shares, w);
-    if (begin == end) return;
-    std::vector<NodeId> share(candidates.begin() + begin,
-                              candidates.begin() + end);
-    FetchStats local;
-    auto hists = qm->GetNodeHistories(share, from, to, &local);
-    {
-      MutexLock lock(mu);
-      agg.Merge(local);
-      if (!hists.ok()) {
-        if (!failed.exchange(true)) first_error = hists.status();
-        return;
-      }
-    }
-    // Shares write disjoint ranges: no lock while materializing nodes.
-    for (size_t i = begin; i < end; ++i) {
-      nodes[i] = NodeT(std::move((*hists)[i - begin]));
-    }
-  });
-  if (stats != nullptr) {
-    agg.wall_seconds = 0;  // absorbed in the caller's timing
-    stats->Merge(agg);
-  }
-  if (failed.load()) return first_error;
+  HGS_RETURN_NOT_OK(FetchInShares(
+      *engine_, shares, stats, [&](size_t w, FetchStats* local) -> Status {
+        auto [begin, end] = ShareBounds(candidates.size(), shares, w);
+        if (begin == end) return Status::OK();
+        std::vector<NodeId> share(candidates.begin() + begin,
+                                  candidates.begin() + end);
+        HGS_ASSIGN_OR_RETURN(std::vector<NodeHistory> hists,
+                             qm->GetNodeHistories(share, from, to, local));
+        // Shares write disjoint ranges.
+        for (size_t i = begin; i < end; ++i) {
+          nodes[i] = NodeT(std::move(hists[i - begin]));
+        }
+        return Status::OK();
+      }));
 
   // Post-fetch attribute filter for explicit-id fetches.
   if (attr_filter_.has_value() && explicit_ids_.has_value()) {
@@ -165,55 +158,35 @@ Result<SoTS> SubgraphSetSpec::Fetch(FetchStats* stats) const {
   }
 
   std::vector<SubgraphT> out(seeds_.size());
-  std::atomic<bool> failed{false};
-  Status first_error;
-  Mutex mu;
-  FetchStats agg;
-  engine_->ParallelOver(seeds_.size(), [&](size_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    FetchStats local;
-    auto fail = [&](const Status& s) {
-      MutexLock lock(mu);
-      agg.Merge(local);
-      if (!failed.exchange(true)) first_error = s;
-    };
-    // Membership: the k-hop neighborhood at window start.
-    auto hood = qm->GetKHopNeighborhood(seeds_[i], from, k_, &local);
-    if (!hood.ok()) {
-      fail(hood.status());
-      return;
-    }
-    std::unordered_set<NodeId> members;
-    for (NodeId id : hood->NodeIds()) members.insert(id);
-    members.insert(seeds_[i]);
-    Delta initial = Delta::FromGraph(*hood);
+  HGS_RETURN_NOT_OK(FetchInShares(
+      *engine_, seeds_.size(), stats,
+      [&](size_t i, FetchStats* local) -> Status {
+        // Membership: the k-hop neighborhood at window start.
+        HGS_ASSIGN_OR_RETURN(
+            Graph hood, qm->GetKHopNeighborhood(seeds_[i], from, k_, local));
+        std::unordered_set<NodeId> members;
+        for (NodeId id : hood.NodeIds()) members.insert(id);
+        members.insert(seeds_[i]);
+        Delta initial = Delta::FromGraph(hood);
 
-    // Member events arrive merged and deduplicated straight from the
-    // index: one bulk retrieval per subgraph, eventlists shared by members
-    // fetched once, and duplicates of internal edge events removed inside
-    // each (timespan, eventlist) chunk — so no per-node histories are
-    // materialized and no global sort over the union runs.
-    std::vector<NodeId> member_ids(members.begin(), members.end());
-    std::sort(member_ids.begin(), member_ids.end());
-    auto merged = qm->GetMergedMemberEvents(member_ids, from, to, &local);
-    if (!merged.ok()) {
-      fail(merged.status());
-      return;
-    }
-    EventList events(from, to);
-    for (Event& e : *merged) events.Append(std::move(e));
+        // Member events arrive merged and deduplicated straight from the
+        // index: one bulk retrieval per subgraph, eventlists shared by
+        // members fetched once, and duplicates of internal edge events
+        // removed inside each (timespan, eventlist) chunk — so no per-node
+        // histories are materialized and no global sort over the union
+        // runs.
+        std::vector<NodeId> member_ids(members.begin(), members.end());
+        std::sort(member_ids.begin(), member_ids.end());
+        HGS_ASSIGN_OR_RETURN(
+            std::vector<Event> merged,
+            qm->GetMergedMemberEvents(member_ids, from, to, local));
+        EventList events(from, to);
+        for (Event& e : merged) events.Append(std::move(e));
 
-    SubgraphT sg(seeds_[i], std::move(members), std::move(initial),
-                 std::move(events), from, to);
-    MutexLock lock(mu);
-    agg.Merge(local);
-    out[i] = std::move(sg);
-  });
-  if (stats != nullptr) {
-    agg.wall_seconds = 0;
-    stats->Merge(agg);
-  }
-  if (failed.load()) return first_error;
+        out[i] = SubgraphT(seeds_[i], std::move(members), std::move(initial),
+                           std::move(events), from, to);
+        return Status::OK();
+      }));
   return SoTS(engine_, std::move(out), from, to);
 }
 

@@ -33,11 +33,6 @@ void SubgraphT::ForEachVersion(
   }
 }
 
-void SubgraphT::ForEachEventWithState(
-    const std::function<void(const Graph&, const Event&)>& fn) const {
-  Walk([](const Graph&) {}, fn);
-}
-
 void SubgraphT::Walk(
     const std::function<void(const Graph&)>& on_initial,
     const std::function<void(const Graph&, const Event&)>& before_event)

@@ -54,11 +54,6 @@ class SubgraphT {
   void ForEachVersion(
       const std::function<void(Timestamp, const Graph&)>& fn) const;
 
-  /// Iterates events with the state visible *before* each event, which is
-  /// what incremental functions (NodeComputeDelta's f∆) consume.
-  void ForEachEventWithState(
-      const std::function<void(const Graph&, const Event&)>& fn) const;
-
   /// Single-pass walk: `on_initial` sees the materialized state at the
   /// window start, then `before_event` sees (state before event, event) for
   /// each event. One rolling graph — this is what makes NodeComputeDelta

@@ -29,21 +29,6 @@ class WallTimer {
       std::chrono::steady_clock::now();
 };
 
-// Runs fn(i, &task_stats) for i in [0, n) on up to `parallelism` workers.
-// Every task counts into its own FetchStats, and after the join all of them
-// fold into `stats` through FetchStats::Merge, so no counter can be
-// dropped. Returns the failure with the lowest index.
-Status RunTasks(size_t n, size_t parallelism, FetchStats* stats,
-                const std::function<Status(size_t, FetchStats*)>& fn) {
-  std::vector<FetchStats> task_stats(n);
-  Status status = StatusParallelFor(
-      n, parallelism, [&](size_t i) { return fn(i, &task_stats[i]); });
-  if (stats != nullptr) {
-    for (const FetchStats& s : task_stats) stats->Merge(s);
-  }
-  return status;
-}
-
 // Cache key of one read: kind byte ('G' point read / 'S' scan in the byte
 // tier, the Read kind in the decoded tier), the (table, partition) scope's
 // SUB-epoch under the reading query's pinned epoch map, table, partition
@@ -345,17 +330,6 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
   auto is_scan = [&](size_t i) {
     return reads[i].kind == kScanKind || reads[i].kind == kChainKind;
   };
-  // What the cluster client did for one MultiGet or Scan.
-  auto count_call = [](FetchStats* s, size_t batches, size_t copies,
-                       const ReadCallStats& call) {
-    s->kv_batches += batches;
-    s->value_copies += copies;
-    s->failovers += call.failovers;
-    s->retries += call.retries;
-    s->hedges += call.hedges;
-    s->hedge_wins += call.hedge_wins;
-    s->checksum_failures += call.checksum_failures;
-  };
 
   // (1) Decoded probe. A hit needs neither bytes nor a decode, and counts
   // the logical work the cold path would, so Table 1's logical columns are
@@ -466,12 +440,7 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
     keys.push_back(MultiGetKey{r.partition, r.key});
   }
   if (!keys.empty()) {
-    size_t batches = 0;
-    size_t copies = 0;
-    ReadCallStats call;
-    auto values = cluster_->MultiGet(reads[fetch[0]].table, keys, &batches,
-                                     &copies, &call);
-    count_call(stats, batches, copies, call);
+    auto values = cluster_->MultiGet(reads[fetch[0]].table, keys, stats);
     if (!values.ok()) return values.status();
     for (size_t j = 0; j < fetch.size(); ++j) {
       if (read_cache_ != nullptr) {
@@ -502,11 +471,8 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
           }
           ++local->cache_misses;
         }
-        size_t copies = 0;
-        ReadCallStats call;
         auto pairs = cluster_->Scan(scan.read->table, scan.read->partition,
-                                    scan.prefix, &copies, &call);
-        count_call(local, pairs.ok() ? 1 : 0, copies, call);
+                                    scan.prefix, local);
         auto entry = std::make_shared<ReadCacheEntry>();
         HGS_ASSIGN_OR_RETURN(entry->pairs, std::move(pairs));
         if (read_cache_ != nullptr) {

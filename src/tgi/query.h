@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fetch_stats.h"
 #include "common/lru_cache.h"
 #include "common/mutex.h"
 #include "common/result.h"
@@ -44,98 +45,6 @@
 #include "tgi/options.h"
 
 namespace hgs {
-
-/// Read-cost accounting for one retrieval call (the currency of Table 1).
-/// Logical counters (kv_requests, micro_deltas, bytes) count every value
-/// the query consumed whether it came from the cluster or the read cache;
-/// kv_batches counts the physical node round trips actually issued, which
-/// is what batching and caching reduce.
-struct FetchStats {
-  uint64_t kv_requests = 0;    ///< logical point gets + scans requested
-  uint64_t kv_batches = 0;     ///< physical node round trips issued
-  uint64_t cache_hits = 0;     ///< reads served by the partition-delta cache
-  uint64_t cache_misses = 0;   ///< reads that had to go to the cluster
-  uint64_t micro_deltas = 0;   ///< values deserialized
-  uint64_t bytes = 0;          ///< raw value bytes fetched
-  // Node-history retrieval accounting (GetNodeHistory / GetNodeHistories).
-  // The logical/physical split shows the set-at-a-time win: node_requests
-  // and eventlist_refs count what the query asked for, version_scans and
-  // eventlist_fetches what actually hit the index after grouping + dedup.
-  uint64_t node_requests = 0;      ///< logical node histories requested
-  uint64_t version_scans = 0;      ///< versions-table partition scans issued
-  uint64_t eventlist_refs = 0;     ///< version-chain eventlist references
-  uint64_t eventlist_fetches = 0;  ///< deduplicated eventlist rows fetched
-  // Decoded-tier accounting. Every value the query consumes is either
-  // decoded from raw bytes (decodes; decoded_bytes counts the input) or
-  // served as a ready-to-apply object from the decoded cache (decode_hits,
-  // zero deserialization). A fully warm decoded cache drives decodes to 0.
-  uint64_t decode_hits = 0;    ///< values served decoded (incl. micropart
-                               ///< buckets and cached "absent" rows)
-  uint64_t decodes = 0;        ///< Deserialize calls actually performed
-  uint64_t decoded_bytes = 0;  ///< raw bytes those decodes consumed
-  // Zero-copy accounting: `bytes` above counts bytes *viewed* (every value
-  // byte the query consumed, wherever it came from); value_copies counts
-  // values whose bytes actually *moved* into a fresh buffer. On the
-  // shared-buffer path the only copies left are LZ-block materializations,
-  // so uncompressed reads — and every warm read — report 0.
-  uint64_t value_copies = 0;   ///< values materialized rather than viewed
-  // Set-at-a-time merge accounting (GetMergedMemberEvents): per-eventlist
-  // chunks combined by the k-way merge — which exploits that each member's
-  // picked events are already chronological — instead of a whole-chunk
-  // re-sort. Same-timestamp runs still sort, so the count below is chunks
-  // whose full comparison sort was skipped.
-  uint64_t taf_merge_skipped_sorts = 0;
-  // Invalidation precision: when this query observed a re-publish and
-  // refreshed, how many cache entries (both tiers + micropart buckets) the
-  // sweep kept warm vs evicted. A partition-scoped publish retains every
-  // scope it didn't touch; the old global bump evicted everything.
-  uint64_t cache_entries_retained = 0;
-  uint64_t cache_entries_invalidated = 0;
-  // Resilience accounting, surfaced from the cluster client: what the
-  // fault-tolerance machinery did on this query's behalf. All zero on a
-  // healthy cluster.
-  uint64_t failovers = 0;          ///< replicas abandoned for another
-  uint64_t retries = 0;            ///< transient-error retries
-  uint64_t hedges = 0;             ///< second-chance requests fired
-  uint64_t hedge_wins = 0;         ///< hedged answers actually used
-  uint64_t checksum_failures = 0;  ///< values rejected by the checksum
-  double wall_seconds = 0.0;
-
-  double CacheHitRate() const {
-    uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
-  }
-
-  void Merge(const FetchStats& o) {
-    kv_requests += o.kv_requests;
-    kv_batches += o.kv_batches;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    micro_deltas += o.micro_deltas;
-    bytes += o.bytes;
-    node_requests += o.node_requests;
-    version_scans += o.version_scans;
-    eventlist_refs += o.eventlist_refs;
-    eventlist_fetches += o.eventlist_fetches;
-    decode_hits += o.decode_hits;
-    decodes += o.decodes;
-    decoded_bytes += o.decoded_bytes;
-    value_copies += o.value_copies;
-    taf_merge_skipped_sorts += o.taf_merge_skipped_sorts;
-    cache_entries_retained += o.cache_entries_retained;
-    cache_entries_invalidated += o.cache_entries_invalidated;
-    failovers += o.failovers;
-    retries += o.retries;
-    hedges += o.hedges;
-    hedge_wins += o.hedge_wins;
-    checksum_failures += o.checksum_failures;
-    wall_seconds += o.wall_seconds;
-  }
-};
-// Merge is the only place per-task stats fold together: a counter added
-// without a line there would silently drop, so adding one must fail here.
-static_assert(sizeof(FetchStats) == 22 * sizeof(uint64_t) + sizeof(double),
-              "FetchStats changed: add the new field to Merge, then here");
 
 /// A node's evolution over (from, to]: its state at `from` plus every event
 /// touching it afterwards. This is also the wire format TAF's NodeT wraps.

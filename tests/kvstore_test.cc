@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 
+#include "common/rng.h"
 #include "kvstore/cluster.h"
 
 namespace hgs {
@@ -162,13 +164,13 @@ TEST(MultiGetTest, MatchesLoopedGetOnMultiNodeCluster) {
     // Interleave keys that were never written.
     keys.push_back(MultiGetKey{p, "missing" + std::to_string(p)});
   }
-  size_t batches = 0;
-  auto multi = c.MultiGet("t", keys, &batches);
+  FetchStats call;
+  auto multi = c.MultiGet("t", keys, &call);
   ASSERT_TRUE(multi.ok());
   ASSERT_EQ(multi->size(), keys.size());
   // Grouping by node: no more round trips than nodes, far fewer than keys.
-  EXPECT_LE(batches, c.num_nodes());
-  EXPECT_LT(batches, keys.size());
+  EXPECT_LE(call.kv_batches, c.num_nodes());
+  EXPECT_LT(call.kv_batches, keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     auto single = c.Get("t", keys[i].partition, keys[i].key);
     if (single.ok()) {
@@ -183,11 +185,11 @@ TEST(MultiGetTest, MatchesLoopedGetOnMultiNodeCluster) {
 
 TEST(MultiGetTest, EmptyKeyListIsANoOp) {
   Cluster c(FastOptions());
-  size_t batches = 99;
-  auto multi = c.MultiGet("t", {}, &batches);
+  FetchStats call;
+  auto multi = c.MultiGet("t", {}, &call);
   ASSERT_TRUE(multi.ok());
   EXPECT_TRUE(multi->empty());
-  EXPECT_EQ(batches, 0u);
+  EXPECT_EQ(call.kv_batches, 0u);
   EXPECT_EQ(c.TotalReadRequests(), 0u);
 }
 
@@ -315,24 +317,23 @@ TEST(SharedValueTest, UncompressedReadsAreZeroCopy) {
   Cluster c(FastOptions(1));
   ASSERT_TRUE(c.Put("t", 1, "a", "payload-a").ok());
   ASSERT_TRUE(c.Put("t", 1, "b", "payload-b").ok());
-  size_t copies = 99;
-  auto got = c.Get("t", 1, "a", &copies);
+  FetchStats get_call;
+  auto got = c.Get("t", 1, "a", &get_call);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(copies, 0u);
+  EXPECT_EQ(get_call.value_copies, 0u);
   EXPECT_NE(got->owner(), nullptr);  // backed by the node's shared buffer
 
-  copies = 99;
-  size_t batches = 0;
+  FetchStats multi_call;
   auto multi = c.MultiGet("t", {MultiGetKey{1, "a"}, MultiGetKey{1, "b"}},
-                          &batches, &copies);
+                          &multi_call);
   ASSERT_TRUE(multi.ok());
-  EXPECT_EQ(copies, 0u);
+  EXPECT_EQ(multi_call.value_copies, 0u);
 
-  copies = 99;
-  auto scanned = c.Scan("t", 1, "", &copies);
+  FetchStats scan_call;
+  auto scanned = c.Scan("t", 1, "", &scan_call);
   ASSERT_TRUE(scanned.ok());
   ASSERT_EQ(scanned->size(), 2u);
-  EXPECT_EQ(copies, 0u);
+  EXPECT_EQ(scan_call.value_copies, 0u);
 }
 
 TEST(SharedValueTest, LzReadsMaterializeOncePerCompressedValue) {
@@ -343,10 +344,10 @@ TEST(SharedValueTest, LzReadsMaterializeOncePerCompressedValue) {
   for (int i = 0; i < 200; ++i) value += "repetitive-payload-";
   ASSERT_TRUE(c.Put("t", 1, "a", value).ok());
   ASSERT_TRUE(c.Put("t", 1, "b", value).ok());
-  size_t copies = 0;
-  auto scanned = c.Scan("t", 1, "", &copies);
+  FetchStats call;
+  auto scanned = c.Scan("t", 1, "", &call);
   ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(copies, 2u);  // one materialization per compressed block
+  EXPECT_EQ(call.value_copies, 2u);  // one copy per compressed block
   EXPECT_EQ((*scanned)[0].value, value);
 }
 
@@ -498,8 +499,8 @@ TEST(FaultToleranceTest, TransientFaultsRetryAndFailOver) {
   EXPECT_GT(c.resilience().retries.load(), 0u);
   EXPECT_GT(c.resilience().failovers.load(), 0u);
   // Batched reads take the same fallback.
-  ReadCallStats call;
-  auto multi = c.MultiGet("t", {MultiGetKey{1, "k"}}, nullptr, nullptr, &call);
+  FetchStats call;
+  auto multi = c.MultiGet("t", {MultiGetKey{1, "k"}}, &call);
   ASSERT_TRUE(multi.ok());
   ASSERT_TRUE((*multi)[0].has_value());
   EXPECT_EQ(*(*multi)[0], "v");
@@ -581,8 +582,8 @@ TEST(FaultToleranceTest, ChecksumCatchesCorruptionAndFailsOver) {
   EXPECT_GT(c.resilience().checksum_failures.load(), 0u);
   EXPECT_GT(c.resilience().failovers.load(), 0u);
   // Batched reads verify too.
-  ReadCallStats call;
-  auto multi = c.MultiGet("t", {MultiGetKey{1, "k"}}, nullptr, nullptr, &call);
+  FetchStats call;
+  auto multi = c.MultiGet("t", {MultiGetKey{1, "k"}}, &call);
   ASSERT_TRUE(multi.ok());
   EXPECT_EQ(*(*multi)[0], "correct-value");
 }
@@ -615,8 +616,8 @@ TEST(FaultToleranceTest, HedgedReadBeatsSlowReplica) {
   EXPECT_GT(c.resilience().hedges.load(), 0u);
   EXPECT_GT(c.resilience().hedge_wins.load(), 0u);
   // Batched reads hedge slow node batches to the keys' alternates.
-  ReadCallStats call;
-  auto multi = c.MultiGet("t", keys, nullptr, nullptr, &call);
+  FetchStats call;
+  auto multi = c.MultiGet("t", keys, &call);
   ASSERT_TRUE(multi.ok());
   for (int k = 0; k < 8; ++k) {
     ASSERT_TRUE((*multi)[k].has_value());
@@ -625,21 +626,86 @@ TEST(FaultToleranceTest, HedgedReadBeatsSlowReplica) {
 }
 
 TEST(FaultToleranceTest, DeadlineBoundsARequest) {
-  ClusterOptions opts = FastOptions(1, 1);
-  opts.request_deadline_micros = 5'000;
-  Cluster c(opts);
-  ASSERT_TRUE(c.Put("t", 1, "k", "v").ok());
-  FaultProfile slow;
-  slow.added_latency_micros = 300'000;  // far past the deadline
-  c.SetFaultProfile(0, slow);
-  auto start = std::chrono::steady_clock::now();
-  auto got = c.Get("t", 1, "k");
-  double ms = std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - start)
-                  .count();
-  EXPECT_FALSE(got.ok());
-  EXPECT_NE(got.status().message().find("deadline"), std::string::npos);
-  EXPECT_LT(ms, 150.0);  // did not wait out the 300ms replica
+  // Every read API gives up at the call's deadline on a slow replica, with
+  // hedging off and on (with one replica a hedge has nowhere to go).
+  for (int64_t hedge_us : {int64_t{0}, int64_t{1'000}}) {
+    SCOPED_TRACE("hedge_after_micros " + std::to_string(hedge_us));
+    ClusterOptions opts = FastOptions(1, 1);
+    opts.request_deadline_micros = 5'000;
+    opts.hedge_after_micros = hedge_us;
+    Cluster c(opts);
+    ASSERT_TRUE(c.Put("t", 1, "k", "v").ok());
+    FaultProfile slow;
+    slow.added_latency_micros = 300'000;  // far past the deadline
+    c.SetFaultProfile(0, slow);
+    auto expect_deadline = [](const char* api, auto&& read) {
+      SCOPED_TRACE(api);
+      auto start = std::chrono::steady_clock::now();
+      Status st = read();
+      double ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+      EXPECT_FALSE(st.ok());
+      EXPECT_NE(st.message().find("deadline"), std::string::npos);
+      EXPECT_LT(ms, 150.0);  // did not wait out the 300ms replica
+    };
+    expect_deadline("Get", [&] { return c.Get("t", 1, "k").status(); });
+    expect_deadline("Scan", [&] { return c.Scan("t", 1, "").status(); });
+    expect_deadline("MultiGet", [&] {
+      return c.MultiGet("t", {MultiGetKey{1, "k"}}).status();
+    });
+  }
+}
+
+TEST(FaultToleranceTest, FailedHedgeIsNotAWin) {
+  // One replica is slow, the other fails every request, so every hedge
+  // fires and every hedge answer is an error: hedges count, wins do not.
+  // The failing replica rejoined with a hint pending, so it is dirty and
+  // read last: every read goes to the slow replica first and hedges to the
+  // failing one, however the host schedules the two. Run once per role
+  // assignment.
+  for (size_t slow_node : {0, 1}) {
+    SCOPED_TRACE("slow node " + std::to_string(slow_node));
+    const size_t failing_node = 1 - slow_node;
+    ClusterOptions opts = FastOptions(2, 2);
+    opts.write_ack = WriteAck::kOne;
+    opts.hedge_after_micros = 2'000;
+    Cluster c(opts);
+    std::vector<MultiGetKey> keys;
+    for (int k = 0; k < 8; ++k) {
+      std::string key = "k" + std::to_string(k);
+      ASSERT_TRUE(c.Put("t", 1, key, "v" + std::to_string(k)).ok());
+      keys.push_back(MultiGetKey{1, key});
+    }
+    c.SetNodeDown(failing_node, true);
+    ASSERT_TRUE(c.Put("t", 1, "missed", "hinted").ok());
+    c.SetNodeDown(failing_node, false);
+    ASSERT_TRUE(c.NodeDirty(failing_node));
+    FaultProfile slow;
+    slow.added_latency_micros = 30'000;
+    c.SetFaultProfile(slow_node, slow);
+    FaultProfile failing;
+    failing.transient_error_prob = 1.0;
+    c.SetFaultProfile(failing_node, failing);
+
+    FetchStats multi_call;
+    auto multi = c.MultiGet("t", keys, &multi_call);
+    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+    for (int k = 0; k < 8; ++k) {
+      ASSERT_TRUE((*multi)[k].has_value());
+      EXPECT_EQ(*(*multi)[k], "v" + std::to_string(k));
+    }
+    EXPECT_GT(multi_call.hedges, 0u);
+    EXPECT_EQ(multi_call.hedge_wins, 0u);
+    for (int i = 0; i < 4; ++i) {
+      FetchStats get_call;
+      auto got = c.Get("t", 1, keys[i].key, &get_call);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(get_call.hedge_wins, 0u);
+    }
+    EXPECT_GT(c.resilience().hedges.load(), 0u);
+    EXPECT_EQ(c.resilience().hedge_wins.load(), 0u);
+  }
 }
 
 TEST(FaultToleranceTest, RepairRestoresKilledNodeToTwinContents) {
@@ -685,6 +751,126 @@ TEST(FaultToleranceTest, RepairRestoresKilledNodeToTwinContents) {
   }
   EXPECT_EQ(faulty.TotalKeys(), twin.TotalKeys());
   EXPECT_GT(faulty.resilience().repair_rows.load(), 0u);
+}
+
+// -- Per-call accounting ------------------------------------------------------
+
+constexpr const char* kEventNames[] = {"failovers", "retries", "hedges",
+                                       "hedge_wins", "checksum_failures"};
+
+std::array<uint64_t, 5> CallEvents(const FetchStats& s) {
+  return {s.failovers, s.retries, s.hedges, s.hedge_wins, s.checksum_failures};
+}
+
+std::array<uint64_t, 5> ClusterEvents(const Cluster& c) {
+  const ClusterResilienceStats& r = c.resilience();
+  return {r.failovers.load(), r.retries.load(), r.hedges.load(),
+          r.hedge_wins.load(), r.checksum_failures.load()};
+}
+
+/// Loads `partitions` x 6 rows into table "t" and returns their keys plus
+/// one key that was never written.
+std::vector<MultiGetKey> LoadRows(Cluster* c, uint64_t partitions) {
+  std::vector<MultiGetKey> keys;
+  for (uint64_t p = 0; p < partitions; ++p) {
+    for (int k = 0; k < 6; ++k) {
+      std::string key = "k" + std::to_string(p) + "-" + std::to_string(k);
+      EXPECT_TRUE(c->Put("t", p, key, "v" + key).ok());
+      keys.push_back(MultiGetKey{p, key});
+    }
+  }
+  keys.push_back(MultiGetKey{0, "never-written"});
+  return keys;
+}
+
+/// One read call counted into `call`: a Get of a random key (api 0), a
+/// MultiGet of every key (api 1) or a Scan of a random partition (api 2).
+/// Checks that the call succeeded.
+void ReadOnce(Cluster* c, const std::vector<MultiGetKey>& keys,
+              uint64_t partitions, size_t api, Rng* rng, FetchStats* call) {
+  switch (api) {
+    case 0: {
+      const MultiGetKey& k = keys[rng->Uniform(keys.size())];
+      auto got = c->Get("t", k.partition, k.key, call);
+      EXPECT_TRUE(got.ok() || got.status().IsNotFound())
+          << "Get: " << got.status().ToString();
+      break;
+    }
+    case 1: {
+      auto got = c->MultiGet("t", keys, call);
+      EXPECT_TRUE(got.ok()) << "MultiGet: " << got.status().ToString();
+      break;
+    }
+    default: {
+      auto got = c->Scan("t", rng->Uniform(partitions), "", call);
+      EXPECT_TRUE(got.ok()) << "Scan: " << got.status().ToString();
+      break;
+    }
+  }
+}
+
+TEST(ReadAccountingTest, PerCallCountsEqualClusterGrowth) {
+  // Under each fault profile, what one call of each read API reports in
+  // its FetchStats is exactly what the cluster's lifetime counters grew by
+  // over the call.
+  enum Profile { kTransient, kCorrupt, kSlowHedged };
+  constexpr uint64_t kPartitions = 4;
+  std::array<uint64_t, 5> total{};  // every counter must move somewhere
+  for (uint64_t seed : {101, 102, 103}) {
+    for (Profile profile : {kTransient, kCorrupt, kSlowHedged}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " profile " +
+                   std::to_string(profile));
+      Rng rng(seed * 8 + profile);
+      ClusterOptions opts = FastOptions(3, 2 + rng.Uniform(2));
+      opts.retry_backoff_micros = 10;
+      FaultProfile fault;
+      if (profile == kTransient) fault.transient_error_prob = 0.5;
+      if (profile == kCorrupt) fault.corrupt_prob = 0.3;
+      if (profile == kSlowHedged) {
+        opts.hedge_after_micros = 1'000;
+        fault.added_latency_micros = 4'000;
+      }
+      Cluster c(opts);
+      std::vector<MultiGetKey> keys = LoadRows(&c, kPartitions);
+      c.SetFaultProfile(rng.Uniform(3), fault);
+      for (int i = 0; i < 15; ++i) {
+        const std::array<uint64_t, 5> before = ClusterEvents(c);
+        FetchStats call;
+        ReadOnce(&c, keys, kPartitions, i % 3, &rng, &call);
+        const std::array<uint64_t, 5> after = ClusterEvents(c);
+        const std::array<uint64_t, 5> counted = CallEvents(call);
+        for (size_t f = 0; f < 5; ++f) {
+          EXPECT_EQ(counted[f], after[f] - before[f])
+              << kEventNames[f] << " in call " << i;
+          total[f] += counted[f];
+        }
+      }
+    }
+  }
+  for (size_t f = 0; f < 5; ++f) {
+    EXPECT_GT(total[f], 0u) << kEventNames[f] << " never moved";
+  }
+}
+
+TEST(ReadAccountingTest, FaultFreeBatchesEqualNodeRequests) {
+  // On a healthy cluster without hedging, kv_batches is exactly the number
+  // of requests the storage nodes served for the call.
+  constexpr uint64_t kPartitions = 5;
+  for (uint64_t seed : {201, 202, 203}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Cluster c(FastOptions(3, 1 + rng.Uniform(3)));
+    std::vector<MultiGetKey> keys = LoadRows(&c, kPartitions);
+    for (int i = 0; i < 20; ++i) {
+      const uint64_t before = c.TotalReadRequests();
+      FetchStats call;
+      ReadOnce(&c, keys, kPartitions, i % 3, &rng, &call);
+      EXPECT_EQ(call.kv_batches, c.TotalReadRequests() - before)
+          << "call " << i;
+      EXPECT_GT(call.kv_batches, 0u);
+      EXPECT_EQ(CallEvents(call), (std::array<uint64_t, 5>{}));
+    }
+  }
 }
 
 TEST(LatencySimulationTest, ParallelRequestsOverlapOnServerThreads) {
