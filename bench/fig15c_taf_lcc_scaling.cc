@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
                                         /*fetch_parallelism=*/8);
   g_bundle = &bundle;
 
-  // Three growing snapshot populations (the paper's three N series). The
-  // SoN extraction runs through the set-at-a-time parallel fetch protocol
-  // (each worker pulls its share in one GetNodeHistories call); the
-  // fetch-efficiency lines show the logical-vs-physical gap that batching
-  // and eventlist dedup open up.
+  // Three growing snapshot populations (the paper's three N series). Each
+  // SoN extraction is one GetNodeHistoriesWhere plan (every partition
+  // rebuilt at the window start once, histories fetched set-at-a-time);
+  // the fetch-efficiency lines show the logical-vs-physical gap that
+  // batching and eventlist dedup open up.
   hgs::taf::TAFContext fetch_ctx(bundle.qm.get(), 4);
   std::vector<std::pair<size_t, hgs::taf::SoN>> sons;
   for (double frac : {0.4, 0.7, 1.0}) {

@@ -931,26 +931,47 @@ Delta Delta::FilterByNodes(const std::unordered_set<NodeId>& ids) const {
   return out;
 }
 
-Delta Delta::FilterById(NodeId id) const {
-  Delta out;
-  const auto* rec = nodes_.Find(id);
-  if (rec != nullptr) out.nodes_.AppendOrdered(id, *rec);
-  if (edges_.IsCompact()) {
-    // Canonical keys: entries with minimum endpoint > id cannot touch id.
-    for (const auto& e : edges_.sorted_entries()) {
-      if (e.first.u > id) break;
-      if (e.first.u == id || e.first.v == id) {
-        out.edges_.AppendOrdered(e.first, e.second);
+std::vector<Delta> Delta::FilterByIds(std::span<const NodeId> ids) const {
+  std::vector<Delta> out(ids.size());
+  if (ids.empty()) return out;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const auto* rec = nodes_.Find(ids[i]);
+    if (rec != nullptr) out[i].nodes_.AppendOrdered(ids[i], *rec);
+  }
+  // Canonical keys ascend by their smaller endpoint u, so the first id not
+  // below u only moves forward, and no key past the last id can touch one.
+  // Each output receives its keys in ascending order: every (x, id) key
+  // precedes every (id, y) key.
+  size_t first = 0;
+  auto visit = [&](const EdgeMap::Entry& e) {
+    const EdgeKey& key = e.first;
+    while (first < ids.size() && ids[first] < key.u) ++first;
+    if (first == ids.size()) return false;
+    if (ids[first] == key.u) out[first].edges_.AppendOrdered(key, e.second);
+    if (key.v != key.u) {
+      auto it = std::lower_bound(ids.begin() + static_cast<ptrdiff_t>(first),
+                                 ids.end(), key.v);
+      if (it != ids.end() && *it == key.v) {
+        out[static_cast<size_t>(it - ids.begin())].edges_.AppendOrdered(
+            key, e.second);
       }
     }
+    return true;
+  };
+  if (edges_.IsCompact()) {
+    for (const EdgeMap::Entry& e : edges_.sorted_entries()) {
+      if (!visit(e)) break;
+    }
   } else {
-    edges_.ForEachOrdered([&](const EdgeMap::Entry& e) {
-      if (e.first.u == id || e.first.v == id) {
-        out.edges_.AppendOrdered(e.first, e.second);
-      }
-    });
+    for (const EdgeMap::Entry* e : edges_.MergedPtrs()) {
+      if (!visit(*e)) break;
+    }
   }
   return out;
+}
+
+Delta Delta::FilterById(NodeId id) const {
+  return std::move(FilterByIds(std::span<const NodeId>(&id, 1))[0]);
 }
 
 // ---------------------------------------------------------------------------

@@ -249,7 +249,14 @@ class Delta {
   /// components with at least one endpoint in `ids` (Example 5 semantics).
   Delta FilterByNodes(const std::unordered_set<NodeId>& ids) const;
 
-  /// Restriction to a single node and its incident edges.
+  /// Restriction to each of `ids` (strictly ascending): out[i] holds the
+  /// entry of ids[i] and every edge entry incident to it, tombstones
+  /// included. One pass over the edges serves every id, and stops at the
+  /// first key whose smaller endpoint exceeds the last id.
+  std::vector<Delta> FilterByIds(std::span<const NodeId> ids) const;
+
+  /// Restriction to a single node and its incident edges: FilterByIds'
+  /// one-id case.
   Delta FilterById(NodeId id) const;
 
   // -- iteration -----------------------------------------------------------

@@ -6,29 +6,6 @@
 
 namespace hgs::taf {
 
-namespace {
-
-/// [begin, end) of share `w` out of `shares` over n items (Fig 10: each
-/// worker pulls its contiguous share of the candidate set in one bulk
-/// retrieval).
-std::pair<size_t, size_t> ShareBounds(size_t n, size_t shares, size_t w) {
-  return {n * w / shares, n * (w + 1) / shares};
-}
-
-/// RunTasks over the engine's workers (TAFEngine::ParallelOver's degree),
-/// minus the tasks' wall time: the tasks overlap, so the caller times the
-/// whole fetch instead.
-Status FetchInShares(const TAFEngine& engine, size_t n, FetchStats* stats,
-                     const std::function<Status(size_t, FetchStats*)>& fn) {
-  FetchStats tasks;
-  Status st = RunTasks(n, engine.num_workers(), &tasks, fn);
-  tasks.wall_seconds = 0;
-  if (stats != nullptr) stats->Merge(tasks);
-  return st;
-}
-
-}  // namespace
-
 NodeSetSpec& NodeSetSpec::TimeRange(Timestamp from, Timestamp to) {
   from_ = from;
   to_ = to;
@@ -60,80 +37,42 @@ Result<SoN> NodeSetSpec::Fetch(FetchStats* stats) const {
   Timestamp from = std::max(from_, qm->HistoryStart() - 1);
   Timestamp to = std::min(to_, qm->HistoryEnd());
 
-  // -- 1. Candidate enumeration. -------------------------------------------
-  std::vector<NodeId> candidates;
-  Delta snapshot_delta;
+  // One retrieval plan: the query manager rebuilds each partition's state
+  // at `from` once and selects candidates, arrivals and initial states
+  // from it, spreading every stage over its fetch workers.
+  std::vector<NodeHistory> hists;
   if (explicit_ids_.has_value()) {
-    candidates = *explicit_ids_;
+    // Explicit id lists may repeat ids (WithIds({5, 5})); a temporal node
+    // must appear once per distinct id, and each history fetched once.
+    std::vector<NodeId> ids = *explicit_ids_;
+    if (id_pred_ != nullptr) {
+      std::erase_if(ids, [&](NodeId id) { return !id_pred_(id); });
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    HGS_ASSIGN_OR_RETURN(hists, qm->GetNodeHistories(ids, from, to, stats));
   } else {
-    HGS_ASSIGN_OR_RETURN(snapshot_delta, qm->GetSnapshotDelta(from, stats));
-    snapshot_delta.ForEachNodeEntry(
-        [&](NodeId id, const std::optional<NodeRecord>& rec) {
-          if (rec.has_value()) candidates.push_back(id);
-        });
-    if (include_arrivals_ && to > from) {
-      HGS_ASSIGN_OR_RETURN(std::vector<Event> range_events,
-                           qm->GetEventsInRange(from, to, stats));
-      std::unordered_set<NodeId> have(candidates.begin(), candidates.end());
-      for (const Event& e : range_events) {
-        if (e.type == EventType::kAddNode && !have.contains(e.u)) {
-          have.insert(e.u);
-          candidates.push_back(e.u);
-        }
-      }
-    }
+    auto keep = [&](NodeId id, const NodeRecord* rec) {
+      if (id_pred_ != nullptr && !id_pred_(id)) return false;
+      if (rec == nullptr) return include_arrivals_;
+      if (!attr_filter_.has_value()) return true;
+      auto v = rec->attrs.Get(attr_filter_->first);
+      return v.has_value() && *v == attr_filter_->second;
+    };
+    HGS_ASSIGN_OR_RETURN(hists,
+                         qm->GetNodeHistoriesWhere(from, to, keep, stats));
   }
-  std::sort(candidates.begin(), candidates.end());
 
-  // -- 2. Cheap filters before any per-node fetch. --------------------------
-  if (id_pred_ != nullptr) {
-    std::erase_if(candidates, [&](NodeId id) { return !id_pred_(id); });
-  }
-  if (attr_filter_.has_value() && !explicit_ids_.has_value()) {
-    // The snapshot delta already holds window-start attributes.
-    std::erase_if(candidates, [&](NodeId id) {
-      const auto* rec = snapshot_delta.FindNode(id);
-      if (rec == nullptr || !rec->has_value()) return false;  // arrival
-      auto v = (*rec)->attrs.Get(attr_filter_->first);
-      return !(v.has_value() && *v == attr_filter_->second);
-    });
-  }
-  // Explicit id lists may repeat ids (WithIds({5, 5})); a temporal node
-  // must appear once per distinct id, and each history fetched once.
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  // -- 3. Parallel fetch: each worker pulls its share in one bulk
-  // GetNodeHistories call (Fig 10), so the physical fetch cost is bounded
-  // by partitions touched per share, not by candidate count.
-  std::vector<NodeT> nodes(candidates.size());
-  size_t shares = std::min(engine_->num_workers(),
-                           std::max<size_t>(candidates.size(), 1));
-  HGS_RETURN_NOT_OK(FetchInShares(
-      *engine_, shares, stats, [&](size_t w, FetchStats* local) -> Status {
-        auto [begin, end] = ShareBounds(candidates.size(), shares, w);
-        if (begin == end) return Status::OK();
-        std::vector<NodeId> share(candidates.begin() + begin,
-                                  candidates.begin() + end);
-        HGS_ASSIGN_OR_RETURN(std::vector<NodeHistory> hists,
-                             qm->GetNodeHistories(share, from, to, local));
-        // Shares write disjoint ranges.
-        for (size_t i = begin; i < end; ++i) {
-          nodes[i] = NodeT(std::move(hists[i - begin]));
-        }
-        return Status::OK();
-      }));
-
-  // Post-fetch attribute filter for explicit-id fetches.
-  if (attr_filter_.has_value() && explicit_ids_.has_value()) {
-    std::vector<NodeT> kept;
-    for (NodeT& n : nodes) {
+  std::vector<NodeT> nodes;
+  nodes.reserve(hists.size());
+  for (NodeHistory& h : hists) {
+    NodeT n(std::move(h));
+    // Explicit ids are filtered by attribute after the fetch.
+    if (attr_filter_.has_value() && explicit_ids_.has_value()) {
       auto v = n.GetStateAt(from).attrs.Get(attr_filter_->first);
-      if (v.has_value() && *v == attr_filter_->second) {
-        kept.push_back(std::move(n));
-      }
+      if (!(v.has_value() && *v == attr_filter_->second)) continue;
     }
-    nodes = std::move(kept);
+    nodes.push_back(std::move(n));
   }
   return SoN(engine_, std::move(nodes), from, to);
 }
@@ -157,9 +96,12 @@ Result<SoTS> SubgraphSetSpec::Fetch(FetchStats* stats) const {
     return Status::InvalidArgument("SubgraphSetSpec requires seeds");
   }
 
+  // One retrieval per seed on the engine's workers. The tasks overlap, so
+  // their wall times are dropped; the caller times the whole fetch.
   std::vector<SubgraphT> out(seeds_.size());
-  HGS_RETURN_NOT_OK(FetchInShares(
-      *engine_, seeds_.size(), stats,
+  FetchStats tasks;
+  Status st = RunTasks(
+      seeds_.size(), engine_->num_workers(), &tasks,
       [&](size_t i, FetchStats* local) -> Status {
         // Membership: the k-hop neighborhood at window start.
         HGS_ASSIGN_OR_RETURN(
@@ -186,7 +128,10 @@ Result<SoTS> SubgraphSetSpec::Fetch(FetchStats* stats) const {
         out[i] = SubgraphT(seeds_[i], std::move(members), std::move(initial),
                            std::move(events), from, to);
         return Status::OK();
-      }));
+      });
+  tasks.wall_seconds = 0;
+  if (stats != nullptr) stats->Merge(tasks);
+  HGS_RETURN_NOT_OK(st);
   return SoTS(engine_, std::move(out), from, to);
 }
 

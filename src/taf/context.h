@@ -8,8 +8,12 @@
 //                 .Fetch();                             //   .fetch()
 //
 // Nothing is retrieved until Fetch(): the combined instructions form one
-// retrieval plan, and the engine's workers pull their shares of temporal
-// nodes from the TGI query processors in parallel (Fig 10).
+// retrieval plan. A node-set plan is one TGI call: the query manager
+// rebuilds each micro-partition's state at the window start once, selects
+// candidates, arrivals and initial states from it, and spreads every stage
+// over its fetch workers. Fig 10 instead has each worker pull its own share
+// of the temporal nodes; here the shares would each rebuild the same
+// partition states, so there are none.
 
 #ifndef HGS_TAF_CONTEXT_H_
 #define HGS_TAF_CONTEXT_H_
@@ -37,13 +41,14 @@ class NodeSetSpec {
   NodeSetSpec& WithIds(std::vector<NodeId> ids);
   /// Restrict by id predicate (e.g. the paper's "id < 5000").
   NodeSetSpec& WhereId(std::function<bool(NodeId)> pred);
-  /// Restrict by attribute value as of the window start.
+  /// Restrict by attribute value as of the window start. Arrivals have no
+  /// state there and are kept.
   NodeSetSpec& WhereAttr(std::string key, std::string value);
   /// Include nodes that first appear during the window (default true).
   NodeSetSpec& IncludeArrivals(bool include);
 
-  /// Executes the plan: enumerates candidates, filters, and fetches the
-  /// temporal nodes in parallel across the engine's workers.
+  /// Executes the plan as one TGI call: GetNodeHistoriesWhere with the
+  /// filters as its predicate, or GetNodeHistories for WithIds sets.
   Result<SoN> Fetch(FetchStats* stats = nullptr) const;
 
  private:

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <numeric>
+#include <tuple>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -635,6 +636,23 @@ std::vector<TGIQueryManager::Read> TGIQueryManager::PlanDeltaReads(
   return reads;
 }
 
+std::vector<TGIQueryManager::Read> TGIQueryManager::PlanRangeEventlistReads(
+    const MetaState& meta, Timestamp from, Timestamp to) {
+  std::vector<Read> reads;
+  for (const auto& span : meta.spans) {
+    if (span.end <= from || span.start > to) continue;
+    std::vector<DeltaId> dids;
+    for (size_t j = 0; j < span.eventlist_bounds.size(); ++j) {
+      const auto& [first, last] = span.eventlist_bounds[j];
+      if (last > from && first <= to) dids.push_back(tgi::EventlistDid(j));
+    }
+    for (Read& r : PlanDeltaReads(meta.graph, span, dids, nullptr, false)) {
+      reads.push_back(std::move(r));
+    }
+  }
+  return reads;
+}
+
 Result<TGIQueryManager::MemberEventlists>
 TGIQueryManager::FetchMemberEventlists(const MetaState& meta,
                                        const std::vector<NodeId>& ids,
@@ -954,10 +972,8 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistories(
 Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
     const MetaState& meta, const std::vector<NodeId>& ids, Timestamp from,
     Timestamp to, FetchStats* stats) {
-  std::vector<NodeHistory> out(ids.size());
   if (stats != nullptr) stats->node_requests += ids.size();
-  if (ids.empty()) return out;
-
+  if (ids.empty()) return std::vector<NodeHistory>();
   // Work on the deduplicated id set; duplicates share one retrieval.
   std::vector<NodeId> uniq;
   std::unordered_map<NodeId, size_t> uniq_index;
@@ -980,16 +996,128 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
     HGS_ASSIGN_OR_RETURN(
         std::vector<Delta> states,
         FetchMicroStatesAt(meta, *span0, pids, from, false, stats));
+    std::vector<size_t> state_of(uniq.size());
     for (size_t u = 0; u < uniq.size(); ++u) {
-      auto p = std::lower_bound(pids.begin(), pids.end(), pid_of_uniq[u]);
-      initials[u] = states[p - pids.begin()].FilterById(uniq[u]);
+      state_of[u] = static_cast<size_t>(
+          std::lower_bound(pids.begin(), pids.end(), pid_of_uniq[u]) -
+          pids.begin());
+    }
+    initials = CutStates(states, uniq, state_of);
+  }
+
+  HGS_ASSIGN_OR_RETURN(
+      std::vector<NodeHistory> hist_of,
+      AssembleHistories(meta, uniq, std::move(initials), from, to, stats));
+  if (uniq.size() == ids.size()) return hist_of;  // uniq order == input
+  std::vector<NodeHistory> out(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    out[i] = hist_of[uniq_index.at(ids[i])];
+  }
+  return out;
+}
+
+Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWhere(
+    Timestamp from, Timestamp to,
+    const std::function<bool(NodeId, const NodeRecord*)>& keep,
+    FetchStats* stats) {
+  WallTimer timer(stats);
+  HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
+  const MetaState& meta = *meta_ref;
+
+  // ---- Every micro-partition of the span covering `from`, rebuilt at
+  // `from` once: candidates, presence and initial states all come from
+  // these states.
+  const tgi::TimespanMeta* span0 = SpanFor(meta, from);
+  std::vector<Delta> states;
+  if (span0 != nullptr) {
+    std::vector<MicroPartitionId> all(span0->num_micro_partitions);
+    std::iota(all.begin(), all.end(), MicroPartitionId{0});
+    HGS_ASSIGN_OR_RETURN(
+        states, FetchMicroStatesAt(meta, *span0, all, from, false, stats));
+  }
+  // (id, micro-partition) of every selected node. A node's record lives in
+  // its own micro-partition's rows only.
+  std::vector<std::pair<NodeId, size_t>> selected;
+  for (size_t p = 0; p < states.size(); ++p) {
+    states[p].ForEachNodeEntry(
+        [&](NodeId id, const std::optional<NodeRecord>& rec) {
+          if (rec.has_value() && keep(id, &*rec)) selected.emplace_back(id, p);
+        });
+  }
+
+  // ---- Arrivals: nodes a kAddNode in (from, to] adds that are absent at
+  // `from`, read straight off the range's decoded eventlist rows.
+  if (to > from) {
+    const std::vector<Read> reads = PlanRangeEventlistReads(meta, from, to);
+    HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
+                         Execute(meta, reads, stats));
+    MergeSlots slots;
+    for (size_t k = 0; k < reads.size(); ++k) slots.Add(reads[k], rows[k]);
+    std::vector<NodeId> added;
+    for (const EventList* evl : slots.evls) {
+      for (const Event& e : evl->events()) {
+        if (e.type == EventType::kAddNode && e.time > from && e.time <= to) {
+          added.push_back(e.u);
+        }
+      }
+    }
+    std::sort(added.begin(), added.end());
+    added.erase(std::unique(added.begin(), added.end()), added.end());
+    std::vector<MicroPartitionId> pid_of(added.size(), 0);
+    if (span0 != nullptr) {
+      HGS_ASSIGN_OR_RETURN(pid_of, PidsOf(meta, added, *span0, stats));
+    }
+    for (size_t i = 0; i < added.size(); ++i) {
+      if (!states.empty()) {
+        const auto* rec = states[pid_of[i]].FindNode(added[i]);
+        if (rec != nullptr && rec->has_value()) continue;  // present
+      }
+      if (keep(added[i], nullptr)) selected.emplace_back(added[i], pid_of[i]);
     }
   }
 
+  std::sort(selected.begin(), selected.end());
+  std::vector<NodeId> ids(selected.size());
+  std::vector<size_t> state_of(selected.size());
+  for (size_t u = 0; u < selected.size(); ++u) {
+    std::tie(ids[u], state_of[u]) = selected[u];
+  }
+  if (stats != nullptr) stats->node_requests += ids.size();
+  std::vector<Delta> initials = states.empty()
+                                    ? std::vector<Delta>(ids.size())
+                                    : CutStates(states, ids, state_of);
+  return AssembleHistories(meta, ids, std::move(initials), from, to, stats);
+}
+
+std::vector<Delta> TGIQueryManager::CutStates(
+    const std::vector<Delta>& states, const std::vector<NodeId>& ids,
+    const std::vector<size_t>& state_of) {
+  std::vector<std::vector<size_t>> members(states.size());
+  for (size_t u = 0; u < ids.size(); ++u) members[state_of[u]].push_back(u);
+  std::vector<Delta> out(ids.size());
+  ParallelFor(states.size(), fetch_parallelism(), [&](size_t p) {
+    std::vector<size_t>& us = members[p];
+    if (us.empty()) return;
+    std::sort(us.begin(), us.end(),
+              [&](size_t a, size_t b) { return ids[a] < ids[b]; });
+    std::vector<NodeId> sorted(us.size());
+    for (size_t i = 0; i < us.size(); ++i) sorted[i] = ids[us[i]];
+    std::vector<Delta> cut = states[p].FilterByIds(sorted);
+    for (size_t i = 0; i < us.size(); ++i) out[us[i]] = std::move(cut[i]);
+  });
+  return out;
+}
+
+Result<std::vector<NodeHistory>> TGIQueryManager::AssembleHistories(
+    const MetaState& meta, const std::vector<NodeId>& ids,
+    std::vector<Delta> initials, Timestamp from, Timestamp to,
+    FetchStats* stats) {
+  std::vector<NodeHistory> out(ids.size());
+  if (ids.empty()) return out;
   // ---- Every referenced eventlist, fetched once however many of the
   // requested nodes share it.
   HGS_ASSIGN_OR_RETURN(MemberEventlists batch,
-                       FetchMemberEventlists(meta, uniq, from, to, stats));
+                       FetchMemberEventlists(meta, ids, from, to, stats));
   const size_t nk = batch.evls.size();
 
   // ---- Demultiplex. Each decoded eventlist is scanned once — not once per
@@ -997,8 +1125,8 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
   // (members_of[k]); each node then drains its buckets in chain order, so
   // per-node event order matches the per-node path exactly.
   std::vector<std::unordered_map<NodeId, size_t>> members_of(nk);
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    for (size_t k : batch.refs_of[u]) members_of[k].emplace(uniq[u], u);
+  for (size_t u = 0; u < ids.size(); ++u) {
+    for (size_t k : batch.refs_of[u]) members_of[k].emplace(ids[u], u);
   }
   // buckets[k]: per referencing member, pointers to its events in order.
   std::vector<std::unordered_map<size_t, std::vector<const Event*>>> buckets(
@@ -1019,10 +1147,9 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
     }
   });
 
-  std::vector<NodeHistory> hist_of(uniq.size());
-  for (size_t u = 0; u < uniq.size(); ++u) {
-    NodeHistory& history = hist_of[u];
-    history.node = uniq[u];
+  for (size_t u = 0; u < ids.size(); ++u) {
+    NodeHistory& history = out[u];
+    history.node = ids[u];
     history.from = from;
     history.to = to;
     history.initial = std::move(initials[u]);
@@ -1033,13 +1160,6 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
       for (const Event* e : it->second) history.events.Append(*e);
     }
     history.events.Sort();
-  }
-  if (uniq.size() == ids.size()) {
-    out = std::move(hist_of);  // no duplicates: uniq order == input order
-  } else {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      out[i] = hist_of[uniq_index.at(ids[i])];
-    }
   }
   return out;
 }
@@ -1174,26 +1294,24 @@ Result<Graph> TGIQueryManager::GetKHopNeighborhood(NodeId id, Timestamp t,
 
   std::unordered_set<MicroPartitionId> fetched_pids{center[0]};
   std::unordered_set<NodeId> visited{id};
-  std::vector<NodeId> frontier{id};
+  std::vector<NodeId> frontier{id};  // ascending
 
   for (int hop = 1; hop <= k && !frontier.empty(); ++hop) {
-    // Discover the next ring from edges incident to the frontier.
+    // Discover the next ring in one pass over the accumulator's edges.
+    auto in_frontier = [&](NodeId n) {
+      return std::binary_search(frontier.begin(), frontier.end(), n);
+    };
     std::unordered_set<NodeId> next;
-    for (NodeId u : frontier) {
-      acc.ForEachEdgeEntry([&](const EdgeKey& key,
-                               const std::optional<EdgeRecord>& rec) {
-        if (!rec.has_value()) return;
-        NodeId other;
-        if (key.u == u) {
-          other = key.v;
-        } else if (key.v == u) {
-          other = key.u;
-        } else {
-          return;
-        }
-        if (!visited.contains(other)) next.insert(other);
-      });
-    }
+    acc.ForEachEdgeEntry(
+        [&](const EdgeKey& key, const std::optional<EdgeRecord>& rec) {
+          if (!rec.has_value()) return;
+          if (in_frontier(key.u) && !visited.contains(key.v)) {
+            next.insert(key.v);
+          }
+          if (in_frontier(key.v) && !visited.contains(key.u)) {
+            next.insert(key.u);
+          }
+        });
     const bool last_hop = hop == k;
     // Records for the new ring. On the last hop, nodes whose records are
     // already known — via their own partition or via aux replication rows —
@@ -1217,16 +1335,23 @@ Result<Graph> TGIQueryManager::GetKHopNeighborhood(NodeId id, Timestamp t,
     HGS_ASSIGN_OR_RETURN(
         std::vector<Delta> fetched,
         FetchMicroStatesAt(meta, *span, missing, t, replicated, stats));
+    for (NodeId n : next) visited.insert(n);
     // One k-way pass folds the ring into the accumulator: equal to Adding
     // each partition in turn, without re-merging the accumulator each time.
     if (!fetched.empty()) {
+      // The visited set is final after the last hop, and a restriction by
+      // key commutes with Sum: there, every operand is cut to it first.
+      if (last_hop) {
+        acc = acc.FilterByNodes(visited);
+        for (Delta& d : fetched) d = d.FilterByNodes(visited);
+      }
       std::vector<const Delta*> operands{&acc};
       for (const Delta& d : fetched) operands.push_back(&d);
       acc = Delta::SumAll(operands);
     }
     fetched_pids.insert(missing.begin(), missing.end());
-    for (NodeId n : next) visited.insert(n);
     frontier.assign(next.begin(), next.end());
+    std::sort(frontier.begin(), frontier.end());
   }
 
   // Induced subgraph on the visited set, from whatever the fetch saw.
@@ -1239,19 +1364,7 @@ Result<std::vector<Event>> TGIQueryManager::GetEventsInRange(
   HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
   const MetaState& meta = *meta_ref;
 
-  // Every eventlist overlapping the range, across all spans, as one batch.
-  std::vector<Read> reads;
-  for (const auto& span : meta.spans) {
-    if (span.end <= from || span.start > to) continue;
-    std::vector<DeltaId> dids;
-    for (size_t j = 0; j < span.eventlist_bounds.size(); ++j) {
-      const auto& [first, last] = span.eventlist_bounds[j];
-      if (last > from && first <= to) dids.push_back(tgi::EventlistDid(j));
-    }
-    for (Read& r : PlanDeltaReads(meta.graph, span, dids, nullptr, false)) {
-      reads.push_back(std::move(r));
-    }
-  }
+  const std::vector<Read> reads = PlanRangeEventlistReads(meta, from, to);
   HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
                        Execute(meta, reads, stats));
   MergeSlots slots;

@@ -4,6 +4,7 @@
 //   * GetNodeStateDelta      — static vertex (node + incident edges at t)
 //   * GetNodeHistory         — Algorithm 2 (version chains + eventlists)
 //   * GetNodeHistories       — set-at-a-time Algorithm 2 (bulk retrieval)
+//   * GetNodeHistoriesWhere  — the same, for the nodes a predicate selects
 //   * GetKHopNeighborhood    — Algorithm 4 (expansion; replication-aware)
 //   * GetOneHopHistory       — Algorithm 5
 //
@@ -28,6 +29,7 @@
 #define HGS_TGI_QUERY_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,6 +124,21 @@ class TGIQueryManager {
       const std::vector<NodeId>& ids, Timestamp from, Timestamp to,
       FetchStats* stats = nullptr);
 
+  /// The histories over (from, to] of the nodes `keep` selects, in
+  /// ascending id order: a TAF node-set fetch (Fig 7) as one retrieval
+  /// plan. Every micro-partition of the span covering `from` is rebuilt at
+  /// `from` once. `keep(id, &record)` is asked for each node present there,
+  /// and `keep(id, nullptr)` for each node absent at `from` that a kAddNode
+  /// in (from, to] adds, found by one pass over the range's decoded
+  /// eventlist rows. The selected nodes' initial states are cut from the
+  /// same partition states and their events demultiplexed from one
+  /// eventlist batch, so each history equals GetNodeHistory(id, from, to).
+  /// `keep` runs on the calling thread only.
+  Result<std::vector<NodeHistory>> GetNodeHistoriesWhere(
+      Timestamp from, Timestamp to,
+      const std::function<bool(NodeId, const NodeRecord*)>& keep,
+      FetchStats* stats = nullptr);
+
   /// The union of the member set's events in (from, to], globally
   /// time-ordered and deduplicated — the retrieval behind TAF's subgraph
   /// histories. Reuses GetNodeHistories' set-at-a-time machinery (merged
@@ -141,9 +158,15 @@ class TGIQueryManager {
   Result<std::vector<std::pair<Timestamp, Delta>>> GetNodeVersions(
       NodeId id, Timestamp from, Timestamp to, FetchStats* stats = nullptr);
 
-  /// k-hop neighborhood at time t (Algorithm 4: iterative expansion). With
-  /// 1-hop replication enabled in the index, the last expansion level is
-  /// served from auxiliary micro-deltas without extra partition fetches.
+  /// k-hop neighborhood at time t (Algorithm 4: iterative expansion). Its
+  /// nodes are the BFS ball of radius k around `id` at t, with exact
+  /// records. Without 1-hop replication the result is the snapshot's
+  /// subgraph induced on that ball. With it, the last expansion level is
+  /// served from auxiliary micro-deltas without extra partition fetches:
+  /// a last-ring node whose record an aux row supplies has its partition
+  /// unfetched, so an edge between two last-ring nodes can be missing.
+  /// Every other edge of the induced subgraph is present, and no edge
+  /// outside it is.
   Result<Graph> GetKHopNeighborhood(NodeId id, Timestamp t, int k,
                                     FetchStats* stats = nullptr);
 
@@ -330,6 +353,12 @@ class TGIQueryManager {
     Delta Materialize(Timestamp t) const;
   };
 
+  /// Every eventlist row overlapping (from, to], across all spans: a
+  /// whole-span read of each overlapping eventlist did.
+  static std::vector<Read> PlanRangeEventlistReads(const MetaState& meta,
+                                                   Timestamp from,
+                                                   Timestamp to);
+
   /// Plan helper for deltas-table rows `dids` of `span`, laid out
   /// [aux pass][did][micro-partition]. With `pids` null the reads cover
   /// every micro-partition: one 'C' scan per (did, sid) prefix under
@@ -384,6 +413,22 @@ class TGIQueryManager {
   Result<std::vector<NodeHistory>> GetNodeHistoriesWith(
       const MetaState& meta, const std::vector<NodeId>& ids, Timestamp from,
       Timestamp to, FetchStats* stats);
+
+  /// The initial states of `ids` (unique): ids[u]'s is cut from
+  /// states[state_of[u]], with one FilterByIds pass per state, run in
+  /// parallel.
+  std::vector<Delta> CutStates(const std::vector<Delta>& states,
+                               const std::vector<NodeId>& ids,
+                               const std::vector<size_t>& state_of);
+
+  /// The histories of `ids` (unique) over (from, to], ids[u]'s starting
+  /// from initials[u]: every referenced eventlist fetched once in one
+  /// batch, then demultiplexed per node. The body GetNodeHistoriesWith and
+  /// GetNodeHistoriesWhere share.
+  Result<std::vector<NodeHistory>> AssembleHistories(
+      const MetaState& meta, const std::vector<NodeId>& ids,
+      std::vector<Delta> initials, Timestamp from, Timestamp to,
+      FetchStats* stats);
 
   Cluster* cluster_;
   /// Atomic so set_fetch_parallelism can race in-flight queries (each fetch

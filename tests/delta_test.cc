@@ -791,6 +791,54 @@ TEST_P(FlatMapPropertyTest, SumAllMatchesSequentialAddChain) {
   EXPECT_GT(tailed, 0u);
 }
 
+TEST_P(FlatMapPropertyTest, FilterByIdsMatchesPerIdFilter) {
+  Rng rng(GetParam() * 49979687 + 13);
+  size_t tailed = 0;
+  size_t self_loops = 0;
+  size_t tombstones = 0;
+  for (int round = 0; round < 20; ++round) {
+    // Random events over node ids below 50 leave tombstones (removals) and
+    // self-loops; deltas left uncompacted keep an append tail.
+    Delta d;
+    const size_t n = rng.Uniform(200);
+    for (size_t i = 0; i < n; ++i) {
+      d.ApplyEvent(RandomEvent(&rng, static_cast<Timestamp>(i + 1)));
+    }
+    if (rng.Uniform(2) == 0) d.Compact();
+    if (!d.IsCompact()) ++tailed;
+    // Ascending ids: a random subset of [0, 60), so some are absent, then
+    // one above every edge key.
+    std::vector<NodeId> ids;
+    for (NodeId id = 0; id < 60; ++id) {
+      if (rng.Uniform(3) == 0) ids.push_back(id);
+    }
+    ids.push_back(1'000 + static_cast<NodeId>(round));
+    const std::vector<Delta> got = d.FilterByIds(ids);
+    ASSERT_EQ(got.size(), ids.size());
+    const RefDelta all = ToRef(d);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const NodeId id = ids[i];
+      RefDelta want;
+      auto node = all.nodes.find(id);
+      if (node != all.nodes.end()) want.nodes[id] = node->second;
+      for (const auto& [key, rec] : all.edges) {
+        if (key.u != id && key.v != id) continue;
+        want.edges[key] = rec;
+        if (key.u == key.v) ++self_loops;
+        if (!rec.has_value()) ++tombstones;
+      }
+      EXPECT_TRUE(SameContent(got[i], want)) << "round " << round << " id "
+                                             << id;
+      EXPECT_TRUE(got[i].IsCompact()) << "keys out of order for id " << id;
+      EXPECT_TRUE(got[i] == d.FilterById(id));
+    }
+  }
+  EXPECT_TRUE(Delta().FilterByIds({}).empty());
+  EXPECT_GT(tailed, 0u);
+  EXPECT_GT(self_loops, 0u);
+  EXPECT_GT(tombstones, 0u);
+}
+
 TEST_P(FlatMapPropertyTest, ListReplayMatchesPerListReplay) {
   Rng rng(GetParam() * 2750159 + 7);
   for (int round = 0; round < 12; ++round) {

@@ -7,8 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "common/rng.h"
 #include "kvstore/cluster.h"
@@ -462,6 +467,188 @@ TEST(TafDedupTest, SameTimestampInternalEventsAppliedOnce) {
   ASSERT_NE(n3, nullptr);
   EXPECT_EQ(n3->attrs.Get("c").value_or(""), "d");
 }
+
+// ---------------------------------------------------------------------------
+// Node-set fetches over windows that start mid-history, where initial states
+// are not empty, across the index configurations tgi_test's TGIConfigTest
+// sweeps: partitioner x clustering order x replicate_one_hop.
+// ---------------------------------------------------------------------------
+
+using FetchConfig = std::tuple<PartitionStrategy, ClusteringOrder, bool>;
+
+// A growth-plus-churn history whose "views" attribute takes three values,
+// so an attribute filter keeps some nodes and drops others.
+std::vector<Event> AttributedHistory(uint64_t seed) {
+  workload::WikiGrowthOptions w;
+  w.num_events = 2'000;
+  w.attr_event_prob = 0.2;
+  w.seed = seed;
+  auto events = workload::AugmentWithChurn(
+      workload::GenerateWikiGrowth(w), {.num_events = 2'000, .seed = seed + 1});
+  for (Event& e : events) {
+    if (e.type == EventType::kSetNodeAttr) {
+      e.value = std::to_string(std::stoull(e.value) % 3);
+    }
+  }
+  return events;
+}
+
+// One node-set plan: the filters a NodeSetSpec is given.
+struct NodeSetCase {
+  const char* name;
+  std::function<bool(NodeId)> where_id;  // null: no id predicate
+  std::optional<std::pair<std::string, std::string>> where_attr;
+  bool arrivals = true;
+  std::optional<std::vector<NodeId>> with_ids;
+};
+
+// The ids a fetch must return: the nodes present at `from` plus those a
+// kAddNode in (from, to] adds, then filtered; or the explicit ids, filtered.
+std::vector<NodeId> ExpectedIds(const std::vector<Event>& events,
+                                const Graph& at_from, const NodeSetCase& c,
+                                Timestamp from, Timestamp to) {
+  auto id_ok = [&](NodeId id) { return !c.where_id || c.where_id(id); };
+  auto attr_ok = [&](NodeId id) {
+    if (!c.where_attr.has_value()) return true;
+    const NodeRecord* rec = at_from.GetNode(id);
+    if (rec == nullptr) return false;
+    auto v = rec->attrs.Get(c.where_attr->first);
+    return v.has_value() && *v == c.where_attr->second;
+  };
+  std::set<NodeId> out;
+  if (c.with_ids.has_value()) {
+    for (NodeId id : *c.with_ids) {
+      if (id_ok(id) && attr_ok(id)) out.insert(id);
+    }
+    return {out.begin(), out.end()};
+  }
+  for (NodeId id : at_from.NodeIds()) {
+    if (id_ok(id) && attr_ok(id)) out.insert(id);
+  }
+  if (c.arrivals) {
+    for (const Event& e : events) {
+      if (e.type == EventType::kAddNode && e.time > from && e.time <= to &&
+          !at_from.HasNode(e.u) && id_ok(e.u)) {
+        out.insert(e.u);
+      }
+    }
+  }
+  return {out.begin(), out.end()};
+}
+
+class NodeSetFetchTest : public ::testing::TestWithParam<FetchConfig> {};
+
+TEST_P(NodeSetFetchTest, MidWindowFetchMatchesReplayAndNodeHistories) {
+  Cluster cluster(FastCluster());
+  TGIOptions opts = SmallTGI();
+  opts.partition_strategy = std::get<0>(GetParam());
+  opts.clustering_order = std::get<1>(GetParam());
+  opts.replicate_one_hop = std::get<2>(GetParam());
+  TGI tgi(&cluster, opts);
+  const std::vector<Event> events = AttributedHistory(131);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm_or = tgi.OpenQueryManager(3);
+  ASSERT_TRUE(qm_or.ok());
+  TGIQueryManager* qm = qm_or->get();
+  TAFContext ctx(qm, 3);
+
+  const Timestamp end = workload::EndTime(events);
+  const Graph mid = workload::ReplayToGraph(events, end / 2);
+  std::vector<NodeId> explicit_ids;
+  for (NodeId id : mid.NodeIds()) {
+    if (id % 5 == 0) explicit_ids.push_back(id);
+  }
+  explicit_ids.push_back(explicit_ids.front());  // duplicate
+  explicit_ids.push_back(1'000'000'000);         // never existed
+  auto one_in_three = [](NodeId id) { return id % 3 == 1; };
+  const NodeSetCase cases[] = {
+      {"all", nullptr, std::nullopt, true, std::nullopt},
+      {"where-id", one_in_three, std::nullopt, true, std::nullopt},
+      {"where-attr", nullptr, std::make_pair("views", "1"), true,
+       std::nullopt},
+      {"no-arrivals", nullptr, std::nullopt, false, std::nullopt},
+      {"combined", one_in_three, std::make_pair("views", "2"), false,
+       std::nullopt},
+      {"with-ids", nullptr, std::nullopt, true, explicit_ids},
+      {"with-ids-where-id", one_in_three, std::nullopt, true, explicit_ids},
+  };
+  // Windows that span a timespan boundary, a point window, one that starts
+  // before history and one that lies wholly before it.
+  const std::pair<Timestamp, Timestamp> windows[] = {
+      {end / 3, end * 2 / 3},
+      {end / 2 + 7, end - 5},
+      {end * 3 / 5, end * 3 / 5},
+      {-40, end / 4},
+      {-40, -10},
+  };
+  size_t mid_initial_edges = 0;
+  size_t arrivals = 0;
+  for (const auto& [w_from, w_to] : windows) {
+    // The window as Fetch clamps it to the history.
+    const Timestamp from = std::max(w_from, qm->HistoryStart() - 1);
+    const Timestamp to = std::min(w_to, qm->HistoryEnd());
+    const Graph at_from = workload::ReplayToGraph(events, from);
+    std::map<NodeId, NodeHistory> reference;  // GetNodeHistory, per id
+    for (const NodeSetCase& c : cases) {
+      SCOPED_TRACE(std::string(c.name) + " over (" + std::to_string(from) +
+                   ", " + std::to_string(to) + "]");
+      NodeSetSpec spec = w_from == w_to ? ctx.Nodes().AtTime(w_from)
+                                        : ctx.Nodes().TimeRange(w_from, w_to);
+      if (c.where_id) spec.WhereId(c.where_id);
+      if (c.where_attr.has_value()) {
+        spec.WhereAttr(c.where_attr->first, c.where_attr->second);
+      }
+      spec.IncludeArrivals(c.arrivals);
+      if (c.with_ids.has_value()) spec.WithIds(*c.with_ids);
+      FetchStats stats;
+      auto son = spec.Fetch(&stats);
+      ASSERT_TRUE(son.ok()) << son.status().ToString();
+      ASSERT_EQ(son->GetStartTime(), from);
+      ASSERT_EQ(son->GetEndTime(), to);
+
+      std::vector<NodeId> got;
+      for (const NodeT& n : son->nodes()) got.push_back(n.id());
+      EXPECT_EQ(got, ExpectedIds(events, at_from, c, from, to));
+      EXPECT_EQ(stats.node_requests, son->size());
+
+      for (const NodeT& n : son->nodes()) {
+        auto it = reference.find(n.id());
+        if (it == reference.end()) {
+          auto single = qm->GetNodeHistory(n.id(), from, to);
+          ASSERT_TRUE(single.ok());
+          it = reference.emplace(n.id(), std::move(*single)).first;
+        }
+        EXPECT_TRUE(n.history().initial == it->second.initial)
+            << "node " << n.id();
+        EXPECT_TRUE(n.history().events == it->second.events)
+            << "node " << n.id();
+        const StaticNodeView v = n.GetStateAt(from);
+        EXPECT_EQ(v.exists, at_from.HasNode(n.id())) << "node " << n.id();
+        if (!v.exists) {
+          if (from < to) ++arrivals;
+          continue;
+        }
+        EXPECT_EQ(v.attrs, at_from.GetNode(n.id())->attrs)
+            << "node " << n.id();
+        std::vector<NodeId> want = at_from.Neighbors(n.id());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(v.neighbors, want) << "node " << n.id();
+        mid_initial_edges += v.Degree();
+      }
+    }
+  }
+  // The windows exercise non-empty initial states and arrivals.
+  EXPECT_GT(mid_initial_edges, 0u);
+  EXPECT_GT(arrivals, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, NodeSetFetchTest,
+    ::testing::Combine(::testing::Values(PartitionStrategy::kRandom,
+                                         PartitionStrategy::kLocality),
+                       ::testing::Values(ClusteringOrder::kDeltaMajor,
+                                         ClusteringOrder::kPartitionMajor),
+                       ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
 // The maintained view. NodeT::Iterator updates one StaticNodeView in place

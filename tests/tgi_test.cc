@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <chrono>
 #include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/columnar.h"
 #include "common/rng.h"
@@ -403,6 +405,65 @@ TEST_P(TGIConfigTest, NodeHistoryMatchesLogFilter) {
   }
 }
 
+// GetKHopNeighborhood's contract (query.h), checked on the whole graph:
+// the nodes are the BFS ball of radius k around the center with exact
+// records, and every edge is an edge of the snapshot induced on that ball
+// with its exact record. Without replication every induced edge is present,
+// so the result equals the induced subgraph. With it, an induced edge may be
+// missing only when both endpoints lie on the last ring.
+void ExpectKHopContract(const Graph& hood, const Graph& snapshot,
+                          NodeId center, int k, bool replicated) {
+  std::unordered_map<NodeId, int> dist =
+      algo::BfsDistances(snapshot, center, k);
+  std::unordered_set<NodeId> ball;
+  for (const auto& [n, d] : dist) ball.insert(n);
+  Graph induced = Delta::FromGraph(snapshot).FilterByNodes(ball).ToGraph();
+  if (!replicated) {
+    EXPECT_TRUE(hood == induced)
+        << "center " << center << " k=" << k << ": got " << hood.NumNodes()
+        << "/" << hood.NumEdges() << " nodes/edges, want "
+        << induced.NumNodes() << "/" << induced.NumEdges();
+    return;
+  }
+  EXPECT_EQ(hood.NumNodes(), induced.NumNodes()) << "center " << center;
+  induced.ForEachNode([&](NodeId n, const NodeRecord& rec) {
+    const NodeRecord* got = hood.GetNode(n);
+    ASSERT_NE(got, nullptr) << "center " << center << " missing node " << n;
+    EXPECT_EQ(got->attrs, rec.attrs) << "node " << n;
+  });
+  hood.ForEachEdge([&](const EdgeKey& key, const EdgeRecord& rec) {
+    const EdgeRecord* want = induced.GetEdge(key.u, key.v);
+    ASSERT_NE(want, nullptr) << "center " << center << " extra edge "
+                             << key.u << "-" << key.v;
+    EXPECT_TRUE(*want == rec) << "edge " << key.u << "-" << key.v;
+  });
+  induced.ForEachEdge([&](const EdgeKey& key, const EdgeRecord&) {
+    if (hood.HasEdge(key.u, key.v)) return;
+    EXPECT_TRUE(dist.at(key.u) == k && dist.at(key.v) == k)
+        << "center " << center << " k=" << k << " lacks edge " << key.u
+        << "-" << key.v << " off the last ring";
+  });
+}
+
+// Centers for the k-hop tests: the highest-degree node at t plus a seeded
+// sample.
+std::vector<NodeId> KHopCenters(const Graph& snapshot, uint64_t seed,
+                                size_t sampled) {
+  auto ids = snapshot.NodeIds();
+  NodeId hub = ids[0];
+  for (NodeId id : ids) {
+    if (snapshot.Neighbors(id).size() > snapshot.Neighbors(hub).size()) {
+      hub = id;
+    }
+  }
+  std::vector<NodeId> centers{hub};
+  Rng rng(seed);
+  for (size_t i = 0; i < sampled; ++i) {
+    centers.push_back(ids[rng.Uniform(ids.size())]);
+  }
+  return centers;
+}
+
 TEST_P(TGIConfigTest, OneHopNeighborhoodMatchesReplay) {
   Cluster cluster(FastCluster());
   TGI tgi(&cluster, OptionsFromParam());
@@ -414,27 +475,14 @@ TEST_P(TGIConfigTest, OneHopNeighborhoodMatchesReplay) {
 
   Timestamp t = events[events.size() / 2].time;
   Graph expected = workload::ReplayToGraph(events, t);
-  Rng rng(7);
-  auto ids = expected.NodeIds();
-  for (int trial = 0; trial < 15; ++trial) {
-    NodeId id = ids[rng.Uniform(ids.size())];
+  for (NodeId id : KHopCenters(expected, 7, 15)) {
     auto hood = qm->GetKHopNeighborhood(id, t, 1);
     ASSERT_TRUE(hood.ok());
-    // Node set must be exactly {id} ∪ neighbors(id).
-    std::unordered_set<NodeId> want{id};
-    for (NodeId n : expected.Neighbors(id)) want.insert(n);
-    EXPECT_EQ(hood->NumNodes(), want.size()) << "center " << id;
-    for (NodeId n : want) {
-      EXPECT_TRUE(hood->HasNode(n)) << "missing " << n;
-    }
-    // All center-incident edges present.
-    for (NodeId n : expected.Neighbors(id)) {
-      EXPECT_TRUE(hood->HasEdge(id, n));
-    }
+    ExpectKHopContract(*hood, expected, id, 1, std::get<2>(GetParam()));
   }
 }
 
-TEST_P(TGIConfigTest, TwoHopCoversBfsSet) {
+TEST_P(TGIConfigTest, MultiHopNeighborhoodMatchesReplay) {
   Cluster cluster(FastCluster());
   TGI tgi(&cluster, OptionsFromParam());
   auto events = SmallHistory(23, 3'000);
@@ -443,18 +491,16 @@ TEST_P(TGIConfigTest, TwoHopCoversBfsSet) {
   ASSERT_TRUE(qm_or.ok());
   auto& qm = *qm_or;
 
-  Timestamp t = workload::EndTime(events);
-  Graph expected = workload::ReplayToGraph(events, t);
-  Rng rng(8);
-  auto ids = expected.NodeIds();
-  for (int trial = 0; trial < 8; ++trial) {
-    NodeId id = ids[rng.Uniform(ids.size())];
-    auto hood = qm->GetKHopNeighborhood(id, t, 2);
-    ASSERT_TRUE(hood.ok());
-    auto bfs = algo::BfsDistances(expected, id, 2);
-    EXPECT_EQ(hood->NumNodes(), bfs.size()) << "center " << id;
-    for (const auto& [n, d] : bfs) {
-      EXPECT_TRUE(hood->HasNode(n));
+  const bool replicated = std::get<2>(GetParam());
+  for (Timestamp t : {events[events.size() / 3].time,
+                      workload::EndTime(events)}) {
+    Graph expected = workload::ReplayToGraph(events, t);
+    for (int k : {2, 3}) {
+      for (NodeId id : KHopCenters(expected, 8 + k, 8)) {
+        auto hood = qm->GetKHopNeighborhood(id, t, k);
+        ASSERT_TRUE(hood.ok());
+        ExpectKHopContract(*hood, expected, id, k, replicated);
+      }
     }
   }
 }
