@@ -2,8 +2,8 @@
 // every layer a read passes through. The cluster client adds the node
 // requests it submits, the value copies of its answers and its resilience
 // events; the TGI read executor adds logical reads, cache probes and
-// decodes; parallel sections in TGI, TAF and the baselines fold their
-// per-task records through RunTasks.
+// decodes; parallel sections in TGI and the baselines fold their per-task
+// records through RunTasks.
 
 #ifndef HGS_COMMON_FETCH_STATS_H_
 #define HGS_COMMON_FETCH_STATS_H_
@@ -56,11 +56,8 @@ struct FetchStats {
   // shared-buffer path the only copies left are LZ-block materializations,
   // so uncompressed reads — and every warm read — report 0.
   uint64_t value_copies = 0;   ///< values materialized rather than viewed
-  // Set-at-a-time merge accounting (GetMergedMemberEvents): per-eventlist
-  // chunks combined by the k-way merge — which exploits that each member's
-  // picked events are already chronological — instead of a whole-chunk
-  // re-sort. Same-timestamp runs still sort, so the count below is chunks
-  // whose full comparison sort was skipped.
+  // Always 0: nothing counts it. Kept only because the hgsbench driver
+  // reports it as taf.merge_skipped_sorts_per_job.
   uint64_t taf_merge_skipped_sorts = 0;
   // Invalidation precision: when this query observed a re-publish and
   // refreshed, how many cache entries (both tiers + micropart buckets) the

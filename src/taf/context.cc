@@ -1,10 +1,35 @@
 #include "taf/context.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 namespace hgs::taf {
+
+namespace {
+
+// One node of a subgraph fetch: its history over the window and, when it
+// is present at the window start, the nodes its present edges link it to.
+struct BallNode {
+  explicit BallNode(NodeHistory h) : history(std::move(h)) {
+    const auto* rec = history.initial.FindNode(history.node);
+    present = rec != nullptr && rec->has_value();
+    if (!present) return;
+    history.initial.ForEachEdgeEntry(
+        [&](const EdgeKey& key, const std::optional<EdgeRecord>& edge) {
+          if (edge.has_value()) {
+            neighbors.push_back(key.u == history.node ? key.v : key.u);
+          }
+        });
+  }
+
+  NodeHistory history;
+  bool present = false;
+  std::vector<NodeId> neighbors;
+};
+
+}  // namespace
 
 NodeSetSpec& NodeSetSpec::TimeRange(Timestamp from, Timestamp to) {
   from_ = from;
@@ -96,42 +121,67 @@ Result<SoTS> SubgraphSetSpec::Fetch(FetchStats* stats) const {
     return Status::InvalidArgument("SubgraphSetSpec requires seeds");
   }
 
-  // One retrieval per seed on the engine's workers. The tasks overlap, so
-  // their wall times are dropped; the caller times the whole fetch.
+  // Every seed's ball expands together, one GetNodeHistories call per hop,
+  // each over the ring nodes no earlier call fetched. The next ring is
+  // read off the present incident edges of this ring's initial states.
+  std::unordered_map<NodeId, BallNode> ball;
+  std::vector<NodeId> ring(seeds_);
+  std::sort(ring.begin(), ring.end());
+  ring.erase(std::unique(ring.begin(), ring.end()), ring.end());
+  for (int hop = 0;; ++hop) {
+    HGS_ASSIGN_OR_RETURN(std::vector<NodeHistory> hists,
+                         qm->GetNodeHistories(ring, from, to, stats));
+    for (NodeHistory& h : hists) ball.try_emplace(h.node, std::move(h));
+    if (hop >= k_) break;
+    std::vector<NodeId> next;
+    for (NodeId id : ring) {
+      for (NodeId n : ball.at(id).neighbors) {
+        if (!ball.contains(n)) next.push_back(n);
+      }
+    }
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    ring = std::move(next);
+  }
+
   std::vector<SubgraphT> out(seeds_.size());
-  FetchStats tasks;
-  Status st = RunTasks(
-      seeds_.size(), engine_->num_workers(), &tasks,
-      [&](size_t i, FetchStats* local) -> Status {
-        // Membership: the k-hop neighborhood at window start.
-        HGS_ASSIGN_OR_RETURN(
-            Graph hood, qm->GetKHopNeighborhood(seeds_[i], from, k_, local));
-        std::unordered_set<NodeId> members;
-        for (NodeId id : hood.NodeIds()) members.insert(id);
-        members.insert(seeds_[i]);
-        Delta initial = Delta::FromGraph(hood);
-
-        // Member events arrive merged and deduplicated straight from the
-        // index: one bulk retrieval per subgraph, eventlists shared by
-        // members fetched once, and duplicates of internal edge events
-        // removed inside each (timespan, eventlist) chunk — so no per-node
-        // histories are materialized and no global sort over the union
-        // runs.
-        std::vector<NodeId> member_ids(members.begin(), members.end());
-        std::sort(member_ids.begin(), member_ids.end());
-        HGS_ASSIGN_OR_RETURN(
-            std::vector<Event> merged,
-            qm->GetMergedMemberEvents(member_ids, from, to, local));
-        EventList events(from, to);
-        for (Event& e : merged) events.Append(std::move(e));
-
-        out[i] = SubgraphT(seeds_[i], std::move(members), std::move(initial),
-                           std::move(events), from, to);
-        return Status::OK();
-      });
-  tasks.wall_seconds = 0;
-  if (stats != nullptr) stats->Merge(tasks);
-  HGS_RETURN_NOT_OK(st);
+  engine_->ParallelOver(seeds_.size(), [&](size_t i) {
+    // Members: the seed, and the nodes present at `from` within k hops of
+    // it, in BFS order.
+    std::unordered_set<NodeId> members{seeds_[i]};
+    std::vector<const BallNode*> picked{&ball.at(seeds_[i])};
+    size_t begin = 0;
+    for (int hop = 0; hop < k_; ++hop) {
+      const size_t end = picked.size();
+      for (size_t j = begin; j < end; ++j) {
+        for (NodeId n : picked[j]->neighbors) {
+          const BallNode& node = ball.at(n);
+          if (node.present && members.insert(n).second) {
+            picked.push_back(&node);
+          }
+        }
+      }
+      begin = end;
+    }
+    std::vector<const Delta*> initials;
+    std::vector<const Event*> events;
+    for (const BallNode* m : picked) {
+      initials.push_back(&m->history.initial);
+      for (const Event& e : m->history.events.events()) events.push_back(&e);
+    }
+    // An edge event between two members is in both of their histories.
+    // The total order makes the copies adjacent, so unique keeps one.
+    auto before = [](const Event* a, const Event* b) {
+      return EventTotalOrder(*a, *b);
+    };
+    auto same = [](const Event* a, const Event* b) { return *a == *b; };
+    std::sort(events.begin(), events.end(), before);
+    events.erase(std::unique(events.begin(), events.end(), same), events.end());
+    EventList list(from, to);
+    for (const Event* e : events) list.Append(*e);
+    out[i] = SubgraphT(seeds_[i], std::move(members), Delta::SumAll(initials),
+                       std::move(list), from, to);
+  });
   return SoTS(engine_, std::move(out), from, to);
 }
 

@@ -13,7 +13,10 @@
 // candidates, arrivals and initial states from it, and spreads every stage
 // over its fetch workers. Fig 10 instead has each worker pull its own share
 // of the temporal nodes; here the shares would each rebuild the same
-// partition states, so there are none.
+// partition states, so there are none. A subgraph-set plan (SoTS) uses the
+// same set-at-a-time retrieval: every seed's k-hop ball expands together,
+// one GetNodeHistories call per hop, and each subgraph is then assembled
+// from its members' histories.
 
 #ifndef HGS_TAF_CONTEXT_H_
 #define HGS_TAF_CONTEXT_H_
@@ -67,9 +70,16 @@ class SubgraphSetSpec {
       : engine_(std::move(engine)), k_(k) {}
 
   SubgraphSetSpec& TimeRange(Timestamp from, Timestamp to);
-  /// Seeds of the k-hop subgraphs.
+  /// Seeds of the k-hop subgraphs, one subgraph per entry.
   SubgraphSetSpec& WithSeeds(std::vector<NodeId> seeds);
 
+  /// Executes the plan as max(k, 0) + 1 GetNodeHistories calls: the seeds,
+  /// then each ring of nodes that the previous ring's present edges at the
+  /// window start reach and no earlier call fetched. A subgraph's members
+  /// are its seed and the nodes present at the window start within k hops
+  /// of it; its initial state is the sum of their initial states, and its
+  /// events the union of theirs, each once, in (time, EventTotalOrder)
+  /// order.
   Result<SoTS> Fetch(FetchStats* stats = nullptr) const;
 
  private:

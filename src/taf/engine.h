@@ -1,9 +1,10 @@
 // The TAF execution engine: a fixed pool of `ma` workers (the paper's Spark
 // cluster stand-in, see DESIGN.md substitutions) plus the connection to the
-// TGI query manager. The workers run the operators and one subgraph
-// retrieval per seed. A node-set fetch is one TGI plan whose stages the
-// query manager spreads over its own fetch workers, where Fig 10 has every
-// worker pull its share of temporal nodes (see context.h).
+// TGI query manager. The workers run the operators and assemble each
+// fetched subgraph from its members' histories. The fetches themselves are
+// TGI calls whose stages the query manager spreads over its own fetch
+// workers: one for a node set, one per hop for a subgraph set, where
+// Fig 10 has every worker pull its share of temporal nodes (see context.h).
 
 #ifndef HGS_TAF_ENGINE_H_
 #define HGS_TAF_ENGINE_H_

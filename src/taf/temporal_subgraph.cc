@@ -16,19 +16,19 @@ Delta SubgraphT::GetStateDeltaAt(Timestamp t) const {
   return state;
 }
 
+void SubgraphT::ApplyToMembers(const Event& e, Graph* g) const {
+  const bool relevant = e.IsEdgeEvent()
+                            ? members_.contains(e.u) && members_.contains(e.v)
+                            : members_.contains(e.u);
+  if (relevant) ApplyEventToGraph(e, g);
+}
+
 void SubgraphT::ForEachVersion(
     const std::function<void(Timestamp, const Graph&)>& fn) const {
   Graph g = MaterializeMembers(initial_);
   fn(from_, g);
   for (const Event& e : events_.events()) {
-    // Maintain the member-induced graph incrementally.
-    bool relevant = true;
-    if (e.IsEdgeEvent()) {
-      relevant = members_.contains(e.u) && members_.contains(e.v);
-    } else {
-      relevant = members_.contains(e.u);
-    }
-    if (relevant) ApplyEventToGraph(e, &g);
+    ApplyToMembers(e, &g);
     fn(e.time, g);
   }
 }
@@ -41,13 +41,7 @@ void SubgraphT::Walk(
   on_initial(g);
   for (const Event& e : events_.events()) {
     before_event(g, e);  // state *before* the event
-    bool relevant = true;
-    if (e.IsEdgeEvent()) {
-      relevant = members_.contains(e.u) && members_.contains(e.v);
-    } else {
-      relevant = members_.contains(e.u);
-    }
-    if (relevant) ApplyEventToGraph(e, &g);
+    ApplyToMembers(e, &g);
   }
 }
 

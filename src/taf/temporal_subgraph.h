@@ -1,9 +1,14 @@
 // SubgraphT: the sequence of states of a subgraph (typically a k-hop
-// neighborhood) over a time range — an initial subgraph snapshot plus the
-// events touching its members. Membership is frozen at the window start,
-// the standard simplification for windowed neighborhood analytics; events
-// that link members to outside nodes are retained (they change member
-// degrees) but outside nodes never join the member set.
+// neighborhood) over a time range — an initial state plus the events
+// touching its members. Membership is frozen at the window start, the
+// standard simplification for windowed neighborhood analytics: a k-hop
+// subgraph's members are its seed and the nodes present at the window
+// start within k hops of it. The initial state is the sum of the members'
+// states there (node records and every incident edge), so it holds each
+// member-to-member edge exactly and may also hold boundary edges to
+// outside nodes. Events that link members to outside nodes are retained
+// (they change member degrees), but outside nodes never join the member
+// set, and every materialized version is induced on the members.
 
 #ifndef HGS_TAF_TEMPORAL_SUBGRAPH_H_
 #define HGS_TAF_TEMPORAL_SUBGRAPH_H_
@@ -45,7 +50,7 @@ class SubgraphT {
   /// Materialized member-induced subgraph as of t (GetVersionAt).
   Graph GetVersionAt(Timestamp t) const;
 
-  /// Underlying state delta as of t (includes boundary edges).
+  /// Underlying state delta as of t (may include boundary edges).
   Delta GetStateDeltaAt(Timestamp t) const;
 
   /// Iterates versions chronologically, maintaining one rolling graph.
@@ -64,6 +69,9 @@ class SubgraphT {
 
  private:
   Graph MaterializeMembers(const Delta& d) const;
+  /// One step of the rolling member-induced graph: applies `e` to `g` when
+  /// it is a member's node event or an edge event between two members.
+  void ApplyToMembers(const Event& e, Graph* g) const;
 
   NodeId seed_ = kInvalidNodeId;
   std::unordered_set<NodeId> members_;

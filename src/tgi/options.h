@@ -71,10 +71,6 @@ struct TGIOptions {
   /// while untouched scopes stay warm. 0 disables caching.
   size_t read_cache_bytes = 64ull << 20;
 
-  /// Shard count of the read cache; each shard has its own lock, so this
-  /// bounds lock contention between parallel fetch clients.
-  size_t read_cache_shards = 16;
-
   /// Byte budget of the decoded-object cache (second read-side tier). Where
   /// the partition-delta cache saves round trips, this tier saves CPU: it
   /// holds immutable decoded Delta / EventList / version-chain objects
@@ -82,7 +78,7 @@ struct TGIOptions {
   /// costs neither a fetch nor a Deserialize — the dominant term once
   /// fetches are batched and cached. Budgeted by decoded footprint
   /// (SerializedSizeBytes), swept with the byte cache on republish (same
-  /// scoped eviction), sharded like read_cache_shards. 0 disables the tier.
+  /// scoped eviction), sharded like the byte cache. 0 disables the tier.
   size_t decoded_cache_bytes = 32ull << 20;
 
   /// Worker parallelism of the ingest pipeline. The event stream of a

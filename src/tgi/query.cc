@@ -51,6 +51,10 @@ std::string ReadCacheKey(char kind, uint64_t epoch, std::string_view table,
   return out;
 }
 
+// Lock shards of each cache tier, bounding contention between parallel
+// fetch workers; each shard holds an equal slice of its tier's budget.
+constexpr size_t kCacheShards = 16;
+
 // Approximate heap footprint of a cache entry, for byte-budget eviction.
 // SharedValue entries charge their viewed size: the window is what the
 // cache logically holds (the shared owner is charged where it lives).
@@ -137,17 +141,15 @@ std::vector<std::pair<Timestamp, Delta>> NodeHistory::Materialize() const {
 
 TGIQueryManager::TGIQueryManager(Cluster* cluster, size_t fetch_parallelism,
                                  size_t read_cache_bytes,
-                                 size_t read_cache_shards,
                                  size_t decoded_cache_bytes)
     : cluster_(cluster),
       fetch_parallelism_(fetch_parallelism == 0 ? 1 : fetch_parallelism) {
   if (read_cache_bytes > 0) {
-    read_cache_ =
-        std::make_unique<ReadCache>(read_cache_bytes, read_cache_shards);
+    read_cache_ = std::make_unique<ReadCache>(read_cache_bytes, kCacheShards);
   }
   if (decoded_cache_bytes > 0) {
     decoded_cache_ =
-        std::make_unique<DecodedCache>(decoded_cache_bytes, read_cache_shards);
+        std::make_unique<DecodedCache>(decoded_cache_bytes, kCacheShards);
   }
 }
 
@@ -653,66 +655,6 @@ std::vector<TGIQueryManager::Read> TGIQueryManager::PlanRangeEventlistReads(
   return reads;
 }
 
-Result<TGIQueryManager::MemberEventlists>
-TGIQueryManager::FetchMemberEventlists(const MetaState& meta,
-                                       const std::vector<NodeId>& ids,
-                                       Timestamp from, Timestamp to,
-                                       FetchStats* stats) {
-  // One merged version chain per node: a warm node — hub or not — costs
-  // one decoded probe and no versions-table scan.
-  std::vector<Read> chain_reads;
-  chain_reads.reserve(ids.size());
-  for (NodeId id : ids) {
-    chain_reads.push_back(Read{tgi::kVersionsTable, tgi::NodePlacement(id),
-                               tgi::VersionScanPrefix(id), kChainKind});
-  }
-  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> chains,
-                       Execute(meta, chain_reads, stats));
-
-  // Union every in-range reference into one deduplicated eventlist batch.
-  // refs_of[u] keeps chain order, so a per-node replay applies eventlists
-  // exactly as a per-node retrieval would.
-  const size_t ns = meta.graph.num_horizontal_partitions;
-  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
-  MemberEventlists out;
-  out.refs_of.resize(ids.size());
-  std::vector<Read> reads;
-  std::unordered_map<std::string, size_t> index;  // placement \0 row key
-  uint64_t total_refs = 0;
-  for (size_t u = 0; u < ids.size(); ++u) {
-    const auto* chain =
-        static_cast<const MergedVersionChain*>(chains[u].obj.get());
-    for (const tgi::VersionEntry& e : chain->entries) {
-      if (e.last_time <= from || e.first_time > to) continue;
-      ++total_refs;
-      Read r{tgi::kDeltasTable,
-             tgi::DeltaPlacement(e.tsid, tgi::SidOf(e.pid, ns), ns),
-             tgi::DeltaRowKey(order, tgi::EventlistDid(e.eventlist_index),
-                              e.pid, false),
-             kEventListKind, kEventListKind};
-      std::string dedup;
-      dedup.reserve(8 + 1 + r.key.size());
-      AppendOrdered64(&dedup, r.partition);
-      dedup.push_back('\0');
-      dedup.append(r.key);
-      auto [it, inserted] = index.emplace(std::move(dedup), reads.size());
-      if (inserted) {
-        reads.push_back(std::move(r));
-        out.chunk_of.emplace_back(e.tsid, e.eventlist_index);
-      }
-      out.refs_of[u].push_back(it->second);
-    }
-  }
-  if (stats != nullptr) {
-    stats->eventlist_refs += total_refs;
-    stats->eventlist_fetches += reads.size();
-  }
-  // Rows already decoded come straight from the decoded tier; the rest ride
-  // one MultiGet and decode exactly once however many nodes share them.
-  HGS_ASSIGN_OR_RETURN(out.evls, Execute(meta, reads, stats));
-  return out;
-}
-
 Result<std::vector<MicroPartitionId>> TGIQueryManager::PidsOf(
     const MetaState& meta, const std::vector<NodeId>& ids,
     const tgi::TimespanMeta& span, FetchStats* stats) {
@@ -1114,11 +1056,57 @@ Result<std::vector<NodeHistory>> TGIQueryManager::AssembleHistories(
     FetchStats* stats) {
   std::vector<NodeHistory> out(ids.size());
   if (ids.empty()) return out;
+  // One merged version chain per node: a warm node — hub or not — costs
+  // one decoded probe and no versions-table scan.
+  std::vector<Read> chain_reads;
+  chain_reads.reserve(ids.size());
+  for (NodeId id : ids) {
+    chain_reads.push_back(Read{tgi::kVersionsTable, tgi::NodePlacement(id),
+                               tgi::VersionScanPrefix(id), kChainKind});
+  }
+  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> chains,
+                       Execute(meta, chain_reads, stats));
+
   // ---- Every referenced eventlist, fetched once however many of the
-  // requested nodes share it.
-  HGS_ASSIGN_OR_RETURN(MemberEventlists batch,
-                       FetchMemberEventlists(meta, ids, from, to, stats));
-  const size_t nk = batch.evls.size();
+  // requested nodes share it. refs_of[u] indexes the deduplicated batch in
+  // ids[u]'s chain order, so a per-node replay applies eventlists exactly
+  // as a per-node retrieval would.
+  const size_t ns = meta.graph.num_horizontal_partitions;
+  const auto order = static_cast<ClusteringOrder>(meta.graph.clustering_order);
+  std::vector<std::vector<size_t>> refs_of(ids.size());
+  std::vector<Read> reads;
+  std::unordered_map<std::string, size_t> index;  // placement \0 row key
+  uint64_t total_refs = 0;
+  for (size_t u = 0; u < ids.size(); ++u) {
+    const auto* chain =
+        static_cast<const MergedVersionChain*>(chains[u].obj.get());
+    for (const tgi::VersionEntry& e : chain->entries) {
+      if (e.last_time <= from || e.first_time > to) continue;
+      ++total_refs;
+      Read r{tgi::kDeltasTable,
+             tgi::DeltaPlacement(e.tsid, tgi::SidOf(e.pid, ns), ns),
+             tgi::DeltaRowKey(order, tgi::EventlistDid(e.eventlist_index),
+                              e.pid, false),
+             kEventListKind, kEventListKind};
+      std::string dedup;
+      dedup.reserve(8 + 1 + r.key.size());
+      AppendOrdered64(&dedup, r.partition);
+      dedup.push_back('\0');
+      dedup.append(r.key);
+      auto [it, inserted] = index.emplace(std::move(dedup), reads.size());
+      if (inserted) reads.push_back(std::move(r));
+      refs_of[u].push_back(it->second);
+    }
+  }
+  if (stats != nullptr) {
+    stats->eventlist_refs += total_refs;
+    stats->eventlist_fetches += reads.size();
+  }
+  // Rows already decoded come straight from the decoded tier; the rest ride
+  // one MultiGet and decode exactly once however many nodes share them.
+  HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> evls,
+                       Execute(meta, reads, stats));
+  const size_t nk = evls.size();
 
   // ---- Demultiplex. Each decoded eventlist is scanned once — not once per
   // referencing node — bucketing its in-range events by requested member
@@ -1126,13 +1114,13 @@ Result<std::vector<NodeHistory>> TGIQueryManager::AssembleHistories(
   // per-node event order matches the per-node path exactly.
   std::vector<std::unordered_map<NodeId, size_t>> members_of(nk);
   for (size_t u = 0; u < ids.size(); ++u) {
-    for (size_t k : batch.refs_of[u]) members_of[k].emplace(ids[u], u);
+    for (size_t k : refs_of[u]) members_of[k].emplace(ids[u], u);
   }
   // buckets[k]: per referencing member, pointers to its events in order.
   std::vector<std::unordered_map<size_t, std::vector<const Event*>>> buckets(
       nk);
   ParallelFor(nk, fetch_parallelism(), [&](size_t k) {
-    const auto* evl = static_cast<const EventList*>(batch.evls[k].obj.get());
+    const auto* evl = static_cast<const EventList*>(evls[k].obj.get());
     if (evl == nullptr) return;
     auto& bucket = buckets[k];
     const auto& members = members_of[k];
@@ -1154,113 +1142,12 @@ Result<std::vector<NodeHistory>> TGIQueryManager::AssembleHistories(
     history.to = to;
     history.initial = std::move(initials[u]);
     history.events.SetScope(from, to);
-    for (size_t k : batch.refs_of[u]) {
+    for (size_t k : refs_of[u]) {
       auto it = buckets[k].find(u);
       if (it == buckets[k].end()) continue;
       for (const Event* e : it->second) history.events.Append(*e);
     }
     history.events.Sort();
-  }
-  return out;
-}
-
-Result<std::vector<Event>> TGIQueryManager::GetMergedMemberEvents(
-    const std::vector<NodeId>& ids, Timestamp from, Timestamp to,
-    FetchStats* stats) {
-  WallTimer timer(stats);
-  HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
-  const MetaState& meta = *meta_ref;
-  std::vector<Event> out;
-  if (ids.empty()) return out;
-  if (stats != nullptr) stats->node_requests += ids.size();
-
-  std::vector<NodeId> uniq(ids);
-  std::sort(uniq.begin(), uniq.end());
-  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-  std::unordered_set<NodeId> members(uniq.begin(), uniq.end());
-
-  // Rows of one (timespan, eventlist index) chunk differ only in
-  // micro-partition; together they cover the chunk's member-touching
-  // events, with internal edge events duplicated across the endpoint
-  // partitions' rows.
-  HGS_ASSIGN_OR_RETURN(MemberEventlists batch,
-                       FetchMemberEventlists(meta, uniq, from, to, stats));
-  const auto& chunk_of = batch.chunk_of;
-  const size_t nk = batch.evls.size();
-
-  // Scan each row once, keeping in-range events that touch any member. An
-  // event touching two members through one row is still appended once.
-  std::vector<std::vector<const Event*>> picked(nk);
-  ParallelFor(nk, fetch_parallelism(), [&](size_t k) {
-    const auto* evl = static_cast<const EventList*>(batch.evls[k].obj.get());
-    if (evl == nullptr) return;
-    for (const Event& e : evl->events()) {
-      if (e.time <= from || e.time > to) continue;
-      if (members.contains(e.u) ||
-          (e.IsEdgeEvent() && members.contains(e.v))) {
-        picked[k].push_back(&e);
-      }
-    }
-  });
-
-  // Merge by chunk: eventlist chunks are consecutive slices of the
-  // chronological ingest stream, so concatenating them in (timespan,
-  // index) order is already globally time-ordered. Only within a chunk is
-  // a sort needed — to make cross-row duplicates adjacent for unique —
-  // and a chunk is at most eventlist_size events, so the global
-  // sort-the-union pass this replaces never happens.
-  std::vector<size_t> ks(nk);
-  for (size_t k = 0; k < ks.size(); ++k) ks[k] = k;
-  std::sort(ks.begin(), ks.end(), [&](size_t a, size_t b) {
-    return chunk_of[a] < chunk_of[b];
-  });
-  // Within a chunk, each row's picked events are already chronological (an
-  // eventlist is time-sorted and the scan preserves order), so a k-way
-  // merge by time replaces the whole-chunk comparison sort. Time is
-  // EventTotalOrder's primary key, so merging by time and sorting only the
-  // runs of equal timestamps yields exactly the order the full sort
-  // produced — and unique only needs to see those runs, because duplicates
-  // (internal edge events arriving via both endpoints' rows) share a
-  // timestamp.
-  struct RowCursor {
-    const Event* const* cur;
-    const Event* const* end;
-  };
-  std::vector<RowCursor> cursors;
-  std::vector<Event> run;
-  for (size_t i = 0; i < ks.size();) {
-    size_t j = i;
-    cursors.clear();
-    for (; j < ks.size() && chunk_of[ks[j]] == chunk_of[ks[i]]; ++j) {
-      const std::vector<const Event*>& p = picked[ks[j]];
-      if (!p.empty()) cursors.push_back({p.data(), p.data() + p.size()});
-    }
-    if (!cursors.empty() && stats != nullptr) {
-      ++stats->taf_merge_skipped_sorts;
-    }
-    while (!cursors.empty()) {
-      Timestamp t = (*cursors[0].cur)->time;
-      for (size_t c = 1; c < cursors.size(); ++c) {
-        t = std::min(t, (*cursors[c].cur)->time);
-      }
-      run.clear();
-      for (size_t c = 0; c < cursors.size();) {
-        RowCursor& rc = cursors[c];
-        while (rc.cur != rc.end && (*rc.cur)->time == t) {
-          run.push_back(**rc.cur);
-          ++rc.cur;
-        }
-        if (rc.cur == rc.end) {
-          cursors.erase(cursors.begin() + static_cast<ptrdiff_t>(c));
-        } else {
-          ++c;
-        }
-      }
-      std::sort(run.begin(), run.end(), EventTotalOrder);
-      run.erase(std::unique(run.begin(), run.end()), run.end());
-      for (Event& e : run) out.push_back(std::move(e));
-    }
-    i = j;
   }
   return out;
 }

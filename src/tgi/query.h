@@ -3,9 +3,12 @@
 //   * GetSnapshot            — Algorithm 1 (graph as of time t)
 //   * GetNodeStateDelta      — static vertex (node + incident edges at t)
 //   * GetNodeHistory         — Algorithm 2 (version chains + eventlists)
-//   * GetNodeHistories       — set-at-a-time Algorithm 2 (bulk retrieval)
+//   * GetNodeHistories       — set-at-a-time Algorithm 2 (bulk retrieval;
+//                              a TAF subgraph fetch makes one call per hop)
 //   * GetNodeHistoriesWhere  — the same, for the nodes a predicate selects
-//   * GetKHopNeighborhood    — Algorithm 4 (expansion; replication-aware)
+//                              (a TAF node-set fetch)
+//   * GetKHopNeighborhood    — Algorithm 4 (point-in-time expansion;
+//                              replication-aware)
 //   * GetOneHopHistory       — Algorithm 5
 //
 // GetNodeHistories is the set-at-a-time primitive behind TAF's parallel
@@ -78,10 +81,10 @@ class TGIQueryManager {
   /// `decoded_cache_bytes` the decoded-object cache budget (0 disables
   /// either tier; TGI::OpenQueryManager passes the TGIOptions knobs). The
   /// two tiers are independent: bytes serve re-fetches without round trips,
-  /// decoded objects serve repeats without deserialization.
+  /// decoded objects serve repeats without deserialization. Each tier has
+  /// 16 lock shards, each holding a sixteenth of its budget.
   explicit TGIQueryManager(Cluster* cluster, size_t fetch_parallelism = 1,
                            size_t read_cache_bytes = 0,
-                           size_t read_cache_shards = 16,
                            size_t decoded_cache_bytes = 0);
 
   /// Loads graph + timespan metadata. Metadata and the read cache refresh
@@ -137,21 +140,6 @@ class TGIQueryManager {
   Result<std::vector<NodeHistory>> GetNodeHistoriesWhere(
       Timestamp from, Timestamp to,
       const std::function<bool(NodeId, const NodeRecord*)>& keep,
-      FetchStats* stats = nullptr);
-
-  /// The union of the member set's events in (from, to], globally
-  /// time-ordered and deduplicated — the retrieval behind TAF's subgraph
-  /// histories. Reuses GetNodeHistories' set-at-a-time machinery (merged
-  /// version chains, one deduplicated eventlist batch, each row scanned
-  /// once), but instead of demultiplexing per node it merges by eventlist:
-  /// rows are grouped by (timespan, eventlist index) — a chunk of the
-  /// original chronological stream — and each chunk's rows, already
-  /// chronological, are combined by a k-way merge on time; only runs of
-  /// equal timestamps sort and deduplicate (duplicates of an internal edge
-  /// event share its timestamp). Chunks concatenate in chunk order. No
-  /// global sort over the union, and no initial-state fetches.
-  Result<std::vector<Event>> GetMergedMemberEvents(
-      const std::vector<NodeId>& ids, Timestamp from, Timestamp to,
       FetchStats* stats = nullptr);
 
   /// Materialized node versions in (from, to]: GetNodeHistory + replay.
@@ -370,19 +358,6 @@ class TGIQueryManager {
       const std::vector<DeltaId>& dids,
       const std::vector<MicroPartitionId>* pids, bool aux);
 
-  /// The decoded eventlists referenced in (from, to] by the merged version
-  /// chains of `ids` (unique), unioned into one deduplicated batch.
-  /// refs_of[u] indexes `evls` in ids[u]'s chain order; chunk_of[k] is the
-  /// (timespan, eventlist index) chunk that row k carries.
-  struct MemberEventlists {
-    std::vector<DecodedEntry> evls;
-    std::vector<std::vector<size_t>> refs_of;
-    std::vector<std::pair<TimespanId, uint32_t>> chunk_of;
-  };
-  Result<MemberEventlists> FetchMemberEventlists(
-      const MetaState& meta, const std::vector<NodeId>& ids, Timestamp from,
-      Timestamp to, FetchStats* stats);
-
   /// Micro-partition of each of `ids` during a span (Micropartitions table
   /// lookup for locality spans, hash for random spans). Buckets missing
   /// from micropart_cache_ are fetched as one batch.
@@ -422,8 +397,9 @@ class TGIQueryManager {
                                const std::vector<size_t>& state_of);
 
   /// The histories of `ids` (unique) over (from, to], ids[u]'s starting
-  /// from initials[u]: every referenced eventlist fetched once in one
-  /// batch, then demultiplexed per node. The body GetNodeHistoriesWith and
+  /// from initials[u]: one merged version chain read per node, every
+  /// eventlist those chains reference in range fetched once in one batch,
+  /// then demultiplexed per node. The body GetNodeHistoriesWith and
   /// GetNodeHistoriesWhere share.
   Result<std::vector<NodeHistory>> AssembleHistories(
       const MetaState& meta, const std::vector<NodeId>& ids,

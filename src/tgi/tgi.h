@@ -45,7 +45,7 @@ class TGI {
       size_t fetch_parallelism = 1) {
     auto qm = std::make_unique<TGIQueryManager>(
         cluster_, fetch_parallelism, options_.read_cache_bytes,
-        options_.read_cache_shards, options_.decoded_cache_bytes);
+        options_.decoded_cache_bytes);
     HGS_RETURN_NOT_OK(qm->Open());
     return qm;
   }

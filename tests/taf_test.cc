@@ -14,8 +14,10 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 
 #include "common/rng.h"
+#include "graph/algorithms.h"
 #include "kvstore/cluster.h"
 #include "taf/context.h"
 #include "taf/metrics.h"
@@ -268,32 +270,6 @@ TEST_F(TafFixture, EvolutionOfDensityIsComputable) {
   EXPECT_EQ(evol.front().first, son->GetStartTime());
   EXPECT_EQ(evol.back().first, son->GetEndTime());
   for (const auto& [t, v] : evol) EXPECT_GE(v, 0.0);
-}
-
-TEST_F(TafFixture, SubgraphFetchAndVersions) {
-  TAFContext ctx(qm_, 2);
-  Timestamp to = workload::EndTime(*events_);
-  Graph final_state = workload::ReplayToGraph(*events_, to);
-  NodeId hub = algo::HighestDegreeNode(final_state);
-  Timestamp from = to / 2;
-  FetchStats stats;
-  auto sots =
-      ctx.Subgraphs(1).TimeRange(from, to).WithSeeds({hub}).Fetch(&stats);
-  ASSERT_TRUE(sots.ok());
-  ASSERT_EQ(sots->size(), 1u);
-  // Member histories come back pre-sorted per eventlist chunk, so the merge
-  // is a k-way merge over sorted runs — the fetch never re-sorts a chunk
-  // from scratch.
-  EXPECT_GT(stats.taf_merge_skipped_sorts, 0u);
-  const SubgraphT& sg = sots->subgraphs()[0];
-  // Version at window start equals the 1-hop induced subgraph then.
-  Graph at_from = workload::ReplayToGraph(*events_, from);
-  if (at_from.HasNode(hub)) {
-    Graph v0 = sg.GetVersionAt(from);
-    Graph want = algo::InducedSubgraph(
-        at_from, algo::KHopNeighborhood(at_from, hub, 1));
-    EXPECT_EQ(v0.NumNodes(), want.NumNodes());
-  }
 }
 
 TEST_F(TafFixture, IncrementalEqualsFreshLabelCount) {
@@ -644,6 +620,150 @@ TEST_P(NodeSetFetchTest, MidWindowFetchMatchesReplayAndNodeHistories) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, NodeSetFetchTest,
+    ::testing::Combine(::testing::Values(PartitionStrategy::kRandom,
+                                         PartitionStrategy::kLocality),
+                       ::testing::Values(ClusteringOrder::kDeltaMajor,
+                                         ClusteringOrder::kPartitionMajor),
+                       ::testing::Bool()));
+
+// ---------------------------------------------------------------------------
+// Subgraph fetches against the replay, over the same configurations. With
+// replicate_one_hop the k-hop read at the window start may lack edges
+// between last-ring nodes (query.h); a subgraph's initial state must not.
+// ---------------------------------------------------------------------------
+
+class SubgraphFetchTest : public ::testing::TestWithParam<FetchConfig> {};
+
+TEST_P(SubgraphFetchTest, MembersStatesAndEventsMatchReplay) {
+  Cluster cluster(FastCluster());
+  TGIOptions opts = SmallTGI();
+  opts.partition_strategy = std::get<0>(GetParam());
+  opts.clustering_order = std::get<1>(GetParam());
+  opts.replicate_one_hop = std::get<2>(GetParam());
+  TGI tgi(&cluster, opts);
+  const std::vector<Event> events = AttributedHistory(137);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm_or = tgi.OpenQueryManager(3);
+  ASSERT_TRUE(qm_or.ok());
+  TGIQueryManager* qm = qm_or->get();
+  TAFContext ctx(qm, 3);
+
+  // The member-induced edge count, computed fresh per version or kept per
+  // event from the change the event makes to the graph before it.
+  auto edge_count = [](const Graph& g) {
+    return static_cast<double>(g.NumEdges());
+  };
+  auto edge_delta = [](const Graph& before, const double& v, const Event& e) {
+    switch (e.type) {
+      case EventType::kAddEdge: {
+        const bool added = e.u != e.v && before.HasNode(e.u) &&
+                           before.HasNode(e.v) && !before.HasEdge(e.u, e.v);
+        return added ? v + 1 : v;
+      }
+      case EventType::kRemoveEdge:
+        return before.HasEdge(e.u, e.v) ? v - 1 : v;
+      case EventType::kRemoveNode:
+        return v - static_cast<double>(before.Neighbors(e.u).size());
+      default:
+        return v;
+    }
+  };
+
+  const Timestamp end = workload::EndTime(events);
+  // A mid-history window, a point window and one starting before history.
+  const std::pair<Timestamp, Timestamp> windows[] = {
+      {end / 3, end * 2 / 3},
+      {end * 2 / 5, end * 2 / 5},
+      {-40, end / 4},
+  };
+  size_t member_edges = 0;
+  size_t window_events = 0;
+  for (const auto& [w_from, w_to] : windows) {
+    const Timestamp from = std::max(w_from, qm->HistoryStart() - 1);
+    const Timestamp to = std::min(w_to, qm->HistoryEnd());
+    const Graph at_from = workload::ReplayToGraph(events, from);
+    const Graph at_to = workload::ReplayToGraph(events, to);
+    // Seeds: the highest-degree node at `from` and a sample of the others
+    // present there, plus the first node to arrive after `from`.
+    std::vector<NodeId> seeds;
+    if (at_from.NumNodes() > 0) {
+      seeds.push_back(algo::HighestDegreeNode(at_from));
+      std::vector<NodeId> ids = at_from.NodeIds();
+      Rng rng(static_cast<uint64_t>(from) + 1);
+      for (int i = 0; i < 5; ++i) {
+        seeds.push_back(ids[rng.Uniform(ids.size())]);
+      }
+    }
+    NodeId arrival = kInvalidNodeId;
+    for (const Event& e : events) {
+      if (e.type == EventType::kAddNode && e.time > from) {
+        arrival = e.u;
+        break;
+      }
+    }
+    ASSERT_NE(arrival, kInvalidNodeId);
+    seeds.push_back(arrival);
+
+    for (int k : {1, 2}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " over (" +
+                   std::to_string(from) + ", " + std::to_string(to) + "]");
+      auto sots =
+          ctx.Subgraphs(k).TimeRange(w_from, w_to).WithSeeds(seeds).Fetch();
+      ASSERT_TRUE(sots.ok()) << sots.status().ToString();
+      ASSERT_EQ(sots->size(), seeds.size());
+      for (size_t i = 0; i < seeds.size(); ++i) {
+        const SubgraphT& sg = sots->subgraphs()[i];
+        const NodeId seed = seeds[i];
+        ASSERT_EQ(sg.seed(), seed);
+        // Members: the replay's k-hop ball at `from`, plus the seed.
+        std::unordered_set<NodeId> want_members{seed};
+        if (at_from.HasNode(seed)) {
+          for (const auto& [n, d] : algo::BfsDistances(at_from, seed, k)) {
+            want_members.insert(n);
+          }
+        }
+        ASSERT_EQ(sg.members(), want_members) << "seed " << seed;
+        auto induced = [&](const Graph& g) {
+          return Delta::FromGraph(g).FilterByNodes(want_members).ToGraph();
+        };
+        // The states at both ends, compared as whole graphs.
+        const Graph start = induced(at_from);
+        const Graph got = sg.GetVersionAt(from);
+        EXPECT_TRUE(got == start)
+            << "seed " << seed << ": " << got.NumEdges()
+            << " edges at the window start, replay " << start.NumEdges();
+        EXPECT_TRUE(sg.GetVersionAt(to) == induced(at_to)) << "seed " << seed;
+        // Events: the replay's member-touching events in (from, to], each
+        // once, in (time, EventTotalOrder) order.
+        std::vector<Event> want_events;
+        for (const Event& e : events) {
+          if (e.time > from && e.time <= to &&
+              (want_members.contains(e.u) ||
+               (e.IsEdgeEvent() && want_members.contains(e.v)))) {
+            want_events.push_back(e);
+          }
+        }
+        std::sort(want_events.begin(), want_events.end(), EventTotalOrder);
+        want_events.erase(std::unique(want_events.begin(), want_events.end()),
+                          want_events.end());
+        EXPECT_TRUE(sg.events().events() == want_events)
+            << "seed " << seed << ": " << sg.VersionCount()
+            << " events, replay " << want_events.size();
+        member_edges += start.NumEdges();
+        window_events += want_events.size();
+      }
+      EXPECT_EQ(sots->NodeComputeDelta<double>(edge_count, edge_delta),
+                sots->NodeComputeTemporal<double>(edge_count));
+    }
+  }
+  // The windows exercise member-to-member edges at the window start and
+  // events inside the window.
+  EXPECT_GT(member_edges, 0u);
+  EXPECT_GT(window_events, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, SubgraphFetchTest,
     ::testing::Combine(::testing::Values(PartitionStrategy::kRandom,
                                          PartitionStrategy::kLocality),
                        ::testing::Values(ClusteringOrder::kDeltaMajor,

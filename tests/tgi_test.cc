@@ -796,8 +796,7 @@ TEST(TGITest, ParallelFetchStatsKeepResilienceCounters) {
   auto events = SmallHistory(101, 4'000);
   ASSERT_TRUE(tgi.BuildFrom(events).ok());
   TGIQueryManager qm(&cluster, /*fetch_parallelism=*/2,
-                     /*read_cache_bytes=*/0, /*read_cache_shards=*/16,
-                     /*decoded_cache_bytes=*/0);
+                     /*read_cache_bytes=*/0, /*decoded_cache_bytes=*/0);
   ASSERT_TRUE(qm.Open().ok());
   FaultProfile always_failing;
   always_failing.transient_error_prob = 1.0;
@@ -972,7 +971,6 @@ TEST(TGITest, DecodedTierWorksWithoutByteCache) {
   auto events = SmallHistory(72, 5'000);
   ASSERT_TRUE(tgi.BuildFrom(events).ok());
   TGIQueryManager qm(&cluster, 2, /*read_cache_bytes=*/0,
-                     /*read_cache_shards=*/16,
                      /*decoded_cache_bytes=*/16u << 20);
   ASSERT_TRUE(qm.Open().ok());
 
@@ -1027,10 +1025,10 @@ TEST(TGITest, DecodedCacheEvictsUnderByteBudgetPressure) {
   auto events = SmallHistory(74, 6'000);
   ASSERT_TRUE(tgi.BuildFrom(events).ok());
   // A budget far below the working set: entries must be admitted and
-  // evicted continuously, with results unaffected.
+  // evicted continuously, with results unaffected. Each of the 16 shards
+  // holds 4 KiB, enough to admit a row.
   TGIQueryManager qm(&cluster, 2, /*read_cache_bytes=*/0,
-                     /*read_cache_shards=*/2,
-                     /*decoded_cache_bytes=*/8u << 10);
+                     /*decoded_cache_bytes=*/64u << 10);
   ASSERT_TRUE(qm.Open().ok());
   Timestamp t = workload::EndTime(events);
   auto first = qm.GetSnapshot(t);
@@ -1042,7 +1040,7 @@ TEST(TGITest, DecodedCacheEvictsUnderByteBudgetPressure) {
   LruCacheCounters counters = qm.DecodedCacheCounters();
   EXPECT_GT(counters.insertions, 0u);
   EXPECT_GT(counters.evictions, 0u);
-  EXPECT_LE(counters.bytes_used, 8u << 10);
+  EXPECT_LE(counters.bytes_used, 64u << 10);
 }
 
 TEST(TGITest, NodeHistoryCacheInvalidatedByAppendBatch) {
