@@ -1,8 +1,8 @@
 // Shared plumbing for the figure/table reproduction benches.
 //
 // Scale: datasets are laptop-scale analogues of the paper's traces (see
-// DESIGN.md). HGS_SCALE (default 1.0) multiplies dataset sizes, e.g.
-// HGS_SCALE=4 ./build/bench/fig11_snapshot_parallel.
+// "Substitutions" in README.md). HGS_SCALE (default 1.0) multiplies dataset
+// sizes, e.g. HGS_SCALE=4 ./build/bench/fig11_snapshot_parallel.
 //
 // Latency: benches run the storage cluster with the simulated latency model
 // ENABLED (seek + per-key + bandwidth costs), which is what makes retrieval
@@ -186,7 +186,7 @@ inline ClusterOptions MakeClusterOptions(
   return opts;
 }
 
-// -- Dataset analogues (DESIGN.md substitution table) -----------------------
+// -- Dataset analogues (README.md "Substitutions") ----------------------------
 
 /// Dataset 1: Wikipedia-citation-style growth. ~60k events at scale 1.
 inline std::vector<Event> Dataset1() {

@@ -15,7 +15,15 @@
 // aborts on a mismatch. Write counters (put_batches / rows_put / bytes_put)
 // print per row, and every figure is emitted through the JSON telemetry
 // sink (--json=<path> or HGS_BENCH_JSON).
+//
+// An append regime, in both latency regimes, measures the batched update
+// path: BuildFrom the first half of the stream, then AppendBatch the rest in
+// 1,000-event batches, reporting ms per append, bytes put per appended event
+// and stored bytes per event. Its storage differs from a one-shot build by
+// design (the batches land in the open newest span), so it stays out of the
+// byte-identity cross-check.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -71,6 +79,65 @@ Outcome RunOnce(const std::vector<Event>& events, const ClusterOptions& copts,
   out.keys = cluster.TotalKeys();
   out.fingerprint = cluster.ContentFingerprint();
   return out;
+}
+
+constexpr size_t kAppendBatch = 1'000;
+
+struct AppendOutcome {
+  size_t appends = 0;
+  double ms_per_append = 0;
+  double bytes_put_per_event = 0;     // per appended event
+  double stored_bytes_per_event = 0;  // per indexed event, after the appends
+};
+
+AppendOutcome RunAppends(const std::vector<Event>& events,
+                         const ClusterOptions& copts) {
+  Cluster cluster(copts);
+  TGI tgi(&cluster, hgs::bench::DefaultTGIOptions());
+  const auto prefix = static_cast<long>(events.size() / 2);
+  Status s = tgi.BuildFrom({events.begin(), events.begin() + prefix});
+  const uint64_t put_before = cluster.TotalBytesPut();
+  double total_ms = 0;
+  AppendOutcome out;
+  for (auto begin = events.begin() + prefix; s.ok() && begin != events.end();) {
+    const auto end =
+        begin + std::min<long>(kAppendBatch, events.end() - begin);
+    const std::vector<Event> batch(begin, end);
+    begin = end;
+    auto start = std::chrono::steady_clock::now();
+    s = tgi.AppendBatch(batch);
+    total_ms += std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    ++out.appends;
+  }
+  if (!s.ok()) {
+    std::fprintf(stderr, "append failed: %s\n", s.ToString().c_str());
+    std::abort();
+  }
+  const auto appended = static_cast<double>(events.size()) -
+                        static_cast<double>(prefix);
+  if (out.appends > 0) {
+    out.ms_per_append = total_ms / static_cast<double>(out.appends);
+    out.bytes_put_per_event =
+        static_cast<double>(cluster.TotalBytesPut() - put_before) / appended;
+  }
+  out.stored_bytes_per_event = static_cast<double>(cluster.TotalStoredBytes()) /
+                               static_cast<double>(events.size());
+  return out;
+}
+
+void ReportAppends(const char* regime, const AppendOutcome& o) {
+  std::printf("%-4s %-24s appends=%zu ms_per_append=%8.2f "
+              "bytes_put_per_event=%8.1f stored_bytes_per_event=%8.1f\n",
+              regime, "append (1,000/batch)", o.appends, o.ms_per_append,
+              o.bytes_put_per_event, o.stored_bytes_per_event);
+  const std::string stem = std::string(regime) + "_append_";
+  hgs::bench::JsonRow("ingest", stem + "ms_per_batch", o.ms_per_append, "ms");
+  hgs::bench::JsonRow("ingest", stem + "bytes_put_per_event",
+                      o.bytes_put_per_event, "B/event");
+  hgs::bench::JsonRow("ingest", stem + "stored_bytes_per_event",
+                      o.stored_bytes_per_event, "B/event");
 }
 
 void PrintRow(const char* regime, const Spec& spec, const Outcome& o) {
@@ -136,6 +203,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  ReportAppends("io", RunAppends(events, io_opts));
+
   // -- cpu regime: latency off ----------------------------------------------
   ClusterOptions cpu_opts = hgs::bench::MakeClusterOptions(4, 1);
   cpu_opts.latency.enabled = false;
@@ -154,6 +223,7 @@ int main(int argc, char** argv) {
     if (std::string(spec.metric) == "sharded_8t") cpu_8t = o.events_per_sec;
   }
   double cpu_scaling = cpu_1t > 0 ? cpu_8t / cpu_1t : 0;
+  ReportAppends("cpu", RunAppends(events, cpu_opts));
   std::printf("encode scaling 8t vs 1t: %.2fx (shows on multi-core hosts)\n",
               cpu_scaling);
   hgs::bench::JsonRow("ingest", "cpu_sharded_8t_speedup_vs_1t", cpu_scaling,

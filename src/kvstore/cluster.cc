@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/thread_pool.h"
+
 namespace hgs {
 
 namespace {
@@ -415,22 +417,27 @@ Status Cluster::MultiPut(std::string_view table, std::vector<PutRow> rows,
   if (put_batches != nullptr) *put_batches = 0;
   if (rows.empty()) return Status::OK();
 
-  // Seal each row once and fan the shared buffer out to its replicas'
-  // node groups.
+  // Seal each row once — compression and checksum, a pure function of the
+  // row, so the rows seal in parallel on the shared work pool — and fan
+  // the shared buffer out to its replicas' node groups.
   struct SealedRow {
     std::string phys;
     std::shared_ptr<const std::string> value;
     uint8_t replicas;
   };
-  std::vector<SealedRow> sealed;
-  sealed.reserve(rows.size());
+  std::vector<SealedRow> sealed(rows.size());
+  ParallelFor(rows.size(), std::thread::hardware_concurrency(),
+              [&](size_t i) {
+                const PutRow& row = rows[i];
+                sealed[i].phys = PhysicalKey(table, row.partition, row.key);
+                sealed[i].value =
+                    SealForStorage(row.value, row.schema, row.codec);
+              });
   std::unordered_map<size_t, std::vector<size_t>> by_node;  // node -> rows
-  for (PutRow& row : rows) {
-    ReplicaSet replicas = Replicas(PlacementToken(table, row.partition));
-    sealed.push_back(SealedRow{PhysicalKey(table, row.partition, row.key),
-                               SealForStorage(row.value, row.schema, row.codec),
-                               static_cast<uint8_t>(replicas.size())});
-    for (uint32_t node : replicas) by_node[node].push_back(sealed.size() - 1);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ReplicaSet replicas = Replicas(PlacementToken(table, rows[i].partition));
+    sealed[i].replicas = static_cast<uint8_t>(replicas.size());
+    for (uint32_t node : replicas) by_node[node].push_back(i);
   }
 
   auto build_batch = [&sealed](const std::vector<size_t>& idxs) {

@@ -1,6 +1,6 @@
 // The simulated distributed key-value store: m storage nodes, replication
 // factor r, token-based placement. This is the repository's stand-in for the
-// Apache Cassandra cluster of the paper (see DESIGN.md, substitutions).
+// Apache Cassandra cluster of the paper (see "Substitutions" in README.md).
 //
 // Tables are namespaces within one keyspace (the paper's five TGI tables:
 // Deltas, Versions, Timespans, Graph, Micropartitions). A row is addressed by

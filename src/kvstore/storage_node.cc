@@ -10,6 +10,26 @@ namespace {
 /// so a scripted fault scenario replays identically run to run.
 constexpr uint64_t kFaultSeed = 0xFA17;
 
+/// Counts one request as in service for its lifetime and raises the
+/// node's high-water mark of requests served at once.
+class Serving {
+ public:
+  explicit Serving(StorageNodeStats* stats) : stats_(stats) {
+    const uint64_t now =
+        stats_->serving.fetch_add(1, std::memory_order_relaxed) + 1;
+    uint64_t peak = stats_->max_serving.load(std::memory_order_relaxed);
+    while (now > peak && !stats_->max_serving.compare_exchange_weak(
+                             peak, now, std::memory_order_relaxed)) {
+    }
+  }
+  ~Serving() { stats_->serving.fetch_sub(1, std::memory_order_relaxed); }
+  Serving(const Serving&) = delete;
+  Serving& operator=(const Serving&) = delete;
+
+ private:
+  StorageNodeStats* stats_;
+};
+
 }  // namespace
 
 StorageNode::StorageNode(int node_id, size_t server_threads,
@@ -71,6 +91,7 @@ SharedValue StorageNode::MaybeCorrupt(SharedValue value) {
 
 std::vector<Result<SharedValue>> StorageNode::DoMultiGet(
     const std::vector<std::string>& keys) {
+  Serving serving(&stats_);
   std::vector<Result<SharedValue>> out;
   out.reserve(keys.size());
   if (IsDown()) {
@@ -112,6 +133,7 @@ std::vector<Result<SharedValue>> StorageNode::DoMultiGet(
 }
 
 Result<std::vector<KVPair>> StorageNode::DoScan(const std::string& prefix) {
+  Serving serving(&stats_);
   if (IsDown()) return DownError();
   FaultDecision fault = faults_.OnRequest();
   if (fault.fail) {
@@ -158,6 +180,7 @@ std::future<Result<std::vector<KVPair>>> StorageNode::SubmitScan(
 }
 
 Status StorageNode::PutBatch(std::vector<NodePutRow> rows) {
+  Serving serving(&stats_);
   if (IsDown()) return DownError();
   FaultDecision fault = faults_.OnRequest();
   if (fault.fail) {
@@ -264,6 +287,7 @@ void StorageNode::ResetStats() {
   stats_.bytes_put.store(0);
   stats_.injected_faults.store(0);
   stats_.injected_corruptions.store(0);
+  stats_.max_serving.store(0);
 }
 
 }  // namespace hgs

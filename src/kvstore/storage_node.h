@@ -82,6 +82,10 @@ struct StorageNodeStats {
   // it corrupted on the way out.
   std::atomic<uint64_t> injected_faults{0};
   std::atomic<uint64_t> injected_corruptions{0};
+  // Requests (reads and write batches) in service right now, and the most
+  // this node ever served at once: at most its server thread count.
+  std::atomic<uint64_t> serving{0};
+  std::atomic<uint64_t> max_serving{0};
 };
 
 /// One row of a group-committed write batch. The value buffer is shared:

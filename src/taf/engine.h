@@ -1,6 +1,6 @@
 // The TAF execution engine: a fixed pool of `ma` workers (the paper's Spark
-// cluster stand-in, see DESIGN.md substitutions) plus the connection to the
-// TGI query manager. The workers run the operators and assemble each
+// cluster stand-in, see "Substitutions" in README.md) plus the connection to
+// the TGI query manager. The workers run the operators and assemble each
 // fetched subgraph from its members' histories. The fetches themselves are
 // TGI calls whose stages the query manager spreads over its own fetch
 // workers: one for a node set, one per hop for a subgraph set, where

@@ -171,19 +171,41 @@ Result<std::vector<tgi::TimespanMeta>> TGIQueryManager::LoadSpans() const {
 }
 
 Result<TGIQueryManager::MetaRef> TGIQueryManager::LoadMetadata(
-    EpochVectorRef epochs) const {
-  auto meta_raw = cluster_->Get(tgi::kGraphTable, 0, "meta");
-  if (!meta_raw.ok()) return meta_raw.status();
-  auto state = std::make_shared<MetaState>();
-  state->epoch = epochs->global;
-  state->epochs = std::move(epochs);
-  HGS_ASSIGN_OR_RETURN(state->graph, tgi::GraphMeta::Deserialize(*meta_raw));
-  HGS_ASSIGN_OR_RETURN(state->spans, LoadSpans());
-  return MetaRef(std::move(state));
+    const MetaState* reuse) const {
+  for (;;) {
+    EpochVectorRef epochs = cluster_->epochs();
+    // A scope whose sub-epoch is unchanged between `reuse`'s pinned map and
+    // this one was not written, so its rows are still valid.
+    auto stale = [&](std::string_view table) {
+      if (reuse == nullptr || reuse->epochs == nullptr) return true;
+      EpochKey key = MakeEpochKey(table, 0);
+      return reuse->epochs->SubEpoch(key) != epochs->SubEpoch(key);
+    };
+    auto state = std::make_shared<MetaState>();
+    state->epoch = epochs->global;
+    state->epochs = epochs;
+    const bool graph_stale = stale(tgi::kGraphTable);
+    if (graph_stale) {
+      auto meta_raw = cluster_->Get(tgi::kGraphTable, 0, "meta");
+      if (!meta_raw.ok()) return meta_raw.status();
+      HGS_ASSIGN_OR_RETURN(state->graph,
+                           tgi::GraphMeta::Deserialize(*meta_raw));
+    } else {
+      state->graph = reuse->graph;
+    }
+    if (graph_stale || stale(tgi::kTimespansTable)) {
+      HGS_ASSIGN_OR_RETURN(state->spans, LoadSpans());
+    } else {
+      state->spans = reuse->spans;
+    }
+    if (cluster_->publish_epoch() == epochs->global) {
+      return MetaRef(std::move(state));
+    }
+  }
 }
 
 Status TGIQueryManager::Open() {
-  HGS_ASSIGN_OR_RETURN(MetaRef meta, LoadMetadata(cluster_->epochs()));
+  HGS_ASSIGN_OR_RETURN(MetaRef meta, LoadMetadata(nullptr));
   {
     MutexLock lock(meta_mu_);
     meta_ = std::move(meta);
@@ -211,9 +233,8 @@ Result<TGIQueryManager::MetaRef> TGIQueryManager::EnsureFresh(
   MutexLock lock(refresh_mu_);
   // Re-read under the refresh lock so concurrent stale readers converge on
   // one reload instead of racing each other backwards.
-  EpochVectorRef epochs = cluster_->epochs();
   MetaRef current = CurrentMeta();
-  if (epochs->global == current->epoch) return current;
+  if (cluster_->publish_epoch() == current->epoch) return current;
   // Metadata was re-published (AppendBatch). The new epoch map tells us
   // exactly which (table, partition) scopes the writer touched: a scope
   // whose sub-epoch is unchanged between the pinned old map and the new
@@ -221,26 +242,8 @@ Result<TGIQueryManager::MetaRef> TGIQueryManager::EnsureFresh(
   // valid. In-flight queries keep their old snapshot alive through the
   // shared_ptr, and their sub-epoch-tagged cache inserts can't be served
   // to queries running at the new epochs.
-  auto scope_stale = [&](std::string_view table, uint64_t partition) {
-    if (current->epochs == nullptr) return true;  // pre-map snapshot
-    EpochKey key = MakeEpochKey(table, partition);
-    return current->epochs->SubEpoch(key) != epochs->SubEpoch(key);
-  };
-  MetaRef fresh;
-  if (scope_stale(tgi::kGraphTable, 0)) {
-    HGS_ASSIGN_OR_RETURN(fresh, LoadMetadata(epochs));
-  } else {
-    auto state = std::make_shared<MetaState>();
-    state->epoch = epochs->global;
-    state->epochs = epochs;
-    state->graph = current->graph;
-    if (scope_stale(tgi::kTimespansTable, 0)) {
-      HGS_ASSIGN_OR_RETURN(state->spans, LoadSpans());
-    } else {
-      state->spans = current->spans;
-    }
-    fresh = std::move(state);
-  }
+  HGS_ASSIGN_OR_RETURN(MetaRef fresh, LoadMetadata(current.get()));
+  const EpochVectorRef& epochs = fresh->epochs;
   uint64_t retained = 0;
   uint64_t invalidated = 0;
   {
@@ -732,6 +735,7 @@ Result<Delta> TGIQueryManager::GetSnapshotDelta(Timestamp t,
 Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
                                                     Timestamp t,
                                                     FetchStats* stats) {
+  t = meta.Horizon(t);
   const tgi::TimespanMeta* span = SpanFor(meta, t);
   if (span == nullptr) return Delta();  // before all history
   const std::vector<Read> reads =
@@ -757,7 +761,9 @@ Result<std::vector<Graph>> TGIQueryManager::GetMultipointSnapshots(
   WallTimer timer(stats);
   HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
   const MetaState& meta = *meta_ref;
-  std::vector<Timestamp> sorted = times;
+  std::vector<Timestamp> at(times.size());
+  for (size_t i = 0; i < times.size(); ++i) at[i] = meta.Horizon(times[i]);
+  std::vector<Timestamp> sorted = at;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
@@ -816,7 +822,7 @@ Result<std::vector<Graph>> TGIQueryManager::GetMultipointSnapshots(
   std::vector<size_t> slot_of(times.size());
   std::vector<size_t> last_user(by_sorted_index.size());
   for (size_t i = 0; i < times.size(); ++i) {
-    auto it = std::lower_bound(sorted.begin(), sorted.end(), times[i]);
+    auto it = std::lower_bound(sorted.begin(), sorted.end(), at[i]);
     slot_of[i] = static_cast<size_t>(it - sorted.begin());
     last_user[slot_of[i]] = i;
   }
@@ -873,6 +879,7 @@ Result<Delta> TGIQueryManager::GetNodeStateDelta(NodeId id, Timestamp t,
 Result<Delta> TGIQueryManager::GetNodeStateDeltaWith(const MetaState& meta,
                                                      NodeId id, Timestamp t,
                                                      FetchStats* stats) {
+  t = meta.Horizon(t);
   const tgi::TimespanMeta* span = SpanFor(meta, t);
   if (span == nullptr) return Delta();
   HGS_ASSIGN_OR_RETURN(std::vector<MicroPartitionId> pid,
@@ -928,7 +935,8 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
   // requested ids resolve to micro-partitions first, then every touched
   // micro-partition is reconstructed exactly once.
   std::vector<Delta> initials(uniq.size());
-  const tgi::TimespanMeta* span0 = SpanFor(meta, from);
+  const Timestamp start = meta.Horizon(from);
+  const tgi::TimespanMeta* span0 = SpanFor(meta, start);
   if (span0 != nullptr) {
     HGS_ASSIGN_OR_RETURN(std::vector<MicroPartitionId> pid_of_uniq,
                          PidsOf(meta, uniq, *span0, stats));
@@ -937,7 +945,7 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWith(
     pids.erase(std::unique(pids.begin(), pids.end()), pids.end());
     HGS_ASSIGN_OR_RETURN(
         std::vector<Delta> states,
-        FetchMicroStatesAt(meta, *span0, pids, from, false, stats));
+        FetchMicroStatesAt(meta, *span0, pids, start, false, stats));
     std::vector<size_t> state_of(uniq.size());
     for (size_t u = 0; u < uniq.size(); ++u) {
       state_of[u] = static_cast<size_t>(
@@ -969,13 +977,15 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWhere(
   // ---- Every micro-partition of the span covering `from`, rebuilt at
   // `from` once: candidates, presence and initial states all come from
   // these states.
-  const tgi::TimespanMeta* span0 = SpanFor(meta, from);
+  const Timestamp start = meta.Horizon(from);
+  const Timestamp upto = meta.Horizon(to);
+  const tgi::TimespanMeta* span0 = SpanFor(meta, start);
   std::vector<Delta> states;
   if (span0 != nullptr) {
     std::vector<MicroPartitionId> all(span0->num_micro_partitions);
     std::iota(all.begin(), all.end(), MicroPartitionId{0});
     HGS_ASSIGN_OR_RETURN(
-        states, FetchMicroStatesAt(meta, *span0, all, from, false, stats));
+        states, FetchMicroStatesAt(meta, *span0, all, start, false, stats));
   }
   // (id, micro-partition) of every selected node. A node's record lives in
   // its own micro-partition's rows only.
@@ -989,8 +999,8 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWhere(
 
   // ---- Arrivals: nodes a kAddNode in (from, to] adds that are absent at
   // `from`, read straight off the range's decoded eventlist rows.
-  if (to > from) {
-    const std::vector<Read> reads = PlanRangeEventlistReads(meta, from, to);
+  if (upto > from) {
+    const std::vector<Read> reads = PlanRangeEventlistReads(meta, from, upto);
     HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
                          Execute(meta, reads, stats));
     MergeSlots slots;
@@ -998,7 +1008,7 @@ Result<std::vector<NodeHistory>> TGIQueryManager::GetNodeHistoriesWhere(
     std::vector<NodeId> added;
     for (const EventList* evl : slots.evls) {
       for (const Event& e : evl->events()) {
-        if (e.type == EventType::kAddNode && e.time > from && e.time <= to) {
+        if (e.type == EventType::kAddNode && e.time > from && e.time <= upto) {
           added.push_back(e.u);
         }
       }
@@ -1056,6 +1066,7 @@ Result<std::vector<NodeHistory>> TGIQueryManager::AssembleHistories(
     FetchStats* stats) {
   std::vector<NodeHistory> out(ids.size());
   if (ids.empty()) return out;
+  const Timestamp upto = meta.Horizon(to);
   // One merged version chain per node: a warm node — hub or not — costs
   // one decoded probe and no versions-table scan.
   std::vector<Read> chain_reads;
@@ -1081,7 +1092,7 @@ Result<std::vector<NodeHistory>> TGIQueryManager::AssembleHistories(
     const auto* chain =
         static_cast<const MergedVersionChain*>(chains[u].obj.get());
     for (const tgi::VersionEntry& e : chain->entries) {
-      if (e.last_time <= from || e.first_time > to) continue;
+      if (e.last_time <= from || e.first_time > upto) continue;
       ++total_refs;
       Read r{tgi::kDeltasTable,
              tgi::DeltaPlacement(e.tsid, tgi::SidOf(e.pid, ns), ns),
@@ -1125,7 +1136,7 @@ Result<std::vector<NodeHistory>> TGIQueryManager::AssembleHistories(
     auto& bucket = buckets[k];
     const auto& members = members_of[k];
     for (const Event& e : evl->events()) {
-      if (e.time <= from || e.time > to) continue;
+      if (e.time <= from || e.time > upto) continue;
       auto it = members.find(e.u);
       if (it != members.end()) bucket[it->second].push_back(&e);
       if (e.IsEdgeEvent() && e.v != e.u) {
@@ -1168,6 +1179,7 @@ Result<Graph> TGIQueryManager::GetKHopNeighborhood(NodeId id, Timestamp t,
   WallTimer timer(stats);
   HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
   const MetaState& meta = *meta_ref;
+  t = meta.Horizon(t);
   const tgi::TimespanMeta* span = SpanFor(meta, t);
   if (span == nullptr) return Graph();
   const bool replicated = meta.graph.replicate_one_hop;
@@ -1250,6 +1262,7 @@ Result<std::vector<Event>> TGIQueryManager::GetEventsInRange(
   WallTimer timer(stats);
   HGS_ASSIGN_OR_RETURN(MetaRef meta_ref, EnsureFresh(stats));
   const MetaState& meta = *meta_ref;
+  to = meta.Horizon(to);
 
   const std::vector<Read> reads = PlanRangeEventlistReads(meta, from, to);
   HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,

@@ -31,6 +31,7 @@
 #ifndef HGS_TGI_QUERY_H_
 #define HGS_TGI_QUERY_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -89,6 +90,8 @@ class TGIQueryManager {
 
   /// Loads graph + timespan metadata. Metadata and the read cache refresh
   /// automatically when the cluster's publish epoch changes (AppendBatch).
+  /// Every query sees the index as of its pinned GraphMeta::end: events
+  /// after it (written by a build still in progress) are ignored.
   Status Open();
 
   // -- retrieval primitives (Section 4.6) ---------------------------------
@@ -286,6 +289,10 @@ class TGIQueryManager {
                  ? epoch
                  : epochs->SubEpoch(MakeEpochKey(table, partition));
     }
+
+    /// `t`, cut to the published history: rows may already hold events a
+    /// build wrote after this snapshot's graph row, and queries skip them.
+    Timestamp Horizon(Timestamp t) const { return std::min(t, graph.end); }
   };
   using MetaRef = std::shared_ptr<const MetaState>;
 
@@ -293,18 +300,22 @@ class TGIQueryManager {
   /// or nullptr when t precedes all history.
   static const tgi::TimespanMeta* SpanFor(const MetaState& meta, Timestamp t);
 
-  /// Loads graph + timespan metadata from the cluster, pinned to `epochs`.
-  Result<MetaRef> LoadMetadata(EpochVectorRef epochs) const;
+  /// Loads graph + timespan metadata pinned to the cluster's current epoch
+  /// map, reusing `reuse`'s graph and span rows where their scopes did not
+  /// move (null: load everything). A publish that lands during the load
+  /// restarts it. A builder publishes the data scopes before it writes the
+  /// graph row, so the graph row loaded never outruns the pinned map.
+  Result<MetaRef> LoadMetadata(const MetaState* reuse) const;
 
   /// Timespans-table rows, parsed and sorted by tsid.
   Result<std::vector<tgi::TimespanMeta>> LoadSpans() const;
 
   /// Fails before Open(); otherwise returns the metadata snapshot to run
   /// the query against. When the cluster's publish epoch moved
-  /// (AppendBatch) it reloads only the re-published metadata rows and
-  /// sweeps the cache tiers entry-by-entry, evicting exactly the entries
-  /// whose (table, partition) sub-epoch changed; the retain/evict counts
-  /// land in `stats` and the lifetime counters.
+  /// (AppendBatch) it reloads only the re-published metadata rows (see
+  /// LoadMetadata) and sweeps the cache tiers entry-by-entry, evicting
+  /// exactly the entries whose (table, partition) sub-epoch changed; the
+  /// retain/evict counts land in `stats` and the lifetime counters.
   Result<MetaRef> EnsureFresh(FetchStats* stats = nullptr);
 
   /// The current metadata snapshot (for the metadata accessors).

@@ -19,22 +19,31 @@ class TGI {
   TGI(Cluster* cluster, TGIOptions options)
       : cluster_(cluster), options_(options), builder_(cluster, options) {}
 
-  /// Ingests a complete chronological event history and publishes metadata.
+  /// Ingests a chronological event history and publishes it: whole
+  /// timespans are built as they fill, and a trailing partial span is left
+  /// open, its root written once as the span-start state.
   Status BuildFrom(const std::vector<Event>& events) {
     HGS_RETURN_NOT_OK(builder_.Ingest(events));
     return builder_.Finish();
   }
 
   /// Appends a batch of later events (the paper's batched update path) and
-  /// re-publishes metadata.
+  /// publishes it. The batch goes into the open newest span: only its
+  /// micro-eventlists (rewriting a partial last one), the touched nodes'
+  /// version-chain rows and the span's TimespanMeta are written. A span
+  /// that fills closes, its checkpoint hierarchy written below its root.
+  /// Data scopes are published before the graph row and the graph row's
+  /// scope after it; a deltas scope only when a row the published span
+  /// metadata lists was rewritten, so the open span stays cached.
   Status AppendBatch(const std::vector<Event>& events) {
     HGS_RETURN_NOT_OK(builder_.Ingest(events));
     return builder_.Finish();
   }
 
-  /// Backfill path for complete histories: builds timespans bottom-up
-  /// across the worker pool and publishes metadata once at the end.
-  /// Byte-identical storage contents to BuildFrom over the same stream.
+  /// Backfill path for complete histories: builds whole timespans
+  /// bottom-up across the worker pool, leaves a trailing partial span open
+  /// as BuildFrom does, and publishes once at the end. Byte-identical
+  /// storage contents to BuildFrom over the same stream.
   Status BulkLoad(const std::vector<Event>& events) {
     return builder_.BulkLoad(events);
   }

@@ -1,5 +1,5 @@
 // Synthetic dataset generators standing in for the paper's evaluation traces
-// (see DESIGN.md substitutions):
+// (see "Substitutions" in README.md):
 //   Dataset 1 — Wikipedia citation network: growth-only preferential
 //               attachment (new nodes cite existing high-degree nodes).
 //   Dataset 2/3 — Dataset 1 augmented with random edge add/delete churn.
