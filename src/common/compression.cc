@@ -19,6 +19,35 @@ inline uint32_t HashQuad(const char* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+// The chain heads (hash -> latest position, -1 for none), one table per
+// thread, all -1 between calls: a call restores every entry it set, so
+// compressing a small value costs O(its size) rather than a fill of the
+// whole 2^kHashBits table.
+class ChainHeads {
+ public:
+  ChainHeads() : head_(Table()) {}
+  ~ChainHeads() {
+    for (uint32_t h : set_) head_[h] = -1;
+  }
+  ChainHeads(const ChainHeads&) = delete;
+  ChainHeads& operator=(const ChainHeads&) = delete;
+
+  int64_t Get(uint32_t h) const { return head_[h]; }
+  void Set(uint32_t h, int64_t pos) {
+    if (head_[h] < 0) set_.push_back(h);
+    head_[h] = pos;
+  }
+
+ private:
+  static std::vector<int64_t>& Table() {
+    thread_local std::vector<int64_t> table(1u << kHashBits, -1);
+    return table;
+  }
+
+  std::vector<int64_t>& head_;
+  std::vector<uint32_t> set_;
+};
+
 // Token stream grammar (after the header):
 //   literal_len:varint  literal_bytes  match_len:varint  match_dist:varint
 // repeated; match_len == 0 terminates the stream after trailing literals.
@@ -26,7 +55,7 @@ inline uint32_t HashQuad(const char* p) {
 // no match is longer than kMaxMatch.
 std::string LzCompressImpl(std::string_view in) {
   BinaryWriter out;
-  std::vector<int64_t> head(1u << kHashBits, -1);
+  ChainHeads head;
   std::vector<int64_t> prev(in.size(), -1);
 
   size_t i = 0;
@@ -36,7 +65,7 @@ std::string LzCompressImpl(std::string_view in) {
     size_t best_dist = 0;
     if (i + kMinMatch <= in.size()) {
       uint32_t h = HashQuad(in.data() + i);
-      int64_t cand = head[h];
+      int64_t cand = head.Get(h);
       int chain = 16;  // bounded chain walk keeps compression O(n)
       while (cand >= 0 && chain-- > 0 &&
              i - static_cast<size_t>(cand) <= kWindowSize) {
@@ -50,8 +79,8 @@ std::string LzCompressImpl(std::string_view in) {
         }
         cand = prev[c];
       }
-      prev[i] = head[h];
-      head[h] = static_cast<int64_t>(i);
+      prev[i] = head.Get(h);
+      head.Set(h, static_cast<int64_t>(i));
     }
     if (best_len >= kMinMatch) {
       out.PutString(in.substr(lit_start, i - lit_start));
@@ -61,8 +90,8 @@ std::string LzCompressImpl(std::string_view in) {
       size_t end = i + best_len;
       for (size_t j = i + 1; j + kMinMatch <= in.size() && j < end; j += 2) {
         uint32_t h2 = HashQuad(in.data() + j);
-        prev[j] = head[h2];
-        head[h2] = static_cast<int64_t>(j);
+        prev[j] = head.Get(h2);
+        head.Set(h2, static_cast<int64_t>(j));
       }
       i = end;
       lit_start = i;
