@@ -94,16 +94,18 @@ AppendOutcome RunAppends(const std::vector<Event>& events,
                          const ClusterOptions& copts) {
   Cluster cluster(copts);
   TGI tgi(&cluster, hgs::bench::DefaultTGIOptions());
-  const auto prefix = static_cast<long>(events.size() / 2);
-  Status s = tgi.BuildFrom({events.begin(), events.begin() + prefix});
+  const size_t prefix = events.size() / 2;
+  const std::vector<Event> first(events.begin(),
+                                 events.begin() + static_cast<long>(prefix));
+  Status s = tgi.BuildFrom(first);
   const uint64_t put_before = cluster.TotalBytesPut();
   double total_ms = 0;
   AppendOutcome out;
-  for (auto begin = events.begin() + prefix; s.ok() && begin != events.end();) {
-    const auto end =
-        begin + std::min<long>(kAppendBatch, events.end() - begin);
-    const std::vector<Event> batch(begin, end);
-    begin = end;
+  for (size_t begin = prefix; s.ok() && begin < events.size();
+       begin += kAppendBatch) {
+    const size_t end = std::min(events.size(), begin + kAppendBatch);
+    const std::vector<Event> batch(events.begin() + static_cast<long>(begin),
+                                   events.begin() + static_cast<long>(end));
     auto start = std::chrono::steady_clock::now();
     s = tgi.AppendBatch(batch);
     total_ms += std::chrono::duration<double, std::milli>(
@@ -115,15 +117,15 @@ AppendOutcome RunAppends(const std::vector<Event>& events,
     std::fprintf(stderr, "append failed: %s\n", s.ToString().c_str());
     std::abort();
   }
-  const auto appended = static_cast<double>(events.size()) -
-                        static_cast<double>(prefix);
   if (out.appends > 0) {
+    const auto appended = static_cast<double>(events.size() - prefix);
     out.ms_per_append = total_ms / static_cast<double>(out.appends);
     out.bytes_put_per_event =
         static_cast<double>(cluster.TotalBytesPut() - put_before) / appended;
   }
-  out.stored_bytes_per_event = static_cast<double>(cluster.TotalStoredBytes()) /
-                               static_cast<double>(events.size());
+  const auto indexed = static_cast<double>(events.size());
+  out.stored_bytes_per_event =
+      static_cast<double>(cluster.TotalStoredBytes()) / indexed;
   return out;
 }
 
