@@ -61,11 +61,11 @@ std::unordered_map<MicroPartitionId, Delta> SplitDeltaByPid(
 
 // `child` as stored below a parent whose state is `parent`: the child's
 // entries that differ from the parent's, plus a tombstone for each key the
-// parent has and the child lacks. Inside an intersection hierarchy a
-// parent's entries are a subset of its child's, so tombstones arise only
-// below an open span's root, whose residue is the touched keys' start
-// values.
-Delta ChildFromParent(const Delta& child, const Delta& parent) {
+// parent has and the child lacks. Only the top of the hierarchy below an
+// open span's root needs the tombstones: that root's residue is the touched
+// keys' start values, while inside an intersection hierarchy a parent's
+// entries are a subset of its child's and Delta::Difference suffices.
+Delta DifferenceWithTombstones(const Delta& child, const Delta& parent) {
   Delta out = Delta::Difference(child, parent);
   parent.ForEachNodeEntry([&](NodeId id, const std::optional<NodeRecord>&) {
     if (child.FindNode(id) == nullptr) out.TombstoneNode(id);
@@ -603,11 +603,15 @@ class TGIBuilder::SpanBuild {
       (*tree)[i].parent =
           node.parent < 0 ? -1 : did_of_pool[static_cast<size_t>(node.parent)];
       if (i == 0 && root_open_) return;
-      const Delta to_store =
-          node.parent < 0
-              ? Delta::Sum(span_stable, node.delta)
-              : ChildFromParent(node.delta,
-                                pool[static_cast<size_t>(node.parent)].delta);
+      Delta to_store;
+      if (node.parent < 0) {
+        to_store = Delta::Sum(span_stable, node.delta);
+      } else if (root_open_ && node.parent == 0) {
+        to_store = DifferenceWithTombstones(node.delta, pool[0].delta);
+      } else {
+        to_store = Delta::Difference(
+            node.delta, pool[static_cast<size_t>(node.parent)].delta);
+      }
       tree_rows[i] = EncodeTreeDelta(static_cast<DeltaId>(i), to_store);
     });
     for (auto& node_rows : tree_rows) {

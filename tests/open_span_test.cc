@@ -325,14 +325,16 @@ TEST_P(OpenSpanOracleTest, EveryReadMatchesReplayWhileOpenAndAfterClose) {
     ASSERT_TRUE(tgi.AppendBatch(batch).ok());
     log.insert(log.end(), batch.begin(), batch.end());
     SCOPED_TRACE("after " + std::to_string(log.size()) + " events");
-    // A time in a closed span, in the newest span (open until the last
-    // append closes it), the newest time, and a time past the end.
+    // A time in a closed span, one in the middle of the newest span (open
+    // until the last append closes it), the newest time, and one past it.
+    const size_t newest = (log.size() - 1) / opts.events_per_timespan *
+                          opts.events_per_timespan;
     const Timestamp end = log.back().time;
-    ExpectReadsMatchReplay(
-        qm, log,
-        {log[log.size() / 3].time, log[log.size() - 1 - log.size() % 17].time,
-         end, end + 5},
-        replicated);
+    ExpectReadsMatchReplay(qm, log,
+                           {log[log.size() / 3].time,
+                            log[(newest + log.size() - 1) / 2].time, end,
+                            end + 5},
+                           replicated);
   }
   // The last append filled the open span, so every span is closed.
   EXPECT_EQ(log.size(), events.size());
@@ -515,10 +517,10 @@ TEST(OpenSpanTest, AppendOfWholeEventlistsKeepsTheOpenSpanCached) {
 }
 
 // A query manager that refreshes after a publish may load span rows that a
-// build wrote after that publish. GetSnapshot used to read those rows while
-// GetNodeHistory served a merged version chain cached under a versions
-// scope no publish had moved, so the two disagreed. Every query now stops at
-// its pinned GraphMeta::end.
+// build wrote after that publish. Read up to the requested time, GetSnapshot
+// would see those rows while GetNodeHistory serves a merged version chain
+// cached under a versions scope no publish moved. Both must stop at the
+// pinned GraphMeta::end.
 TEST(PublishOrderTest, SnapshotAndHistoryAgreeBeforeABuildIsPublished) {
   TGIOptions opts = SpanOptions();
   Cluster cluster(FastCluster());
