@@ -127,17 +127,18 @@ int BuildHierarchy(std::vector<TreeBuildNode>* pool, std::vector<int> level,
 // closes when it fills.
 class TGIBuilder::SpanBuild {
  public:
-  // Starts span `tsid` at the state *working. Its partitioning and 1-hop
-  // replication set are fixed here, from that state and `known`, the span's
-  // events known now (all of them, for a whole span). Route advances
-  // *working, which must outlive this object.
+  // Starts span `tsid` at time `start` and state *working. Its partitioning
+  // and 1-hop replication set are fixed here, from that state and `known`,
+  // the span's events known now (all of them, for a whole span; possibly
+  // none, for an open span). Route advances *working, which must outlive
+  // this object.
   SpanBuild(const TGIOptions& options, size_t workers, TimespanId tsid,
-            Graph* working, std::span<const Event> known)
+            Timestamp start, Graph* working, std::span<const Event> known)
       : options_(options),
         workers_(workers),
         tsid_(tsid),
         working_(working),
-        start_t_(known.front().time) {
+        start_t_(start) {
     // Size the micro-partition count for the node population of the span.
     size_t adds = 0;
     for (const Event& e : known) {
@@ -151,8 +152,9 @@ class TGIBuilder::SpanBuild {
     dyn.strategy = options.partition_strategy;
     dyn.num_partitions = k_parts_;
     dyn.collapse = options.collapse;
-    partitioning_ = PartitionTimespan(
-        *working, known, TimeInterval{start_t_, known.back().time + 1}, dyn);
+    const Timestamp known_end = known.empty() ? start : known.back().time;
+    partitioning_ = PartitionTimespan(*working, known,
+                                      TimeInterval{start, known_end + 1}, dyn);
     // replicated_into_[n] = micro-partitions that replicate node n, for
     // every edge across the cut at the span's start or added by `known`.
     if (options.replicate_one_hop) {
@@ -233,7 +235,7 @@ class TGIBuilder::SpanBuild {
     tgi::TimespanMeta meta;
     meta.tsid = tsid_;
     meta.start = start_t_;
-    meta.end = last_t_;
+    meta.end = routed_ > 0 ? last_t_ : start_t_;
     meta.event_count = routed_;
     meta.eventlist_size = static_cast<uint32_t>(options_.eventlist_size);
     meta.checkpoint_interval =
@@ -752,9 +754,12 @@ Status TGIBuilder::Ingest(const std::vector<Event>& events) {
 Status TGIBuilder::CloseSpan() {
   std::unique_ptr<SpanBuild> span = std::move(open_);
   if (span == nullptr) {
-    span = std::make_unique<SpanBuild>(options_, EffectiveIngestThreads(),
-                                       static_cast<TimespanId>(next_tsid_++),
-                                       &state_, pending_);
+    span = std::make_unique<SpanBuild>(
+        options_, EffectiveIngestThreads(),
+        static_cast<TimespanId>(next_tsid_++), pending_.front().time, &state_,
+        pending_);
+  } else {
+    keep_open_ = true;
   }
   span->Route(pending_);
   pending_.clear();
@@ -765,13 +770,16 @@ Status TGIBuilder::CloseSpan() {
 }
 
 Status TGIBuilder::Finish() {
-  if (!pending_.empty()) {
-    if (open_ == nullptr) {
-      open_ = std::make_unique<SpanBuild>(
-          options_, EffectiveIngestThreads(),
-          static_cast<TimespanId>(next_tsid_++), &state_, pending_);
-      open_->EncodeOpenRoot();
-    }
+  bool write = !pending_.empty();
+  if (open_ == nullptr && (write || keep_open_)) {
+    open_ = std::make_unique<SpanBuild>(
+        options_, EffectiveIngestThreads(),
+        static_cast<TimespanId>(next_tsid_++),
+        write ? pending_.front().time : last_time_, &state_, pending_);
+    open_->EncodeOpenRoot();
+    write = true;
+  }
+  if (write) {
     open_->Route(pending_);
     pending_.clear();
     std::vector<EpochKey> touched;
@@ -840,8 +848,8 @@ Status TGIBuilder::BulkLoad(const std::vector<Event>& events) {
     }
     HGS_RETURN_NOT_OK(StatusParallelFor(count, workers, [&](size_t k) {
       SpanBuild span(options_, workers,
-                     static_cast<TimespanId>(next_tsid_ + k), &states[k],
-                     spans[w0 + k]);
+                     static_cast<TimespanId>(next_tsid_ + k),
+                     spans[w0 + k].front().time, &states[k], spans[w0 + k]);
       span.Route(spans[w0 + k]);
       std::vector<EpochKey> touched;
       Status s = span.Commit(cluster_, /*close=*/true, &touched);

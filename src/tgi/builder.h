@@ -141,6 +141,11 @@ class TGIBuilder {
   std::vector<Event> pending_;
   /// The newest span, while it is open; null when none is.
   std::unique_ptr<SpanBuild> open_;
+  /// Set once an open span has closed: from then on Finish keeps a span
+  /// open, opening the successor even before any event of it arrives, so
+  /// the newest state reads from an open root rather than from the end of
+  /// a closed span's hierarchy.
+  bool keep_open_ = false;
   Timestamp last_time_ = kMinTimestamp;
   Timestamp first_time_ = kMaxTimestamp;
   uint64_t total_events_ = 0;

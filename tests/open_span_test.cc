@@ -336,9 +336,11 @@ TEST_P(OpenSpanOracleTest, EveryReadMatchesReplayWhileOpenAndAfterClose) {
                             end + 5},
                            replicated);
   }
-  // The last append filled the open span, so every span is closed.
+  // The last append filled the open span, which closed; its successor is
+  // open with no events yet, and the reads above at the newest time were
+  // served from its root.
   EXPECT_EQ(log.size(), events.size());
-  EXPECT_EQ(tgi.builder()->timespans_built(), 5u);
+  EXPECT_EQ(tgi.builder()->timespans_built(), 6u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -457,13 +459,15 @@ TEST(OpenSpanTest, BulkLoadLeavesTheTrailingSpanOpenAsBuildFromDoes) {
       ASSERT_TRUE(by_bulk.BulkLoad(events).ok());
       EXPECT_EQ(built.ContentFingerprint(), bulk.ContentFingerprint());
       EXPECT_EQ(built.TotalKeys(), bulk.TotalKeys());
-      // The trailing span is open: a further append continues it in both.
+      // The trailing span is open: a further append fills it in both, it
+      // closes, and its successor opens with no events yet.
       std::vector<Event> more = History(229, 200);
       for (Event& e : more) e.time += events.back().time + 1;
       ASSERT_TRUE(by_build.AppendBatch(more).ok());
       ASSERT_TRUE(by_bulk.AppendBatch(more).ok());
       EXPECT_EQ(built.ContentFingerprint(), bulk.ContentFingerprint());
-      EXPECT_EQ(by_build.builder()->timespans_built(), 4u);
+      EXPECT_EQ(by_build.builder()->timespans_built(), 5u);
+      EXPECT_EQ(by_bulk.builder()->timespans_built(), 5u);
     }
   }
 }
