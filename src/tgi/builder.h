@@ -21,7 +21,7 @@
 //      the records of out-of-partition neighbors.
 //
 // The newest timespan stays open (DeltaGraph's right edge). The first
-// Finish that finds a partial span pending opens it: it fixes steps 1's
+// Finish that finds a partial span pending opens it: it fixes step 1's
 // partitioning and replication set and writes the root once, as the
 // span-start state at checkpoint 0. Each later Finish writes only the
 // batch: its micro-eventlists (rewriting a partial last one), the touched
@@ -31,10 +31,13 @@
 // checkpoints 1..m, captured as they fell due, is written *below* the
 // stored root under new dids. Nothing already written is rebuilt, because
 // the cluster keeps one version per key and a query pinned to the open
-// span's TimespanMeta may still fetch any row it lists. A span filled
-// within one call (Ingest, BulkLoad) is built whole, root on top. Whole and
-// open spans share one event-routing, checkpoint-capture and version-chain
-// path (SpanBuild); the tree shape at close is the only difference.
+// span's TimespanMeta may still fetch any row it lists. Once an open span
+// has closed, Finish opens its successor even with no event pending, so
+// the newest state is always read from an open root, never from the end of
+// a hierarchy under a stored root. A span filled within one call (Ingest,
+// BulkLoad) is built whole, root on top. Whole and open spans share one
+// event-routing, checkpoint-capture and version-chain path (SpanBuild); the
+// tree shape at close is the only difference.
 //
 // The build of one span is a two-phase pipeline. A serial streaming phase
 // performs the order-sensitive work: event routing, checkpoint placement
