@@ -26,9 +26,10 @@ namespace hgs {
 struct FetchStats {
   uint64_t kv_requests = 0;    ///< logical point gets + scans requested
   /// Physical node requests: one per request the cluster client submits
-  /// to a storage node (a MultiGet node batch is one), counting retries,
-  /// failover attempts, hedges and MultiGet's per-key fallbacks, so a
-  /// fault-free read without hedging counts one per round trip.
+  /// to a storage node (a MultiGet or MultiScan node batch is one),
+  /// counting retries, failover attempts, hedges and the batched reads'
+  /// per-item fallbacks, so a fault-free read without hedging counts one
+  /// per round trip.
   uint64_t kv_batches = 0;
   uint64_t cache_hits = 0;     ///< reads served by the partition-delta cache
   uint64_t cache_misses = 0;   ///< reads that had to go to the cluster

@@ -91,6 +91,49 @@ bool UsableAnswer(const Result<T>& res) {
   return res.ok() || res.status().IsNotFound();
 }
 
+/// The storage-node requests behind a read whose answer is T: a point read
+/// (SharedValue) or a prefix scan (std::vector<KVPair>), alone or batched.
+template <typename T>
+struct NodeRequests;
+
+template <>
+struct NodeRequests<SharedValue> {
+  static std::future<Result<SharedValue>> One(StorageNode& node,
+                                              std::string key) {
+    return node.SubmitGet(std::move(key));
+  }
+  static std::future<std::vector<Result<SharedValue>>> Batch(
+      StorageNode& node, std::vector<std::string> keys) {
+    return node.SubmitMultiGet(std::move(keys));
+  }
+};
+
+template <>
+struct NodeRequests<std::vector<KVPair>> {
+  static std::future<Result<std::vector<KVPair>>> One(StorageNode& node,
+                                                      std::string prefix) {
+    return node.SubmitScan(std::move(prefix));
+  }
+  static std::future<std::vector<Result<std::vector<KVPair>>>> Batch(
+      StorageNode& node, std::vector<std::string> prefixes) {
+    return node.SubmitMultiScan(std::move(prefixes));
+  }
+};
+
+/// A scan's rows with logical keys (table and token stripped), in a
+/// right-sized vector: callers such as the byte cache keep the answer, and
+/// charge it by its key and value sizes.
+std::vector<KVPair> LogicalRows(std::string_view table,
+                                std::vector<KVPair> rows) {
+  const size_t strip = table.size() + 1 + 8;  // logical key offset
+  std::vector<KVPair> out;
+  out.reserve(rows.size());
+  for (KVPair& kv : rows) {
+    out.push_back(KVPair{kv.key.substr(strip), std::move(kv.value)});
+  }
+  return out;
+}
+
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options) : options_(options) {
@@ -566,14 +609,14 @@ size_t Cluster::HedgeTarget(const ReplicaSet& replicas, size_t primary) const {
   return nodes_.size();
 }
 
-template <typename T, typename SubmitFn>
+template <typename T>
 Result<T> Cluster::HedgedSubmit(size_t primary, const ReplicaSet& replicas,
-                                const std::string& phys, SubmitFn&& submit,
+                                const std::string& phys,
                                 const Deadline& deadline, FetchStats* stats,
                                 size_t* winner) {
   *winner = primary;
   if (stats != nullptr) ++stats->kv_batches;
-  std::future<Result<T>> fut = submit(primary, phys);
+  std::future<Result<T>> fut = NodeRequests<T>::One(*nodes_[primary], phys);
   const int64_t hedge_us = options_.hedge_after_micros;
   size_t alt = nodes_.size();
   if (hedge_us > 0 && fut.wait_for(std::chrono::microseconds(hedge_us)) !=
@@ -593,7 +636,7 @@ Result<T> Cluster::HedgedSubmit(size_t primary, const ReplicaSet& replicas,
   // harmlessly in the node's server pool.
   CountHedge(stats);
   if (stats != nullptr) ++stats->kv_batches;
-  std::future<Result<T>> hedge = submit(alt, phys);
+  std::future<Result<T>> hedge = NodeRequests<T>::One(*nodes_[alt], phys);
   while (true) {
     if (fut.wait_for(kPollQuantum) == std::future_status::ready) {
       Result<T> res = fut.get();
@@ -625,9 +668,9 @@ Result<T> Cluster::HedgedSubmit(size_t primary, const ReplicaSet& replicas,
   }
 }
 
-template <typename T, typename SubmitFn>
+template <typename T>
 Result<T> Cluster::ReadReplicas(const ReplicaSet& replicas,
-                                const std::string& phys, SubmitFn&& submit,
+                                const std::string& phys,
                                 const Deadline& deadline, FetchStats* stats) {
   std::array<uint32_t, kMaxReplicas> order;
   size_t candidates = ServingOrder(replicas, &order);
@@ -638,8 +681,8 @@ Result<T> Cluster::ReadReplicas(const ReplicaSet& replicas,
     for (size_t attempt = 0;; ++attempt) {
       if (DeadlinePassed(deadline)) return DeadlineError(last);
       size_t winner = node;
-      Result<T> res = HedgedSubmit<T>(node, replicas, phys, submit, deadline,
-                                      stats, &winner);
+      Result<T> res =
+          HedgedSubmit<T>(node, replicas, phys, deadline, stats, &winner);
       if (res.ok()) {
         last = Unseal(&*res);
         if (last.ok()) {
@@ -668,57 +711,34 @@ Result<T> Cluster::ReadReplicas(const ReplicaSet& replicas,
   return last;
 }
 
-Result<SharedValue> Cluster::ReadKey(const ReplicaSet& replicas,
-                                     const std::string& phys,
-                                     const Deadline& deadline,
-                                     FetchStats* stats) {
-  return ReadReplicas<SharedValue>(
-      replicas, phys,
-      [this](size_t node, const std::string& key) {
-        return nodes_[node]->SubmitGet(key);
-      },
-      deadline, stats);
-}
-
-Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
-                                 std::string_view key, FetchStats* stats) {
-  return ReadKey(Replicas(PlacementToken(table, partition)),
-                 PhysicalKey(table, partition, key), MakeDeadline(), stats);
-}
-
-Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
-    std::string_view table, const std::vector<MultiGetKey>& keys,
-    FetchStats* stats) {
-  std::vector<std::optional<SharedValue>> out(keys.size());
-  if (keys.empty()) return out;
+template <typename T>
+Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
+    const std::vector<BatchItem>& items, FetchStats* stats) {
+  std::vector<std::optional<T>> out(items.size());
+  if (items.empty()) return out;
   Deadline deadline = MakeDeadline();
-  auto phys_of = [&](size_t i) {
-    return PhysicalKey(table, keys[i].partition, keys[i].key);
-  };
 
-  // One node request for a group of keys (indices into `keys`).
+  // One node request for a group of items (indices into `items`).
   struct Batch {
     size_t node;
     std::vector<size_t> idxs;
-    std::future<std::vector<Result<SharedValue>>> fut;
+    std::future<std::vector<Result<T>>> fut;
   };
   auto submit = [&](size_t node, std::vector<size_t> idxs) {
     std::vector<std::string> phys;
     phys.reserve(idxs.size());
-    for (size_t i : idxs) phys.push_back(phys_of(i));
+    for (size_t i : idxs) phys.push_back(items[i].phys);
     if (stats != nullptr) ++stats->kv_batches;
-    auto fut = nodes_[node]->SubmitMultiGet(std::move(phys));
+    auto fut = NodeRequests<T>::Batch(*nodes_[node], std::move(phys));
     return Batch{node, std::move(idxs), std::move(fut)};
   };
 
-  // Pick a serving replica per key (clean live nodes preferred) and group
-  // the key indices by node.
-  std::vector<uint64_t> tokens(keys.size());
+  // Pick a serving replica per item (clean live nodes preferred) and group
+  // the item indices by node.
   std::unordered_map<size_t, std::vector<size_t>> by_node;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    tokens[i] = PlacementToken(table, keys[i].partition);
+  for (size_t i = 0; i < items.size(); ++i) {
     std::array<uint32_t, kMaxReplicas> order;
-    size_t candidates = ServingOrder(Replicas(tokens[i]), &order);
+    size_t candidates = ServingOrder(items[i].replicas, &order);
     if (candidates == 0) return Status::IOError("no live replica for key");
     by_node[order[0]].push_back(i);
   }
@@ -728,12 +748,12 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     inflight.push_back(submit(node, std::move(idxs)));
   }
 
-  // Settles key i from one node's answer. A verified value or an
+  // Settles item i from one node's answer. A verified answer or an
   // authoritative absence is used as is (true). Corrupt bytes, a hard
-  // error or a dirty replica's NotFound send the key through Get's replica
+  // error or a dirty replica's NotFound send the item through the replica
   // loop instead, under the call's deadline (false).
-  Status fatal;  // first unservable key's error
-  auto resolve = [&](size_t i, size_t node, Result<SharedValue>& res) {
+  Status fatal;  // first unservable item's error
+  auto resolve = [&](size_t i, size_t node, Result<T>& res) {
     if (res.ok()) {
       Status sealed = Unseal(&*res);
       if (sealed.ok() && DecompressInPlace(&*res, stats).ok()) {
@@ -744,8 +764,8 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     } else if (res.status().IsNotFound() && !NodeDirty(node)) {
       return true;  // authoritative absence -> nullopt
     }
-    Result<SharedValue> retry =
-        ReadKey(Replicas(tokens[i]), phys_of(i), deadline, stats);
+    Result<T> retry =
+        ReadReplicas<T>(items[i].replicas, items[i].phys, deadline, stats);
     if (retry.ok()) {
       out[i] = std::move(*retry);
     } else if (!retry.status().IsNotFound() && fatal.ok()) {
@@ -756,8 +776,8 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
 
   const int64_t hedge_us = options_.hedge_after_micros;
   for (Batch& b : inflight) {
-    // A slow batch is hedged: its keys regroup by each key's next live
-    // replica and second-chance batches go there. Keys without one stay
+    // A slow batch is hedged: its items regroup by each item's next live
+    // replica and second-chance batches go there. Items without one stay
     // with the primary (`stay` holds their positions in b.idxs).
     std::vector<Batch> hedges;
     std::vector<size_t> stay;
@@ -766,7 +786,7 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
             std::future_status::ready) {
       std::unordered_map<size_t, std::vector<size_t>> alt_nodes;
       for (size_t j = 0; j < b.idxs.size(); ++j) {
-        size_t alt = HedgeTarget(Replicas(tokens[b.idxs[j]]), b.node);
+        size_t alt = HedgeTarget(items[b.idxs[j]].replicas, b.node);
         if (alt == nodes_.size()) {
           stay.push_back(j);
         } else {
@@ -796,25 +816,25 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
     }
 
     if (!hedged) {
-      std::vector<Result<SharedValue>> answers = b.fut.get();
+      std::vector<Result<T>> answers = b.fut.get();
       for (size_t j = 0; j < b.idxs.size(); ++j) {
         resolve(b.idxs[j], b.node, answers[j]);
       }
     } else {
       // A hedge batch wins when one of its own answers is used.
       for (Batch& h : hedges) {
-        std::vector<Result<SharedValue>> answers = h.fut.get();
+        std::vector<Result<T>> answers = h.fut.get();
         bool won = false;
         for (size_t j = 0; j < h.idxs.size(); ++j) {
           won |= resolve(h.idxs[j], h.node, answers[j]);
         }
         if (won) CountHedgeWin(stats);
       }
-      // Keys without an alternate still need the primary's answer;
+      // Items without an alternate still need the primary's answer;
       // otherwise the slow primary batch is abandoned.
       if (!stay.empty()) {
         if (!AwaitUntil(b.fut, deadline)) return DeadlineError(Status::OK());
-        std::vector<Result<SharedValue>> answers = b.fut.get();
+        std::vector<Result<T>> answers = b.fut.get();
         for (size_t j : stay) resolve(b.idxs[j], b.node, answers[j]);
       }
     }
@@ -823,26 +843,53 @@ Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
   return out;
 }
 
+Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
+                                 std::string_view key, FetchStats* stats) {
+  return ReadReplicas<SharedValue>(Replicas(PlacementToken(table, partition)),
+                                   PhysicalKey(table, partition, key),
+                                   MakeDeadline(), stats);
+}
+
+Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
+    std::string_view table, const std::vector<MultiGetKey>& keys,
+    FetchStats* stats) {
+  std::vector<BatchItem> items;
+  items.reserve(keys.size());
+  for (const MultiGetKey& k : keys) {
+    items.push_back(BatchItem{Replicas(PlacementToken(table, k.partition)),
+                              PhysicalKey(table, k.partition, k.key)});
+  }
+  return BatchedRead<SharedValue>(items, stats);
+}
+
 Result<std::vector<KVPair>> Cluster::Scan(std::string_view table,
                                           uint64_t partition,
                                           std::string_view key_prefix,
                                           FetchStats* stats) {
-  HGS_ASSIGN_OR_RETURN(
-      std::vector<KVPair> rows,
-      ReadReplicas<std::vector<KVPair>>(
-          Replicas(PlacementToken(table, partition)),
-          PhysicalKey(table, partition, key_prefix),
-          [this](size_t node, const std::string& prefix) {
-            return nodes_[node]->SubmitScan(prefix);
-          },
-          MakeDeadline(), stats));
-  // Logical keys in a right-sized vector: callers such as the byte cache
-  // keep the answer, and charge it by its key and value sizes.
-  const size_t strip = table.size() + 1 + 8;  // logical key offset
-  std::vector<KVPair> out;
-  out.reserve(rows.size());
-  for (KVPair& kv : rows) {
-    out.push_back(KVPair{kv.key.substr(strip), std::move(kv.value)});
+  HGS_ASSIGN_OR_RETURN(std::vector<KVPair> rows,
+                       ReadReplicas<std::vector<KVPair>>(
+                           Replicas(PlacementToken(table, partition)),
+                           PhysicalKey(table, partition, key_prefix),
+                           MakeDeadline(), stats));
+  return LogicalRows(table, std::move(rows));
+}
+
+Result<std::vector<std::vector<KVPair>>> Cluster::MultiScan(
+    const std::vector<MultiScanPrefix>& prefixes, FetchStats* stats) {
+  std::vector<BatchItem> items;
+  items.reserve(prefixes.size());
+  for (const MultiScanPrefix& p : prefixes) {
+    items.push_back(BatchItem{Replicas(PlacementToken(p.table, p.partition)),
+                              PhysicalKey(p.table, p.partition, p.prefix)});
+  }
+  HGS_ASSIGN_OR_RETURN(std::vector<std::optional<std::vector<KVPair>>> rows,
+                       BatchedRead<std::vector<KVPair>>(items, stats));
+  // A scan answer is never an absence: every entry holds the prefix's rows.
+  std::vector<std::vector<KVPair>> out(prefixes.size());
+  for (size_t i = 0; i < prefixes.size(); ++i) {
+    if (rows[i].has_value()) {
+      out[i] = LogicalRows(prefixes[i].table, std::move(*rows[i]));
+    }
   }
   return out;
 }

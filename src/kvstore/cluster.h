@@ -13,8 +13,13 @@
 //   * reads retry transient errors with capped exponential backoff, fail
 //     over across replicas, optionally hedge a second-chance request to
 //     another replica after `hedge_after_micros`, and observe one deadline
-//     per call; Get, Scan and MultiGet's per-key fallback share one
-//     replica loop, and each call counts what it did into one FetchStats;
+//     per call; Get, Scan and the per-item fallback of the batched reads
+//     share one replica loop, and each call counts what it did into one
+//     FetchStats;
+//   * batched reads (MultiGet for point reads, MultiScan for prefix scans)
+//     share one implementation: items are grouped by serving node, each
+//     group is one node request (one seek), slow batches are hedged, and
+//     items a batch could not settle fall back to the replica loop;
 //   * writes honor an ack level (one/quorum/all) and queue hinted handoffs
 //     for replicas that miss a write or delete; ReplayHints/RepairNode
 //     bring a rejoined node back to byte-identical contents;
@@ -73,9 +78,10 @@ struct ClusterOptions {
   /// Capped exponential backoff between retries: base * 2^(attempt-1), at
   /// most 2 ms.
   int64_t retry_backoff_micros = 100;
-  /// Wall-clock budget of one read call (Get, Scan or MultiGet, retries,
-  /// failovers, hedges and per-key fallbacks included); 0 = unbounded.
-  /// Exceeding it fails the call with an IOError mentioning the deadline.
+  /// Wall-clock budget of one read call (Get, Scan, MultiGet or MultiScan,
+  /// retries, failovers, hedges and per-item fallbacks included); 0 means
+  /// unbounded. Exceeding it fails the call with an IOError mentioning the
+  /// deadline.
   int64_t request_deadline_micros = 0;
   /// Hedged reads: when > 0 and a replica has not answered within this
   /// budget, fire a second-chance request at another replica and take
@@ -91,6 +97,15 @@ struct ClusterOptions {
 struct MultiGetKey {
   uint64_t partition = 0;
   std::string key;
+};
+
+/// One prefix of a batched scan: the rows of `partition` in `table` whose
+/// key begins with `prefix`. `table` is a view: the caller keeps it alive
+/// for the call (the TGI tables are string constants).
+struct MultiScanPrefix {
+  std::string_view table;
+  uint64_t partition = 0;
+  std::string prefix;
 };
 
 /// One row of a batched write. `schema` declares what the value's payload
@@ -230,6 +245,18 @@ class Cluster {
                                    std::string_view key_prefix,
                                    FetchStats* stats = nullptr);
 
+  /// Batched prefix scans, possibly over several tables: MultiGet's
+  /// batching, hedging, deadline and fallback applied to scans. Prefixes
+  /// are grouped by serving node and each group is one node request, so
+  /// the latency model charges one seek per node batch instead of one per
+  /// prefix. Returns one entry per input prefix, in input order, equal to
+  /// what Scan returns for it; a prefix its node batch could not settle
+  /// falls back to Scan's replica loop. Any prefix that no replica can
+  /// serve fails the whole call.
+  Result<std::vector<std::vector<KVPair>>> MultiScan(
+      const std::vector<MultiScanPrefix>& prefixes,
+      FetchStats* stats = nullptr);
+
   /// Deletes from all replicas, observing the write ack level like Put;
   /// replicas that miss the delete get a tombstone hint so the key cannot
   /// resurrect on rejoin. On success, the value reports whether any
@@ -361,33 +388,45 @@ class Cluster {
   /// the same keys.
   void SupersedeHints(size_t node, const std::string& phys);
 
-  /// Submits `submit(node, phys)` with optional hedging: if the primary
-  /// has not answered within hedge_after_micros and another live replica
-  /// exists, fires a second-chance request there; the first usable answer
-  /// (ok or NotFound) wins. `*winner` reports which node's answer was
-  /// returned.
-  template <typename T, typename SubmitFn>
-  Result<T> HedgedSubmit(size_t primary, const ReplicaSet& replicas,
-                         const std::string& phys, SubmitFn&& submit,
-                         const Deadline& deadline, FetchStats* stats,
-                         size_t* winner);
+  /// One item of a batched read: the replicas that hold it and its
+  /// physical key (a point read's key or a scan's prefix).
+  struct BatchItem {
+    ReplicaSet replicas;
+    std::string phys;
+  };
 
-  /// The replica loop of one read (T is SharedValue for a point read,
-  /// std::vector<KVPair> for a scan): replicas in serving order, transient
+  /// Submits one read of `phys` (T is SharedValue for a point read,
+  /// std::vector<KVPair> for a scan) to `primary` with optional hedging: if
+  /// the primary has not answered within hedge_after_micros and another
+  /// live replica exists, fires a second-chance request there; the first
+  /// usable answer (ok or NotFound) wins. `*winner` reports which node's
+  /// answer was returned.
+  template <typename T>
+  Result<T> HedgedSubmit(size_t primary, const ReplicaSet& replicas,
+                         const std::string& phys, const Deadline& deadline,
+                         FetchStats* stats, size_t* winner);
+
+  /// The replica loop of one read: replicas in serving order, transient
   /// errors retried with backoff, then failover; a checksum mismatch or a
   /// dirty replica's NotFound falls through to the next replica, and a
   /// clean replica's NotFound is the answer. Every request goes through
   /// HedgedSubmit under `deadline`. Returns the verified, decompressed
   /// answer.
-  template <typename T, typename SubmitFn>
+  template <typename T>
   Result<T> ReadReplicas(const ReplicaSet& replicas, const std::string& phys,
-                         SubmitFn&& submit, const Deadline& deadline,
-                         FetchStats* stats);
+                         const Deadline& deadline, FetchStats* stats);
 
-  /// ReadReplicas for one point read.
-  Result<SharedValue> ReadKey(const ReplicaSet& replicas,
-                              const std::string& phys,
-                              const Deadline& deadline, FetchStats* stats);
+  /// The batched read behind MultiGet and MultiScan. Each item is read
+  /// from its first replica in serving order, and the items of one node
+  /// go out as one node request. A batch still unanswered after
+  /// hedge_after_micros is hedged: its items regroup by their next live
+  /// replica into second-chance batches. An item whose answer is not a
+  /// verified value or a clean replica's NotFound goes through
+  /// ReadReplicas. Every wait honours the call's one deadline. Returns one
+  /// entry per item, nullopt for an absent key.
+  template <typename T>
+  Result<std::vector<std::optional<T>>> BatchedRead(
+      const std::vector<BatchItem>& items, FetchStats* stats);
 
   /// The first live replica other than `primary` (where a hedge goes), or
   /// num_nodes() when there is none.

@@ -89,23 +89,25 @@ SharedValue StorageNode::MaybeCorrupt(SharedValue value) {
   return SharedValue(std::move(bytes));
 }
 
+Status StorageNode::AdmitRead(size_t items, int64_t* extra_micros) {
+  if (IsDown()) return DownError();
+  FaultDecision fault = faults_.OnRequest();
+  *extra_micros = fault.extra_micros;
+  if (!fault.fail) return Status::OK();
+  ChargeLatency(items, 0, fault.extra_micros);
+  return TransientFault();
+}
+
 std::vector<Result<SharedValue>> StorageNode::DoMultiGet(
     const std::vector<std::string>& keys) {
   Serving serving(&stats_);
+  int64_t extra_micros = 0;
+  Status admitted = AdmitRead(keys.size(), &extra_micros);
+  if (!admitted.ok()) {
+    return std::vector<Result<SharedValue>>(keys.size(), admitted);
+  }
   std::vector<Result<SharedValue>> out;
   out.reserve(keys.size());
-  if (IsDown()) {
-    Status down = DownError();
-    for (size_t i = 0; i < keys.size(); ++i) out.push_back(down);
-    return out;
-  }
-  FaultDecision fault = faults_.OnRequest();
-  if (fault.fail) {
-    ChargeLatency(keys.size(), 0, fault.extra_micros);
-    Status st = TransientFault();
-    for (size_t i = 0; i < keys.size(); ++i) out.push_back(st);
-    return out;
-  }
   size_t found = 0;
   size_t bytes = 0;
   {
@@ -128,35 +130,46 @@ std::vector<Result<SharedValue>> StorageNode::DoMultiGet(
   stats_.keys_read.fetch_add(found, std::memory_order_relaxed);
   stats_.bytes_read.fetch_add(bytes, std::memory_order_relaxed);
   // One round trip: a single seek covers the whole batch.
-  ChargeLatency(keys.size(), bytes, fault.extra_micros);
+  ChargeLatency(keys.size(), bytes, extra_micros);
   return out;
 }
 
-Result<std::vector<KVPair>> StorageNode::DoScan(const std::string& prefix) {
+std::vector<Result<std::vector<KVPair>>> StorageNode::DoMultiScan(
+    const std::vector<std::string>& prefixes) {
   Serving serving(&stats_);
-  if (IsDown()) return DownError();
-  FaultDecision fault = faults_.OnRequest();
-  if (fault.fail) {
-    ChargeLatency(1, 0, fault.extra_micros);
-    return TransientFault();
+  int64_t extra_micros = 0;
+  Status admitted = AdmitRead(prefixes.size(), &extra_micros);
+  if (!admitted.ok()) {
+    return std::vector<Result<std::vector<KVPair>>>(prefixes.size(), admitted);
   }
-  std::vector<KVPair> out;
+  std::vector<Result<std::vector<KVPair>>> out;
+  out.reserve(prefixes.size());
+  size_t keys = 0;
   size_t bytes = 0;
   {
     MutexLock lock(mu_);
-    for (auto it = data_.lower_bound(prefix);
-         it != data_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-      out.push_back(KVPair{it->first, SharedValue(it->second, *it->second)});
-      bytes += it->second->size();
+    for (const std::string& prefix : prefixes) {
+      std::vector<KVPair> rows;
+      for (auto it = data_.lower_bound(prefix);
+           it != data_.end() &&
+           it->first.compare(0, prefix.size(), prefix) == 0;
+           ++it) {
+        rows.push_back(KVPair{it->first, SharedValue(it->second, *it->second)});
+        bytes += it->second->size();
+      }
+      keys += rows.size();
+      out.push_back(std::move(rows));
     }
   }
-  for (KVPair& kv : out) kv.value = MaybeCorrupt(std::move(kv.value));
+  for (Result<std::vector<KVPair>>& rows : out) {
+    for (KVPair& kv : *rows) kv.value = MaybeCorrupt(std::move(kv.value));
+  }
   stats_.scan_requests.fetch_add(1, std::memory_order_relaxed);
-  stats_.keys_read.fetch_add(out.size(), std::memory_order_relaxed);
+  stats_.keys_read.fetch_add(keys, std::memory_order_relaxed);
   stats_.bytes_read.fetch_add(bytes, std::memory_order_relaxed);
-  // Clustered rows: one seek for the whole contiguous run.
-  ChargeLatency(out.size(), bytes, fault.extra_micros);
+  // One round trip: each prefix is one contiguous run of clustered rows,
+  // and a single seek covers every run of the batch.
+  ChargeLatency(keys, bytes, extra_micros);
   return out;
 }
 
@@ -176,7 +189,16 @@ std::future<std::vector<Result<SharedValue>>> StorageNode::SubmitMultiGet(
 std::future<Result<std::vector<KVPair>>> StorageNode::SubmitScan(
     std::string prefix) {
   return servers_.Submit(
-      [this, prefix = std::move(prefix)]() { return DoScan(prefix); });
+      [this, prefixes = std::vector<std::string>{std::move(prefix)}]() {
+        return std::move(DoMultiScan(prefixes).front());
+      });
+}
+
+std::future<std::vector<Result<std::vector<KVPair>>>>
+StorageNode::SubmitMultiScan(std::vector<std::string> prefixes) {
+  return servers_.Submit([this, prefixes = std::move(prefixes)]() {
+    return DoMultiScan(prefixes);
+  });
 }
 
 Status StorageNode::PutBatch(std::vector<NodePutRow> rows) {

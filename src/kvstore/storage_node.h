@@ -36,7 +36,9 @@ namespace hgs {
 
 /// Simulated I/O cost parameters (microseconds / bytes-per-microsecond).
 struct LatencyModel {
-  /// Charged once per Get/Scan request (network round trip + disk seek).
+  /// Charged once per node request (network round trip + disk seek): a
+  /// SubmitMultiGet or SubmitMultiScan batch pays it once for all its keys
+  /// or prefixes.
   int64_t seek_micros = 250;
   /// Charged per key touched by a request.
   int64_t per_key_micros = 5;
@@ -116,9 +118,17 @@ class StorageNode {
   std::future<std::vector<Result<SharedValue>>> SubmitMultiGet(
       std::vector<std::string> keys);
 
-  /// Prefix scan: all pairs whose key starts with `prefix`, in key order.
-  /// Values are zero-copy views of node memory.
+  /// Prefix scan: a one-prefix SubmitMultiScan. All pairs whose key starts
+  /// with `prefix`, in key order. Values are zero-copy views of node memory.
   std::future<Result<std::vector<KVPair>>> SubmitScan(std::string prefix);
+
+  /// Batched prefix scans served as ONE request and charged like a
+  /// SubmitMultiGet batch: one seek for the whole request, plus the per-key
+  /// and per-byte costs of every pair it returns; the batch counts as one
+  /// scan request in the stats. One Result per input prefix, in input
+  /// order, each holding that prefix's pairs in key order.
+  std::future<std::vector<Result<std::vector<KVPair>>>> SubmitMultiScan(
+      std::vector<std::string> prefixes);
 
   /// Group commit: applies all rows under one lock acquisition and counts
   /// the whole batch as ONE write submission (one seek when writes are
@@ -176,7 +186,12 @@ class StorageNode {
  private:
   std::vector<Result<SharedValue>> DoMultiGet(
       const std::vector<std::string>& keys);
-  Result<std::vector<KVPair>> DoScan(const std::string& prefix);
+  std::vector<Result<std::vector<KVPair>>> DoMultiScan(
+      const std::vector<std::string>& prefixes);
+  /// Admits one read request of `items` keys or prefixes: the node's down
+  /// error, a transient fault (charged as `items` keys), or OK with the
+  /// injector's extra latency for the request in `*extra_micros`.
+  Status AdmitRead(size_t items, int64_t* extra_micros);
   void ChargeLatency(size_t keys, size_t bytes, int64_t extra_micros = 0);
   Status TransientFault();
   Status DownError() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <tuple>
 #include <unordered_set>
@@ -77,16 +78,11 @@ using MicropartEntries = std::vector<std::pair<NodeId, MicroPartitionId>>;
 
 bool IsEventlist(DeltaId did) { return did >= tgi::kEventlistDidBase; }
 
-// Decodes one raw row by its kind byte, counting the decode and the value
-// consumed. Returns the shared immutable object plus its eviction charge:
-// Delta and EventList charge their wire size (the paper's Σ|Δ| currency,
-// and a close proxy for the decoded maps' payload).
+// Decodes one raw row by its kind byte. Returns the shared immutable object
+// plus its eviction charge: Delta and EventList charge their wire size (the
+// paper's Σ|Δ| currency, and a close proxy for the decoded maps' payload).
 Result<std::pair<std::shared_ptr<const void>, size_t>> DecodeRow(
-    char kind, std::string_view raw, FetchStats* stats) {
-  ++stats->decodes;
-  stats->decoded_bytes += raw.size();
-  ++stats->micro_deltas;
-  stats->bytes += raw.size();
+    char kind, std::string_view raw) {
   switch (kind) {
     case kDeltaKind: {
       HGS_ASSIGN_OR_RETURN(Delta d, Delta::Deserialize(raw));
@@ -124,6 +120,17 @@ std::vector<DeltaId> DidPath(const tgi::TimespanMeta& span, Timestamp t) {
     dids.push_back(tgi::EventlistDid(j));
   }
   return dids;
+}
+
+// Cuts a history fetched over a window that contains (from, to] down to
+// (from, to]: its events up to `from` replay into the initial state, and
+// its events inside the window stay.
+void CutToWindow(NodeHistory* h, Timestamp from, Timestamp to) {
+  if (h->from == from && h->to == to) return;
+  h->initial.ApplyEvents(h->events, h->from, from);
+  h->events = h->events.FilterByTime(from, to);
+  h->from = from;
+  h->to = to;
 }
 
 }  // namespace
@@ -461,46 +468,54 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
     }
   }
 
-  // (2c) The needed scans, in parallel: byte tier, then Cluster::Scan.
-  HGS_RETURN_NOT_OK(RunTasks(
-      needed.size(), parallelism, stats,
-      [&](size_t k, FetchStats* local) -> Status {
-        Scan& scan = scans[needed[k]];
-        ++local->kv_requests;
-        if (scan.read->kind == kChainKind) ++local->version_scans;
-        if (read_cache_ != nullptr) {
-          auto entry = read_cache_->Get(scan.bkey);
-          if (entry.has_value()) {
-            ++local->cache_hits;
-            scan.result = std::move(*entry);
-            return Status::OK();
-          }
-          ++local->cache_misses;
-        }
-        auto pairs = cluster_->Scan(scan.read->table, scan.read->partition,
-                                    scan.prefix, local);
-        auto entry = std::make_shared<ReadCacheEntry>();
-        HGS_ASSIGN_OR_RETURN(entry->pairs, std::move(pairs));
-        if (read_cache_ != nullptr) {
-          size_t charge = scan.bkey.size() + 64;
-          for (const KVPair& kv : entry->pairs) {
-            charge += kv.key.size() + kv.value.size() + 32;
-          }
-          read_cache_->Put(scan.bkey, entry, charge);
-        }
-        scan.result = std::move(entry);
-        return Status::OK();
-      }));
+  // (2c) The needed scans: the byte tier, then one Cluster::MultiScan for
+  // the rest, which sends one request per serving storage node.
+  std::vector<size_t> scan_fetch;
+  std::vector<MultiScanPrefix> prefixes;
+  for (size_t s : needed) {
+    Scan& scan = scans[s];
+    ++stats->kv_requests;
+    if (scan.read->kind == kChainKind) ++stats->version_scans;
+    if (read_cache_ != nullptr) {
+      auto entry = read_cache_->Get(scan.bkey);
+      if (entry.has_value()) {
+        ++stats->cache_hits;
+        scan.result = std::move(*entry);
+        continue;
+      }
+      ++stats->cache_misses;
+    }
+    scan_fetch.push_back(s);
+    prefixes.push_back(MultiScanPrefix{scan.read->table, scan.read->partition,
+                                       std::string(scan.prefix)});
+  }
+  HGS_ASSIGN_OR_RETURN(std::vector<std::vector<KVPair>> answers,
+                       cluster_->MultiScan(prefixes, stats));
+  for (size_t j = 0; j < scan_fetch.size(); ++j) {
+    Scan& scan = scans[scan_fetch[j]];
+    auto entry = std::make_shared<ReadCacheEntry>();
+    entry->pairs = std::move(answers[j]);
+    if (read_cache_ != nullptr) {
+      size_t charge = scan.bkey.size() + 64;
+      for (const KVPair& kv : entry->pairs) {
+        charge += kv.key.size() + kv.value.size() + 32;
+      }
+      read_cache_->Put(scan.bkey, entry, charge);
+    }
+    scan.result = std::move(entry);
+  }
 
   // (3) Decode every miss exactly once, in parallel — each row type's
   // Deserialize reads the shared view in place through BinaryReader's
   // Read* family, with no staging copy — and (4) publish it in the decoded
-  // tier for every later consumer.
-  HGS_RETURN_NOT_OK(RunTasks(
-      misses.size(), parallelism, stats,
-      [&](size_t m, FetchStats* local) -> Status {
+  // tier for every later consumer. Each miss records the rows it decoded
+  // and their bytes; the counters are summed after the join.
+  std::vector<std::pair<size_t, size_t>> decoded(misses.size());
+  HGS_RETURN_NOT_OK(StatusParallelFor(
+      misses.size(), parallelism, [&](size_t m) -> Status {
         const size_t i = misses[m];
         const Read& r = reads[i];
+        auto& [decoded_rows, decoded_bytes] = decoded[m];
         size_t charge = 0;
         if (r.kind == kScanKind) {
           // Rows decode (or decode-hit) at row granularity too, so point
@@ -515,16 +530,13 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
                                   kv.key);
               row = decoded_cache_->Get(rkey);
             }
-            if (row.has_value() && row->obj != nullptr) {
-              ++local->decode_hits;
-              ++local->micro_deltas;
-              local->bytes += kv.value.size();
-            } else {
-              HGS_ASSIGN_OR_RETURN(auto decoded,
-                                   DecodeRow(r.row_kind, kv.value, local));
-              row = DecodedEntry{std::move(decoded.first), kv.value.size()};
+            if (!row.has_value() || row->obj == nullptr) {
+              HGS_ASSIGN_OR_RETURN(auto obj, DecodeRow(r.row_kind, kv.value));
+              ++decoded_rows;
+              decoded_bytes += kv.value.size();
+              row = DecodedEntry{std::move(obj.first), kv.value.size()};
               if (decoded_cache_ != nullptr) {
-                const size_t row_charge = rkey.size() + decoded.second + 64;
+                const size_t row_charge = rkey.size() + obj.second + 64;
                 decoded_cache_->Put(rkey, *row, row_charge);
               }
             }
@@ -545,10 +557,6 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
           auto chain = std::make_shared<MergedVersionChain>();
           for (const KVPair& kv : scans[scan_of[i]].result->pairs) {
             if (!kv.key.starts_with(r.key)) continue;
-            ++local->decodes;
-            local->decoded_bytes += kv.value.size();
-            ++local->micro_deltas;
-            local->bytes += kv.value.size();
             HGS_ASSIGN_OR_RETURN(
                 tgi::VersionChainSegment seg,
                 tgi::VersionChainSegment::Deserialize(kv.value));
@@ -557,13 +565,16 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
             chain->entries.insert(chain->entries.end(), seg.entries.begin(),
                                   seg.entries.end());
           }
+          decoded_rows = chain->segment_count;
+          decoded_bytes = chain->raw_bytes;
           charge = 48 + chain->entries.size() * sizeof(tgi::VersionEntry);
           out[i] = DecodedEntry{chain, chain->raw_bytes};
         } else if (raw[i].has_value()) {
-          HGS_ASSIGN_OR_RETURN(auto decoded,
-                               DecodeRow(r.kind, raw[i]->view(), local));
-          out[i] = DecodedEntry{std::move(decoded.first), raw[i]->size()};
-          charge = decoded.second;
+          HGS_ASSIGN_OR_RETURN(auto obj, DecodeRow(r.kind, raw[i]->view()));
+          decoded_rows = 1;
+          decoded_bytes = raw[i]->size();
+          out[i] = DecodedEntry{std::move(obj.first), raw[i]->size()};
+          charge = obj.second;
         }
         // An absent row is negatively cached: its absence is knowledge too.
         if (decoded_cache_ != nullptr && r.kind != kMicropartKind) {
@@ -571,6 +582,21 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
         }
         return Status::OK();
       }));
+  // Every row a miss consumed counts one value and its bytes; the rows of a
+  // scan that the row-level decoded tier served count as decode hits.
+  for (size_t m = 0; m < misses.size(); ++m) {
+    const size_t i = misses[m];
+    const auto [decoded_rows, decoded_bytes] = decoded[m];
+    size_t rows = decoded_rows;
+    if (reads[i].kind == kScanKind) {
+      rows = static_cast<const DecodedScan*>(out[i].obj.get())->rows.size();
+    }
+    stats->decodes += decoded_rows;
+    stats->decoded_bytes += decoded_bytes;
+    stats->decode_hits += rows - decoded_rows;
+    stats->micro_deltas += rows;
+    stats->bytes += out[i].raw_bytes;
+  }
   return out;
 }
 
@@ -1299,9 +1325,10 @@ Result<OneHopHistory> TGIQueryManager::GetOneHopHistory(NodeId id,
   HGS_ASSIGN_OR_RETURN(out.center,
                        GetNodeHistoryWith(meta, id, from, to, stats));
 
-  // Neighbor activity intervals: initial edges are active from `from`; edge
-  // events extend / bound them (Algorithm 5's UpdateNeighborInfo).
-  std::unordered_map<NodeId, std::pair<Timestamp, Timestamp>> active;
+  // Neighbor activity intervals, by id: initial edges are active from
+  // `from`; edge events extend / bound them (Algorithm 5's
+  // UpdateNeighborInfo).
+  std::map<NodeId, std::pair<Timestamp, Timestamp>> active;
   out.center.initial.ForEachEdgeEntry(
       [&](const EdgeKey& key, const std::optional<EdgeRecord>& rec) {
         if (!rec.has_value()) return;
@@ -1324,19 +1351,23 @@ Result<OneHopHistory> TGIQueryManager::GetOneHopHistory(NodeId id,
     }
   }
 
-  std::vector<std::pair<NodeId, std::pair<Timestamp, Timestamp>>> nbrs(
-      active.begin(), active.end());
-  std::sort(nbrs.begin(), nbrs.end());
-  out.neighbors.resize(nbrs.size());
-  HGS_RETURN_NOT_OK(RunTasks(
-      nbrs.size(), fetch_parallelism(), stats,
-      [&](size_t i, FetchStats* local) -> Status {
-        const auto& [nbr, window] = nbrs[i];
-        HGS_ASSIGN_OR_RETURN(
-            out.neighbors[i],
-            GetNodeHistoryWith(meta, nbr, window.first, window.second, local));
-        return Status::OK();
-      }));
+  // Every neighbor in one set-at-a-time plan over the union of the
+  // windows, then each history cut to its own window.
+  std::vector<NodeId> ids;
+  std::vector<std::pair<Timestamp, Timestamp>> windows;
+  Timestamp lo = to;
+  Timestamp hi = from;
+  for (const auto& [nbr, window] : active) {
+    ids.push_back(nbr);
+    windows.push_back(window);
+    lo = std::min(lo, window.first);
+    hi = std::max(hi, window.second);
+  }
+  HGS_ASSIGN_OR_RETURN(out.neighbors,
+                       GetNodeHistoriesWith(meta, ids, lo, hi, stats));
+  ParallelFor(ids.size(), fetch_parallelism(), [&](size_t i) {
+    CutToWindow(&out.neighbors[i], windows[i].first, windows[i].second);
+  });
   return out;
 }
 

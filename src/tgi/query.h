@@ -22,11 +22,12 @@
 //
 // Every retrieval plans its fetches as one batch of independent micro-delta
 // reads and hands it to a single executor: decoded-tier probe, then the
-// byte tier and one grouped Cluster::MultiGet for point reads (one round
-// trip per storage node instead of one per key) and parallel partition
-// scans, then parallel decode on `fetch_parallelism` workers (the paper's
-// c), then cache insert. A re-publish (AppendBatch) sweeps only the cache
-// entries of the (table, partition) scopes it wrote.
+// byte tier and one grouped Cluster::MultiGet for point reads and one
+// Cluster::MultiScan for partition scans (one round trip per storage node
+// instead of one per key or prefix), then parallel decode on
+// `fetch_parallelism` workers (the paper's c), then cache insert. A
+// re-publish (AppendBatch) sweeps only the cache entries of the (table,
+// partition) scopes it wrote.
 
 #ifndef HGS_TGI_QUERY_H_
 #define HGS_TGI_QUERY_H_
@@ -161,6 +162,21 @@ class TGIQueryManager {
   Result<Graph> GetKHopNeighborhood(NodeId id, Timestamp t, int k,
                                     FetchStats* stats = nullptr);
 
+  /// One-hop history (Algorithm 5): the center's history over (from, to]
+  /// plus one history per node that is a neighbor of the center at some
+  /// point in the interval, in ascending id order. A neighbor's window
+  /// opens at `from` when the edge is live there, or at the time a later
+  /// kAddEdge adds it; a kRemoveEdge ends the window at its time, and a
+  /// re-add extends it to `to`. Each neighbor history covers its own
+  /// window (its `from` and `to` are the window's), and equals
+  /// GetNodeHistory over that window in its events and in the present
+  /// entries of its initial state, which is the neighbor's state at the
+  /// window start. Its initial state may hold tombstones that a state
+  /// rebuilt at the window start lacks. The center is one retrieval; every
+  /// neighbor then rides one GetNodeHistories plan over the union of the
+  /// windows, and each history is cut to its window by replaying its
+  /// events up to the window start into the initial state and keeping the
+  /// events inside it.
   Result<OneHopHistory> GetOneHopHistory(NodeId id, Timestamp from,
                                          Timestamp to,
                                          FetchStats* stats = nullptr);
@@ -324,12 +340,12 @@ class TGIQueryManager {
   /// The read executor, the one path from the cluster to decoded objects.
   /// Returns one entry per read: (1) probe the decoded tier; (2) send the
   /// remaining point reads through the byte tier and then one grouped
-  /// Cluster::MultiGet (point reads of a batch share one table), and run
-  /// the remaining scans — deduplicated, so 'V' reads of one placement
-  /// share one — in parallel; (3) decode every miss once, in parallel,
-  /// straight off the shared views; (4) insert the results into the
-  /// caches. Each parallel task counts into its own FetchStats, merged
-  /// after the join.
+  /// Cluster::MultiGet (point reads of a batch share one table), and the
+  /// remaining scans — deduplicated, so 'V' reads of one placement share
+  /// one — through the byte tier and then one Cluster::MultiScan; (3)
+  /// decode every miss once, in parallel, straight off the shared views;
+  /// (4) insert the results into the caches. The decode counters are
+  /// summed after the join from what each miss decoded.
   Result<std::vector<DecodedEntry>> Execute(const MetaState& meta,
                                             const std::vector<Read>& reads,
                                             FetchStats* stats);

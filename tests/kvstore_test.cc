@@ -6,6 +6,7 @@
 #include <array>
 #include <chrono>
 #include <future>
+#include <thread>
 
 #include "common/rng.h"
 #include "kvstore/cluster.h"
@@ -655,6 +656,9 @@ TEST(FaultToleranceTest, DeadlineBoundsARequest) {
     expect_deadline("MultiGet", [&] {
       return c.MultiGet("t", {MultiGetKey{1, "k"}}).status();
     });
+    expect_deadline("MultiScan", [&] {
+      return c.MultiScan({MultiScanPrefix{"t", 1, ""}}).status();
+    });
   }
 }
 
@@ -785,8 +789,9 @@ std::vector<MultiGetKey> LoadRows(Cluster* c, uint64_t partitions) {
 }
 
 /// One read call counted into `call`: a Get of a random key (api 0), a
-/// MultiGet of every key (api 1) or a Scan of a random partition (api 2).
-/// Checks that the call succeeded.
+/// MultiGet of every key (api 1), a Scan of a random partition (api 2) or
+/// a MultiScan of every partition and one absent prefix (api 3). Checks
+/// that the call succeeded.
 void ReadOnce(Cluster* c, const std::vector<MultiGetKey>& keys,
               uint64_t partitions, size_t api, Rng* rng, FetchStats* call) {
   switch (api) {
@@ -802,9 +807,19 @@ void ReadOnce(Cluster* c, const std::vector<MultiGetKey>& keys,
       EXPECT_TRUE(got.ok()) << "MultiGet: " << got.status().ToString();
       break;
     }
-    default: {
+    case 2: {
       auto got = c->Scan("t", rng->Uniform(partitions), "", call);
       EXPECT_TRUE(got.ok()) << "Scan: " << got.status().ToString();
+      break;
+    }
+    default: {
+      std::vector<MultiScanPrefix> prefixes;
+      for (uint64_t p = 0; p < partitions; ++p) {
+        prefixes.push_back(MultiScanPrefix{"t", p, ""});
+      }
+      prefixes.push_back(MultiScanPrefix{"t", 0, "absent"});
+      auto got = c->MultiScan(prefixes, call);
+      EXPECT_TRUE(got.ok()) << "MultiScan: " << got.status().ToString();
       break;
     }
   }
@@ -837,7 +852,7 @@ TEST(ReadAccountingTest, PerCallCountsEqualClusterGrowth) {
       for (int i = 0; i < 15; ++i) {
         const std::array<uint64_t, 5> before = ClusterEvents(c);
         FetchStats call;
-        ReadOnce(&c, keys, kPartitions, i % 3, &rng, &call);
+        ReadOnce(&c, keys, kPartitions, i % 4, &rng, &call);
         const std::array<uint64_t, 5> after = ClusterEvents(c);
         const std::array<uint64_t, 5> counted = CallEvents(call);
         for (size_t f = 0; f < 5; ++f) {
@@ -865,13 +880,258 @@ TEST(ReadAccountingTest, FaultFreeBatchesEqualNodeRequests) {
     for (int i = 0; i < 20; ++i) {
       const uint64_t before = c.TotalReadRequests();
       FetchStats call;
-      ReadOnce(&c, keys, kPartitions, i % 3, &rng, &call);
+      ReadOnce(&c, keys, kPartitions, i % 4, &rng, &call);
       EXPECT_EQ(call.kv_batches, c.TotalReadRequests() - before)
           << "call " << i;
       EXPECT_GT(call.kv_batches, 0u);
       EXPECT_EQ(CallEvents(call), (std::array<uint64_t, 5>{}));
     }
   }
+}
+
+// -- Batched scans ------------------------------------------------------------
+
+/// Rows keyed "a<k>" and "b<k>" in tables "t" and "u" over `partitions`
+/// partitions, and a scan list over both tables in one call: per written
+/// partition the "a" and "b" prefixes, the empty prefix (the whole
+/// partition) and a prefix that matches nothing, plus a partition never
+/// written.
+std::vector<MultiScanPrefix> LoadScanRows(Cluster* c, uint64_t partitions) {
+  std::vector<MultiScanPrefix> prefixes;
+  for (std::string_view table : {"t", "u"}) {
+    for (uint64_t p = 0; p < partitions; ++p) {
+      for (int k = 0; k < 3; ++k) {
+        for (const char* head : {"a", "b"}) {
+          std::string key = head + std::to_string(k);
+          EXPECT_TRUE(c->Put(table, p, key,
+                             std::string(table) + std::to_string(p) + key)
+                          .ok());
+        }
+      }
+      for (const char* prefix : {"a", "b", "", "zz"}) {
+        prefixes.push_back(MultiScanPrefix{table, p, prefix});
+      }
+    }
+    prefixes.push_back(MultiScanPrefix{table, partitions + 7, ""});
+  }
+  return prefixes;
+}
+
+/// Scan's answer for every prefix, one call each.
+std::vector<std::vector<KVPair>> ScanEach(
+    Cluster* c, const std::vector<MultiScanPrefix>& prefixes) {
+  std::vector<std::vector<KVPair>> out;
+  for (const MultiScanPrefix& p : prefixes) {
+    auto rows = c->Scan(p.table, p.partition, p.prefix);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    out.push_back(rows.ok() ? std::move(*rows) : std::vector<KVPair>{});
+  }
+  return out;
+}
+
+void ExpectSameRows(const std::vector<MultiScanPrefix>& prefixes,
+                    const std::vector<std::vector<KVPair>>& got,
+                    const std::vector<std::vector<KVPair>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE(std::string(prefixes[i].table) + "/" +
+                 std::to_string(prefixes[i].partition) + "/" +
+                 prefixes[i].prefix);
+    ASSERT_EQ(got[i].size(), want[i].size());
+    for (size_t r = 0; r < want[i].size(); ++r) {
+      EXPECT_EQ(got[i][r].key, want[i][r].key);
+      EXPECT_EQ(got[i][r].value.view(), want[i][r].value.view());
+    }
+  }
+}
+
+TEST(MultiScanTest, EveryPrefixMatchesScan) {
+  for (size_t replication : {1, 3}) {
+    SCOPED_TRACE("replication " + std::to_string(replication));
+    Cluster c(FastOptions(3, replication));
+    const std::vector<MultiScanPrefix> prefixes = LoadScanRows(&c, 6);
+    const auto want = ScanEach(&c, prefixes);
+    size_t rows = 0;
+    for (const auto& w : want) rows += w.size();
+    EXPECT_EQ(rows, 2u * 6 * (3 + 3 + 6));  // a-rows, b-rows, whole partition
+    FetchStats call;
+    auto got = c.MultiScan(prefixes, &call);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameRows(prefixes, *got, want);
+    EXPECT_LE(call.kv_batches, c.num_nodes());
+  }
+  Cluster c(FastOptions());
+  FetchStats call;
+  auto none = c.MultiScan({}, &call);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(call.kv_batches, 0u);
+  EXPECT_EQ(c.TotalReadRequests(), 0u);
+}
+
+TEST(MultiScanTest, OneRequestPerServingNodeSavesOnlySeeks) {
+  // Cluster level: one node request per serving node, and the same rows
+  // and bytes as one Scan per prefix.
+  for (size_t replication : {1, 2}) {
+    SCOPED_TRACE("replication " + std::to_string(replication));
+    Cluster c(FastOptions(3, replication));
+    const std::vector<MultiScanPrefix> prefixes = LoadScanRows(&c, 6);
+    c.ResetStats();
+    (void)ScanEach(&c, prefixes);
+    const uint64_t looped_requests = c.TotalReadRequests();
+    const uint64_t looped_bytes = c.TotalBytesRead();
+    EXPECT_EQ(looped_requests, prefixes.size());
+    c.ResetStats();
+    FetchStats call;
+    ASSERT_TRUE(c.MultiScan(prefixes, &call).ok());
+    // 50 prefixes over 3 nodes: every node serves some of them.
+    EXPECT_EQ(call.kv_batches, c.num_nodes());
+    EXPECT_EQ(c.TotalReadRequests(), call.kv_batches);
+    EXPECT_EQ(c.TotalBytesRead(), looped_bytes);
+  }
+
+  // Node level: a batch is charged CostMicros(total keys, total bytes)
+  // once, so against one request per prefix it saves exactly the seeks.
+  LatencyModel latency;
+  latency.seek_micros = 40;
+  latency.per_key_micros = 3;
+  latency.bytes_per_micro = 1.0;  // whole microseconds: sums stay exact
+  StorageNode node(0, 2, latency);
+  std::vector<NodePutRow> rows;
+  for (const char* key : {"a1", "a2", "a3", "b1", "c1", "c2"}) {
+    rows.push_back(NodePutRow{
+        key, std::make_shared<const std::string>(std::string("value-") + key)});
+  }
+  ASSERT_TRUE(node.PutBatch(std::move(rows)).ok());
+  const std::vector<std::string> prefixes = {"a", "c", "zz", ""};
+  const StorageNodeStats& st = node.stats();
+  node.ResetStats();
+  for (const std::string& prefix : prefixes) {
+    ASSERT_TRUE(node.SubmitScan(prefix).get().ok());
+  }
+  const uint64_t looped_micros = st.simulated_micros.load();
+  const uint64_t keys = st.keys_read.load();
+  const uint64_t bytes = st.bytes_read.load();
+  EXPECT_EQ(st.scan_requests.load(), prefixes.size());
+  node.ResetStats();
+  std::vector<Result<std::vector<KVPair>>> answers =
+      node.SubmitMultiScan(prefixes).get();
+  ASSERT_EQ(answers.size(), prefixes.size());
+  const size_t want_rows[] = {3, 2, 0, 6};
+  for (size_t i = 0; i < prefixes.size(); ++i) {
+    ASSERT_TRUE(answers[i].ok());
+    EXPECT_EQ(answers[i]->size(), want_rows[i]) << "prefix " << prefixes[i];
+  }
+  EXPECT_EQ(st.scan_requests.load(), 1u);
+  EXPECT_EQ(st.keys_read.load(), keys);
+  EXPECT_EQ(st.bytes_read.load(), bytes);
+  EXPECT_EQ(st.simulated_micros.load(),
+            static_cast<uint64_t>(latency.CostMicros(keys, bytes)));
+  EXPECT_EQ(looped_micros - st.simulated_micros.load(),
+            (prefixes.size() - 1) * static_cast<uint64_t>(latency.seek_micros));
+}
+
+TEST(MultiScanTest, EveryPrefixGetsScansAnswerUnderFaults) {
+  // Each fault scenario on a replication-3 cluster: the batched answer is
+  // Scan's, and what the call counts into its FetchStats is exactly what
+  // the cluster's lifetime counters grew by.
+  enum Scenario { kCorrupt, kTransient, kDirty, kHedged };
+  for (Scenario scenario : {kCorrupt, kTransient, kDirty, kHedged}) {
+    SCOPED_TRACE("scenario " + std::to_string(scenario));
+    ClusterOptions opts = FastOptions(3, 3);
+    opts.write_ack = WriteAck::kOne;
+    opts.retry_backoff_micros = 10;
+    if (scenario == kHedged) opts.hedge_after_micros = 1'000;
+    Cluster c(opts);
+    const std::vector<MultiScanPrefix> prefixes = LoadScanRows(&c, 4);
+    const auto want = ScanEach(&c, prefixes);
+    FaultProfile fault;
+    if (scenario == kCorrupt) fault.corrupt_prob = 1.0;
+    if (scenario == kTransient) fault.transient_error_prob = 1.0;
+    if (scenario == kHedged) fault.added_latency_micros = 20'000;
+    if (scenario == kDirty) {
+      // Node 1 misses a write of another table and rejoins dirty: it is
+      // read last, so every prefix is served by a clean replica.
+      c.SetNodeDown(1, true);
+      ASSERT_TRUE(c.Put("other", 1, "k", "v").ok());
+      c.SetNodeDown(1, false);
+      ASSERT_TRUE(c.NodeDirty(1));
+    } else {
+      c.SetFaultProfile(0, fault);
+    }
+    std::array<uint64_t, 5> seen{};
+    for (int i = 0; i < 3; ++i) {
+      const std::array<uint64_t, 5> before = ClusterEvents(c);
+      FetchStats call;
+      auto got = c.MultiScan(prefixes, &call);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameRows(prefixes, *got, want);
+      const std::array<uint64_t, 5> after = ClusterEvents(c);
+      const std::array<uint64_t, 5> counted = CallEvents(call);
+      for (size_t f = 0; f < 5; ++f) {
+        EXPECT_EQ(counted[f], after[f] - before[f]) << kEventNames[f];
+        seen[f] += counted[f];
+      }
+    }
+    // Field order: failovers, retries, hedges, hedge_wins, checksum
+    // failures. The scenario's own machinery ran.
+    switch (scenario) {
+      case kCorrupt:
+        EXPECT_GT(seen[4], 0u);
+        break;
+      case kTransient:
+        EXPECT_GT(seen[0] + seen[1], 0u);
+        break;
+      case kDirty:
+        EXPECT_EQ(seen, (std::array<uint64_t, 5>{}));
+        break;
+      case kHedged:
+        EXPECT_GT(seen[3], 0u);
+        break;
+    }
+  }
+}
+
+TEST(MultiScanTest, NodeCrashedMidCallFallsBackToScan) {
+  // Nodes 1 and 2 rejoined dirty, so node 0, the only clean replica, is
+  // every prefix's first choice. A slow read holds node 0's one server
+  // thread while the MultiScan batch queues behind it; node 0 then
+  // crashes, the queued batch fails, and every prefix falls back to the
+  // replica loop, which reads a dirty replica. The ordering rests on
+  // sleeps, so a run where the batch was not queued before the crash is
+  // retried.
+  bool fell_back = false;
+  for (int attempt = 0; attempt < 5 && !fell_back; ++attempt) {
+    SCOPED_TRACE("attempt " + std::to_string(attempt));
+    ClusterOptions opts = FastOptions(3, 3);
+    opts.server_threads_per_node = 1;
+    opts.write_ack = WriteAck::kOne;
+    Cluster c(opts);
+    const std::vector<MultiScanPrefix> prefixes = LoadScanRows(&c, 4);
+    const auto want = ScanEach(&c, prefixes);
+    for (size_t n : {1, 2}) {
+      c.SetNodeDown(n, true);
+      ASSERT_TRUE(c.Put("other", n, "k", "v").ok());
+      c.SetNodeDown(n, false);
+    }
+    FaultProfile slow;
+    slow.added_latency_micros = 80'000;
+    c.SetFaultProfile(0, slow);
+    std::thread occupant([&c] { (void)c.Get("t", 0, "a0"); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    FetchStats call;
+    Result<std::vector<std::vector<KVPair>>> got = Status::IOError("unset");
+    std::thread reader([&] { got = c.MultiScan(prefixes, &call); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    c.SetNodeDown(0, true);
+    reader.join();
+    occupant.join();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameRows(prefixes, *got, want);
+    // The failed batch, then one replica-loop request per prefix.
+    fell_back = call.kv_batches == 1 + prefixes.size();
+  }
+  EXPECT_TRUE(fell_back);
 }
 
 // Counted, not timed: the node's high-water mark of requests in service

@@ -771,6 +771,160 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool()));
 
 // ---------------------------------------------------------------------------
+// One-hop histories (Algorithm 5) over the same configurations. The
+// neighbors are fetched as one set-at-a-time plan over the union of their
+// windows and cut to each window, so each neighbor's history must equal
+// GetNodeHistory over that neighbor's own window.
+// ---------------------------------------------------------------------------
+
+// The present entries of a node state: its record, if any, and its live
+// edges. Tombstones are left out: a state replayed forward from an earlier
+// window start keeps a tombstone where the state rebuilt at the window
+// start may have no entry at all, and both mean "absent".
+struct PresentState {
+  std::map<NodeId, NodeRecord> nodes;
+  std::map<EdgeKey, EdgeRecord> edges;
+  bool operator==(const PresentState&) const = default;
+};
+
+PresentState Present(const Delta& d) {
+  PresentState out;
+  d.ForEachNodeEntry([&](NodeId id, const std::optional<NodeRecord>& rec) {
+    if (rec.has_value()) out.nodes.emplace(id, *rec);
+  });
+  d.ForEachEdgeEntry(
+      [&](const EdgeKey& key, const std::optional<EdgeRecord>& rec) {
+        if (rec.has_value()) out.edges.emplace(key, *rec);
+      });
+  return out;
+}
+
+// Algorithm 5's neighbor windows from the replay: a neighbor at `from` is
+// active over (from, to]; an edge added later opens (add time, to], a
+// removal ends the window at its time, and a re-add extends it to `to`.
+std::map<NodeId, std::pair<Timestamp, Timestamp>> NeighborWindows(
+    const std::vector<Event>& events, NodeId center, Timestamp from,
+    Timestamp to) {
+  std::map<NodeId, std::pair<Timestamp, Timestamp>> out;
+  const Graph at_from = workload::ReplayToGraph(events, from);
+  for (NodeId n : at_from.Neighbors(center)) out[n] = {from, to};
+  for (const Event& e : events) {
+    if (e.time <= from || e.time > to || !e.IsEdgeEvent() || e.u == e.v ||
+        (e.u != center && e.v != center)) {
+      continue;
+    }
+    const NodeId nbr = e.u == center ? e.v : e.u;
+    auto it = out.find(nbr);
+    if (e.type == EventType::kAddEdge) {
+      if (it == out.end()) {
+        out[nbr] = {e.time, to};
+      } else {
+        it->second.second = to;
+      }
+    } else if (e.type == EventType::kRemoveEdge && it != out.end()) {
+      it->second.second = e.time;
+    }
+  }
+  return out;
+}
+
+class OneHopHistoryTest : public ::testing::TestWithParam<FetchConfig> {};
+
+TEST_P(OneHopHistoryTest, NeighborHistoriesMatchTheirOwnWindows) {
+  Cluster cluster(FastCluster());
+  TGIOptions opts = SmallTGI();
+  opts.partition_strategy = std::get<0>(GetParam());
+  opts.clustering_order = std::get<1>(GetParam());
+  opts.replicate_one_hop = std::get<2>(GetParam());
+  TGI tgi(&cluster, opts);
+  const std::vector<Event> events = AttributedHistory(139);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+  auto qm_or = tgi.OpenQueryManager(3);
+  ASSERT_TRUE(qm_or.ok());
+  TGIQueryManager* qm = qm_or->get();
+
+  const Timestamp end = workload::EndTime(events);
+  // The second span's first event: a window starting just before it
+  // starts before a span, the others start inside one (or before history).
+  const Timestamp span2 = events[opts.events_per_timespan].time;
+  const std::pair<Timestamp, Timestamp> windows[] = {
+      {-40, end / 3},
+      {span2 - 1, end},
+      {end / 3, end * 2 / 3},
+      {end / 2 + 7, end - 5},
+  };
+  size_t initial_edges = 0;
+  size_t late_windows = 0;
+  for (const auto& [from, to] : windows) {
+    const Graph at_to = workload::ReplayToGraph(events, to);
+    // Centers: the hub at `to` and three leaves (degree 1) there.
+    std::vector<NodeId> centers{algo::HighestDegreeNode(at_to)};
+    for (NodeId id : at_to.NodeIds()) {
+      if (centers.size() < 4 && at_to.Neighbors(id).size() == 1) {
+        centers.push_back(id);
+      }
+    }
+    for (NodeId center : centers) {
+      SCOPED_TRACE("center " + std::to_string(center) + " over (" +
+                   std::to_string(from) + ", " + std::to_string(to) + "]");
+      auto hop = qm->GetOneHopHistory(center, from, to);
+      ASSERT_TRUE(hop.ok()) << hop.status().ToString();
+      auto alone = qm->GetNodeHistory(center, from, to);
+      ASSERT_TRUE(alone.ok());
+      EXPECT_TRUE(hop->center.initial == alone->initial);
+      EXPECT_TRUE(hop->center.events == alone->events);
+
+      const auto want = NeighborWindows(events, center, from, to);
+      std::vector<NodeId> got_ids;
+      for (const NodeHistory& h : hop->neighbors) got_ids.push_back(h.node);
+      std::vector<NodeId> want_ids;
+      for (const auto& [id, window] : want) want_ids.push_back(id);
+      ASSERT_EQ(got_ids, want_ids);
+      for (const NodeHistory& h : hop->neighbors) {
+        const auto& [w_from, w_to] = want.at(h.node);
+        EXPECT_EQ(h.from, w_from) << "neighbor " << h.node;
+        EXPECT_EQ(h.to, w_to) << "neighbor " << h.node;
+        auto ref = qm->GetNodeHistory(h.node, w_from, w_to);
+        ASSERT_TRUE(ref.ok());
+        EXPECT_TRUE(h.events == ref->events) << "neighbor " << h.node;
+        EXPECT_TRUE(Present(h.initial) == Present(ref->initial))
+            << "neighbor " << h.node;
+        initial_edges += Present(h.initial).edges.size();
+        if (w_from > from) ++late_windows;
+      }
+    }
+  }
+  // Initial states with edges, and neighbors whose window starts after
+  // the call's, so their initial states were replayed forward.
+  EXPECT_GT(initial_edges, 0u);
+  EXPECT_GT(late_windows, 0u);
+
+  // Every neighbor rides one plan: on a manager without caches, a hub's
+  // call costs a bounded number of node requests, whatever its degree.
+  TGIQueryManager uncached(&cluster, 3);
+  ASSERT_TRUE(uncached.Open().ok());
+  const Graph at_end = workload::ReplayToGraph(events, end);
+  const NodeId hub = algo::HighestDegreeNode(at_end);
+  FetchStats stats;
+  auto hop = uncached.GetOneHopHistory(hub, end / 4, end, &stats);
+  ASSERT_TRUE(hop.ok());
+  // Two plans (the center, then every neighbor), each at most four
+  // executor batches, each at most one MultiGet and one MultiScan, each
+  // at most one request per storage node.
+  const uint64_t bound = 2 * 4 * 2 * cluster.num_nodes();
+  EXPECT_LE(stats.kv_batches, bound);
+  EXPECT_GT(hop->neighbors.size(), bound) << "the hub is too small to show it";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, OneHopHistoryTest,
+    ::testing::Combine(::testing::Values(PartitionStrategy::kRandom,
+                                         PartitionStrategy::kLocality),
+                       ::testing::Values(ClusteringOrder::kDeltaMajor,
+                                         ClusteringOrder::kPartitionMajor),
+                       ::testing::Bool()));
+
+// ---------------------------------------------------------------------------
 // The maintained view. NodeT::Iterator updates one StaticNodeView in place
 // per event; after every event it must equal a replay of the history
 // through Delta::ApplyEvent followed by a view built from scratch.
