@@ -25,11 +25,11 @@ namespace hgs {
 /// caching reduce.
 struct FetchStats {
   uint64_t kv_requests = 0;    ///< logical point gets + scans requested
-  /// Physical node requests: one per request the cluster client submits
-  /// to a storage node (a MultiGet or MultiScan node batch is one),
-  /// counting retries, failover attempts, hedges and the batched reads'
-  /// per-item fallbacks, so a fault-free read without hedging counts one
-  /// per round trip.
+  /// Physical node requests: one per node batch the cluster client
+  /// submits (each round of a read sends one to every node it reaches;
+  /// Get and Scan are one-item batches), retry and failover rounds and
+  /// hedges included, so a fault-free read without hedging counts one per
+  /// round trip.
   uint64_t kv_batches = 0;
   uint64_t cache_hits = 0;     ///< reads served by the partition-delta cache
   uint64_t cache_misses = 0;   ///< reads that had to go to the cluster

@@ -4,6 +4,7 @@
 #include <future>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -83,42 +84,6 @@ bool Contains(const ReplicaSet& replicas, size_t node) {
   }
   return false;
 }
-
-/// A replica's answer settles the read when it is a value or an (authori-
-/// tative) absence; hard errors keep the race open.
-template <typename T>
-bool UsableAnswer(const Result<T>& res) {
-  return res.ok() || res.status().IsNotFound();
-}
-
-/// The storage-node requests behind a read whose answer is T: a point read
-/// (SharedValue) or a prefix scan (std::vector<KVPair>), alone or batched.
-template <typename T>
-struct NodeRequests;
-
-template <>
-struct NodeRequests<SharedValue> {
-  static std::future<Result<SharedValue>> One(StorageNode& node,
-                                              std::string key) {
-    return node.SubmitGet(std::move(key));
-  }
-  static std::future<std::vector<Result<SharedValue>>> Batch(
-      StorageNode& node, std::vector<std::string> keys) {
-    return node.SubmitMultiGet(std::move(keys));
-  }
-};
-
-template <>
-struct NodeRequests<std::vector<KVPair>> {
-  static std::future<Result<std::vector<KVPair>>> One(StorageNode& node,
-                                                      std::string prefix) {
-    return node.SubmitScan(std::move(prefix));
-  }
-  static std::future<std::vector<Result<std::vector<KVPair>>>> Batch(
-      StorageNode& node, std::vector<std::string> prefixes) {
-    return node.SubmitMultiScan(std::move(prefixes));
-  }
-};
 
 /// A scan's rows with logical keys (table and token stripped), in a
 /// right-sized vector: callers such as the byte cache keep the answer, and
@@ -420,44 +385,15 @@ Status Cluster::DeleteRowFromNode(size_t node, const std::string& phys,
   }
 }
 
-Status Cluster::FinishWrite(size_t acks, size_t replicas, const char* what) {
-  size_t required = RequiredAcks(replicas);
-  if (acks < required) {
-    resilience_.failed_writes.fetch_add(1, std::memory_order_relaxed);
-    return Status::IOError(std::string(what) + " acked by " +
-                           std::to_string(acks) + " of " +
-                           std::to_string(replicas) + " replicas (" +
-                           std::to_string(required) +
-                           " required); missed replicas hinted");
-  }
-  if (acks < replicas) {
-    resilience_.degraded_writes.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
 Status Cluster::Put(std::string_view table, uint64_t partition,
                     std::string_view key, std::string_view value) {
-  std::string phys = PhysicalKey(table, partition, key);
-  std::shared_ptr<const std::string> stored = SealForStorage(value);
-  ReplicaSet replicas = Replicas(PlacementToken(table, partition));
-  size_t acks = 0;
-  for (uint32_t node : replicas) {
-    Status st = WriteRowToNode(node, phys, stored);
-    if (st.ok()) {
-      ++acks;
-      // A committed write makes any hint queued for this key obsolete.
-      SupersedeHints(node, phys);
-    } else {
-      EnqueueHint(node, phys, stored);
-    }
-  }
-  return FinishWrite(acks, replicas.size(), "put");
+  std::vector<PutRow> rows;
+  rows.push_back(PutRow{partition, std::string(key), std::string(value),
+                        ValueSchema::kOpaque, std::nullopt});
+  return MultiPut(table, std::move(rows));
 }
 
-Status Cluster::MultiPut(std::string_view table, std::vector<PutRow> rows,
-                         size_t* put_batches) {
-  if (put_batches != nullptr) *put_batches = 0;
+Status Cluster::MultiPut(std::string_view table, std::vector<PutRow> rows) {
   if (rows.empty()) return Status::OK();
 
   // Seal each row once — compression and checksum, a pure function of the
@@ -501,7 +437,6 @@ Status Cluster::MultiPut(std::string_view table, std::vector<PutRow> rows,
     std::future<Status> fut = nodes_[node]->SubmitPutBatch(build_batch(idxs));
     inflight.emplace_back(node, std::move(idxs), std::move(fut));
   }
-  if (put_batches != nullptr) *put_batches = inflight.size();
 
   std::vector<uint32_t> acks(sealed.size(), 0);
   for (auto& [node, idxs, fut] : inflight) {
@@ -570,7 +505,17 @@ Result<bool> Cluster::Delete(std::string_view table, uint64_t partition,
       EnqueueHint(node, phys, nullptr);
     }
   }
-  HGS_RETURN_NOT_OK(FinishWrite(acks, replicas.size(), "delete"));
+  const size_t required = RequiredAcks(replicas.size());
+  if (acks < required) {
+    resilience_.failed_writes.fetch_add(1, std::memory_order_relaxed);
+    return Status::IOError("delete acked by " + std::to_string(acks) + " of " +
+                           std::to_string(replicas.size()) + " replicas (" +
+                           std::to_string(required) +
+                           " required); missed replicas hinted");
+  }
+  if (acks < replicas.size()) {
+    resilience_.degraded_writes.fetch_add(1, std::memory_order_relaxed);
+  }
   return any;
 }
 
@@ -610,113 +555,29 @@ size_t Cluster::HedgeTarget(const ReplicaSet& replicas, size_t primary) const {
 }
 
 template <typename T>
-Result<T> Cluster::HedgedSubmit(size_t primary, const ReplicaSet& replicas,
-                                const std::string& phys,
-                                const Deadline& deadline, FetchStats* stats,
-                                size_t* winner) {
-  *winner = primary;
-  if (stats != nullptr) ++stats->kv_batches;
-  std::future<Result<T>> fut = NodeRequests<T>::One(*nodes_[primary], phys);
-  const int64_t hedge_us = options_.hedge_after_micros;
-  size_t alt = nodes_.size();
-  if (hedge_us > 0 && fut.wait_for(std::chrono::microseconds(hedge_us)) !=
-                          std::future_status::ready) {
-    if (DeadlinePassed(deadline)) return DeadlineError(Status::OK());
-    alt = HedgeTarget(replicas, primary);
-  }
-  if (alt == nodes_.size()) {
-    // Answered in time, hedging off, or nowhere to hedge: the deadline
-    // still bounds how long we wait.
-    if (!AwaitUntil(fut, deadline)) return DeadlineError(Status::OK());
-    return fut.get();
-  }
-
-  // Primary is slow: fire a second-chance request at another live replica
-  // and race the two. The losing future is abandoned — its task completes
-  // harmlessly in the node's server pool.
-  CountHedge(stats);
-  if (stats != nullptr) ++stats->kv_batches;
-  std::future<Result<T>> hedge = NodeRequests<T>::One(*nodes_[alt], phys);
-  while (true) {
-    if (fut.wait_for(kPollQuantum) == std::future_status::ready) {
-      Result<T> res = fut.get();
-      if (UsableAnswer(res)) return res;
-      // Primary failed hard; the hedge is the only hope left.
-      if (!AwaitUntil(hedge, deadline)) return res;
-      Result<T> second = hedge.get();
-      if (UsableAnswer(second)) {
-        CountHedgeWin(stats);
-        *winner = alt;
-        return second;
-      }
-      return res;
-    }
-    if (hedge.wait_for(kPollQuantum) == std::future_status::ready) {
-      Result<T> second = hedge.get();
-      if (UsableAnswer(second)) {
-        CountHedgeWin(stats);
-        *winner = alt;
-        return second;
-      }
-      // Hedge failed hard; fall back to however long the primary takes.
-      if (!AwaitUntil(fut, deadline)) return second;
-      return fut.get();
-    }
-    if (DeadlinePassed(deadline)) {
-      return DeadlineError(Status::OK());
-    }
-  }
-}
-
-template <typename T>
-Result<T> Cluster::ReadReplicas(const ReplicaSet& replicas,
-                                const std::string& phys,
-                                const Deadline& deadline, FetchStats* stats) {
-  std::array<uint32_t, kMaxReplicas> order;
-  size_t candidates = ServingOrder(replicas, &order);
-  Status last = Status::IOError("no replica available");
-  for (size_t c = 0; c < candidates; ++c) {
-    size_t node = order[c];
-    if (c > 0) CountFailover(stats);
-    for (size_t attempt = 0;; ++attempt) {
-      if (DeadlinePassed(deadline)) return DeadlineError(last);
-      size_t winner = node;
-      Result<T> res =
-          HedgedSubmit<T>(node, replicas, phys, deadline, stats, &winner);
-      if (res.ok()) {
-        last = Unseal(&*res);
-        if (last.ok()) {
-          HGS_RETURN_NOT_OK(DecompressInPlace(&*res, stats));
-          return res;
-        }
-        // Corrupt bytes (one bad row spoils a whole scan): a replica
-        // failure, not a query error. Fail over.
-        CountChecksumFailure(stats);
-        break;
-      }
-      last = res.status();
-      if (last.IsNotFound()) {
-        // NotFound from a clean replica is authoritative. From a dirty
-        // replica (rejoined with hints pending) the key may simply have
-        // missed it — fall through to the next replica.
-        if (!NodeDirty(winner)) return last;
-        break;
-      }
-      if (nodes_[node]->IsDown()) break;  // crashed mid-flight: fail over
-      if (attempt >= options_.max_retries) break;
-      CountRetry(stats);
-      Backoff(attempt + 1, deadline);
-    }
-  }
-  return last;
-}
-
-template <typename T>
 Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
     const std::vector<BatchItem>& items, FetchStats* stats) {
   std::vector<std::optional<T>> out(items.size());
-  if (items.empty()) return out;
   Deadline deadline = MakeDeadline();
+
+  // Each item's own replica loop: its live replicas in serving order, the
+  // one it is on, the retries spent there and the last replica error.
+  struct Loop {
+    std::array<uint32_t, kMaxReplicas> order{};
+    size_t candidates = 0;
+    size_t at = 0;
+    size_t attempt = 0;
+    Status last;
+  };
+  std::vector<Loop> loops(items.size());
+  std::vector<size_t> pending(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    loops[i].candidates = ServingOrder(items[i].replicas, &loops[i].order);
+    if (loops[i].candidates == 0) {
+      return Status::IOError("no live replica for key");
+    }
+    pending[i] = i;
+  }
 
   // One node request for a group of items (indices into `items`).
   struct Batch {
@@ -724,88 +585,105 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
     std::vector<size_t> idxs;
     std::future<std::vector<Result<T>>> fut;
   };
-  auto submit = [&](size_t node, std::vector<size_t> idxs) {
-    std::vector<std::string> phys;
-    phys.reserve(idxs.size());
-    for (size_t i : idxs) phys.push_back(items[i].phys);
-    if (stats != nullptr) ++stats->kv_batches;
-    auto fut = NodeRequests<T>::Batch(*nodes_[node], std::move(phys));
-    return Batch{node, std::move(idxs), std::move(fut)};
+  // Sends `idxs` as one request per node, node_of(i) naming item i's node
+  // (num_nodes() for none).
+  auto submit = [&](const std::vector<size_t>& idxs, auto node_of) {
+    std::vector<std::vector<size_t>> by_node(nodes_.size());
+    for (size_t i : idxs) {
+      size_t node = node_of(i);
+      if (node < nodes_.size()) by_node[node].push_back(i);
+    }
+    std::vector<Batch> batches;
+    for (size_t node = 0; node < by_node.size(); ++node) {
+      if (by_node[node].empty()) continue;
+      std::vector<std::string> phys;
+      phys.reserve(by_node[node].size());
+      for (size_t i : by_node[node]) phys.push_back(items[i].phys);
+      if (stats != nullptr) ++stats->kv_batches;
+      std::future<std::vector<Result<T>>> fut;
+      if constexpr (std::is_same_v<T, SharedValue>) {
+        fut = nodes_[node]->SubmitMultiGet(std::move(phys));
+      } else {
+        fut = nodes_[node]->SubmitMultiScan(std::move(phys));
+      }
+      batches.push_back(Batch{node, std::move(by_node[node]), std::move(fut)});
+    }
+    return batches;
   };
 
-  // Pick a serving replica per item (clean live nodes preferred) and group
-  // the item indices by node.
-  std::unordered_map<size_t, std::vector<size_t>> by_node;
-  for (size_t i = 0; i < items.size(); ++i) {
-    std::array<uint32_t, kMaxReplicas> order;
-    size_t candidates = ServingOrder(items[i].replicas, &order);
-    if (candidates == 0) return Status::IOError("no live replica for key");
-    by_node[order[0]].push_back(i);
-  }
-  std::vector<Batch> inflight;
-  inflight.reserve(by_node.size());
-  for (auto& [node, idxs] : by_node) {
-    inflight.push_back(submit(node, std::move(idxs)));
-  }
+  // This round's answer for each item and the node that gave it.
+  std::vector<std::optional<Result<T>>> answer(items.size());
+  std::vector<size_t> answered_by(items.size());
+  std::vector<size_t> next;  // items the round left unsettled
+  size_t backoff = 0;        // the most retries an item of `next` has spent
 
-  // Settles item i from one node's answer. A verified answer or an
-  // authoritative absence is used as is (true). Corrupt bytes, a hard
-  // error or a dirty replica's NotFound send the item through the replica
-  // loop instead, under the call's deadline (false).
-  Status fatal;  // first unservable item's error
-  auto resolve = [&](size_t i, size_t node, Result<T>& res) {
+  // Moves item i along its replica loop on this round's answer. An item
+  // out of replicas is absent after a NotFound and fails the call
+  // otherwise.
+  auto step = [&](size_t i) -> Status {
+    Loop& l = loops[i];
+    Result<T> res = std::move(*answer[i]);
+    answer[i].reset();
     if (res.ok()) {
-      Status sealed = Unseal(&*res);
-      if (sealed.ok() && DecompressInPlace(&*res, stats).ok()) {
+      l.last = Unseal(&*res);
+      if (l.last.ok()) {
+        HGS_RETURN_NOT_OK(DecompressInPlace(&*res, stats));
         out[i] = std::move(*res);
-        return true;
+        return Status::OK();
       }
-      if (!sealed.ok()) CountChecksumFailure(stats);
-    } else if (res.status().IsNotFound() && !NodeDirty(node)) {
-      return true;  // authoritative absence -> nullopt
+      // Corrupt bytes (one bad row spoils a whole scan): a replica
+      // failure, not a query error. Fail over.
+      CountChecksumFailure(stats);
+    } else {
+      l.last = res.status();
+      if (l.last.IsNotFound()) {
+        // NotFound from a clean replica is authoritative. A dirty replica
+        // (rejoined with hints pending) may have missed the key: fail over.
+        if (!NodeDirty(answered_by[i])) return Status::OK();
+      } else if (!nodes_[l.order[l.at]]->IsDown() &&
+                 l.attempt < options_.max_retries) {
+        // A transient error on a live replica: retry it next round.
+        CountRetry(stats);
+        backoff = std::max(backoff, ++l.attempt);
+        next.push_back(i);
+        return Status::OK();
+      }
     }
-    Result<T> retry =
-        ReadReplicas<T>(items[i].replicas, items[i].phys, deadline, stats);
-    if (retry.ok()) {
-      out[i] = std::move(*retry);
-    } else if (!retry.status().IsNotFound() && fatal.ok()) {
-      fatal = retry.status();
+    if (++l.at == l.candidates) {
+      return l.last.IsNotFound() ? Status::OK() : l.last;
     }
-    return false;
+    CountFailover(stats);
+    l.attempt = 0;
+    next.push_back(i);
+    return Status::OK();
   };
 
   const int64_t hedge_us = options_.hedge_after_micros;
-  for (Batch& b : inflight) {
-    // A slow batch is hedged: its items regroup by each item's next live
-    // replica and second-chance batches go there. Items without one stay
-    // with the primary (`stay` holds their positions in b.idxs).
-    std::vector<Batch> hedges;
-    std::vector<size_t> stay;
-    if (hedge_us > 0 &&
-        b.fut.wait_for(std::chrono::microseconds(hedge_us)) !=
-            std::future_status::ready) {
-      std::unordered_map<size_t, std::vector<size_t>> alt_nodes;
-      for (size_t j = 0; j < b.idxs.size(); ++j) {
-        size_t alt = HedgeTarget(items[b.idxs[j]].replicas, b.node);
-        if (alt == nodes_.size()) {
-          stay.push_back(j);
-        } else {
-          alt_nodes[alt].push_back(b.idxs[j]);
-        }
-      }
-      for (auto& [node, idxs] : alt_nodes) {
-        CountHedge(stats);
-        hedges.push_back(submit(node, std::move(idxs)));
-      }
+  while (!pending.empty()) {
+    if (DeadlinePassed(deadline)) {
+      return DeadlineError(loops[pending.front()].last);
     }
+    std::vector<Batch> inflight = submit(
+        pending, [&](size_t i) { return loops[i].order[loops[i].at]; });
+    for (Batch& b : inflight) {
+      // A slow batch is hedged: its items regroup by each item's next live
+      // replica and second-chance batches go there.
+      std::vector<Batch> hedges;
+      if (hedge_us > 0 &&
+          b.fut.wait_for(std::chrono::microseconds(hedge_us)) !=
+              std::future_status::ready) {
+        hedges = submit(b.idxs, [&](size_t i) {
+          return HedgeTarget(items[i].replicas, b.node);
+        });
+        for (size_t h = 0; h < hedges.size(); ++h) CountHedge(stats);
+      }
 
-    // Wait for the primary batch, or for every hedge batch to answer
-    // first, never past the deadline.
-    bool hedged = false;
-    if (hedges.empty()) {
-      if (!AwaitUntil(b.fut, deadline)) return DeadlineError(Status::OK());
-    } else {
-      while (b.fut.wait_for(kPollQuantum) != std::future_status::ready) {
+      // Wait for the primary batch, or for every hedge batch to answer
+      // first, never past the deadline. A hedge answer is its item's when
+      // it is a value or an absence, and a batch that gave one wins.
+      bool hedged = false;
+      while (!hedges.empty() &&
+             b.fut.wait_for(kPollQuantum) != std::future_status::ready) {
         hedged = std::all_of(hedges.begin(), hedges.end(), [](const Batch& h) {
           return h.fut.wait_for(std::chrono::seconds(0)) ==
                  std::future_status::ready;
@@ -813,41 +691,49 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
         if (hedged) break;
         if (DeadlinePassed(deadline)) return DeadlineError(Status::OK());
       }
-    }
-
-    if (!hedged) {
-      std::vector<Result<T>> answers = b.fut.get();
-      for (size_t j = 0; j < b.idxs.size(); ++j) {
-        resolve(b.idxs[j], b.node, answers[j]);
-      }
-    } else {
-      // A hedge batch wins when one of its own answers is used.
-      for (Batch& h : hedges) {
-        std::vector<Result<T>> answers = h.fut.get();
-        bool won = false;
-        for (size_t j = 0; j < h.idxs.size(); ++j) {
-          won |= resolve(h.idxs[j], h.node, answers[j]);
+      if (hedged) {
+        for (Batch& h : hedges) {
+          std::vector<Result<T>> got = h.fut.get();
+          bool won = false;
+          for (size_t j = 0; j < h.idxs.size(); ++j) {
+            if (!got[j].ok() && !got[j].status().IsNotFound()) continue;
+            answer[h.idxs[j]] = std::move(got[j]);
+            answered_by[h.idxs[j]] = h.node;
+            won = true;
+          }
+          if (won) CountHedgeWin(stats);
         }
-        if (won) CountHedgeWin(stats);
       }
-      // Items without an alternate still need the primary's answer;
-      // otherwise the slow primary batch is abandoned.
-      if (!stay.empty()) {
+      // The other items take the primary's answer; when every item has a
+      // hedge answer the slow primary batch is abandoned.
+      if (std::any_of(b.idxs.begin(), b.idxs.end(),
+                      [&](size_t i) { return !answer[i].has_value(); })) {
         if (!AwaitUntil(b.fut, deadline)) return DeadlineError(Status::OK());
-        std::vector<Result<T>> answers = b.fut.get();
-        for (size_t j : stay) resolve(b.idxs[j], b.node, answers[j]);
+        std::vector<Result<T>> got = b.fut.get();
+        for (size_t j = 0; j < b.idxs.size(); ++j) {
+          if (answer[b.idxs[j]].has_value()) continue;
+          answer[b.idxs[j]] = std::move(got[j]);
+          answered_by[b.idxs[j]] = b.node;
+        }
       }
+      for (size_t i : b.idxs) HGS_RETURN_NOT_OK(step(i));
     }
-    if (!fatal.ok()) return fatal;
+    // One capped backoff step per round that retries an item.
+    if (backoff > 0) Backoff(backoff, deadline);
+    backoff = 0;
+    pending.swap(next);
+    next.clear();
   }
   return out;
 }
 
 Result<SharedValue> Cluster::Get(std::string_view table, uint64_t partition,
                                  std::string_view key, FetchStats* stats) {
-  return ReadReplicas<SharedValue>(Replicas(PlacementToken(table, partition)),
-                                   PhysicalKey(table, partition, key),
-                                   MakeDeadline(), stats);
+  HGS_ASSIGN_OR_RETURN(
+      std::vector<std::optional<SharedValue>> values,
+      MultiGet(table, {MultiGetKey{partition, std::string(key)}}, stats));
+  if (!values[0].has_value()) return Status::NotFound("key not found");
+  return std::move(*values[0]);
 }
 
 Result<std::vector<std::optional<SharedValue>>> Cluster::MultiGet(
@@ -866,12 +752,11 @@ Result<std::vector<KVPair>> Cluster::Scan(std::string_view table,
                                           uint64_t partition,
                                           std::string_view key_prefix,
                                           FetchStats* stats) {
-  HGS_ASSIGN_OR_RETURN(std::vector<KVPair> rows,
-                       ReadReplicas<std::vector<KVPair>>(
-                           Replicas(PlacementToken(table, partition)),
-                           PhysicalKey(table, partition, key_prefix),
-                           MakeDeadline(), stats));
-  return LogicalRows(table, std::move(rows));
+  HGS_ASSIGN_OR_RETURN(
+      std::vector<std::vector<KVPair>> rows,
+      MultiScan({MultiScanPrefix{table, partition, std::string(key_prefix)}},
+                stats));
+  return std::move(rows[0]);
 }
 
 Result<std::vector<std::vector<KVPair>>> Cluster::MultiScan(

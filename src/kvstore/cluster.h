@@ -10,16 +10,14 @@
 // Fault tolerance (client side, mirroring a Cassandra coordinator):
 //   * every stored value is sealed with a per-value checksum, verified on
 //     read; a mismatch is a replica failure, not a query error;
-//   * reads retry transient errors with capped exponential backoff, fail
-//     over across replicas, optionally hedge a second-chance request to
-//     another replica after `hedge_after_micros`, and observe one deadline
-//     per call; Get, Scan and the per-item fallback of the batched reads
-//     share one replica loop, and each call counts what it did into one
-//     FetchStats;
-//   * batched reads (MultiGet for point reads, MultiScan for prefix scans)
-//     share one implementation: items are grouped by serving node, each
-//     group is one node request (one seek), slow batches are hedged, and
-//     items a batch could not settle fall back to the replica loop;
+//   * every read is a batch (Get and Scan are one-item MultiGet and
+//     MultiScan calls) run in rounds by one replica loop: each round sends
+//     every unsettled item to the replica it is on, one node request (one
+//     seek) per node; an item retries transient errors with capped
+//     exponential backoff and fails over across replicas on its own; slow
+//     batches hedge a second-chance request to the items' next replicas
+//     after `hedge_after_micros`; one deadline bounds the call, and each
+//     call counts what it did into one FetchStats;
 //   * writes honor an ack level (one/quorum/all) and queue hinted handoffs
 //     for replicas that miss a write or delete; ReplayHints/RepairNode
 //     bring a rejoined node back to byte-identical contents;
@@ -79,7 +77,7 @@ struct ClusterOptions {
   /// most 2 ms.
   int64_t retry_backoff_micros = 100;
   /// Wall-clock budget of one read call (Get, Scan, MultiGet or MultiScan,
-  /// retries, failovers, hedges and per-item fallbacks included); 0 means
+  /// every round of retries, failovers and hedges included); 0 means
   /// unbounded. Exceeding it fails the call with an IOError mentioning the
   /// deadline.
   int64_t request_deadline_micros = 0;
@@ -185,11 +183,12 @@ class Cluster {
  public:
   explicit Cluster(ClusterOptions options);
 
-  /// Writes to all replicas of the token's placement group. Succeeds when
-  /// at least the configured ack level's replica count committed; replicas
-  /// that missed the write get a hint. A met ack level with missed
-  /// replicas counts as a degraded write. The value is stored opaque under
-  /// the cluster-wide compression; MultiPut takes per-row schemas and codecs.
+  /// A one-row MultiPut: writes to all replicas of the token's placement
+  /// group. Succeeds when at least the configured ack level's replica
+  /// count committed; replicas that missed the write get a hint. A met ack
+  /// level with missed replicas counts as a degraded write. The value is
+  /// stored opaque under the cluster-wide compression; MultiPut takes
+  /// per-row schemas and codecs.
   Status Put(std::string_view table, uint64_t partition, std::string_view key,
              std::string_view value);
 
@@ -199,10 +198,8 @@ class Cluster {
   /// mirrored for writes. Replicas of a row share one value buffer. All
   /// node batches are committed concurrently through the nodes' server
   /// pools; failed node batches are retried with backoff, then hinted.
-  /// Fails when any row misses its ack level. When `put_batches` is
-  /// non-null it receives the number of node submissions this call issued.
-  Status MultiPut(std::string_view table, std::vector<PutRow> rows,
-                  size_t* put_batches = nullptr);
+  /// Fails when any row misses its ack level.
+  Status MultiPut(std::string_view table, std::vector<PutRow> rows);
 
   // Every read call adds what it did to `stats` when non-null, never
   // resetting it: one kv_batches per node request it submits, the value
@@ -210,11 +207,7 @@ class Cluster {
   // hedge wins and checksum failures it caused (each also counted in
   // resilience()).
 
-  /// Reads one replica (load-balanced over clean live replicas, dirty ones
-  /// last), with transient-error retries, replica failover, checksum
-  /// verification, optional hedging and the call's deadline. NotFound
-  /// when no replica holds the key — but NotFound from a dirty replica
-  /// (rejoined with hints pending) falls through to the next replica. The
+  /// A one-key MultiGet: NotFound when no replica holds the key. The
   /// returned value is a zero-copy view of the serving node's buffer
   /// (decompression of an uncompressed block is a header-stripping window;
   /// an LZ block materializes one shared buffer — the read path's only
@@ -222,37 +215,37 @@ class Cluster {
   Result<SharedValue> Get(std::string_view table, uint64_t partition,
                           std::string_view key, FetchStats* stats = nullptr);
 
-  /// Batched point reads. Keys are grouped by the storage node serving
-  /// them (replica choice is load-balanced, preferring clean live nodes)
-  /// and each group is dispatched as one node request, so the latency
-  /// model charges one seek per node batch instead of one per key. Returns
-  /// one entry per input key, in input order; absent keys yield nullopt.
-  /// Keys whose node fails mid-flight, whose value fails its checksum or
-  /// whose dirty replica answers NotFound fall back to Get's replica loop.
-  /// Slow node batches are hedged to the keys' alternate replicas when
-  /// hedging is enabled. Batch waits and fallbacks all run under the
-  /// call's one deadline. Any key that no replica can serve (none live,
-  /// failover exhausted, deadline passed) fails the whole call.
+  /// Batched point reads. Each key reads one replica at a time (load-
+  /// balanced over clean live replicas, dirty ones last), and each round
+  /// sends the keys bound for one storage node as one node request, so the
+  /// latency model charges one seek per node batch instead of one per key.
+  /// A key retries transient errors on its replica, and fails over to its
+  /// next replica on corrupt bytes (checksum verification), a crashed node,
+  /// spent retries or a NotFound from a dirty replica (rejoined with hints
+  /// pending); a clean replica's NotFound is authoritative. Slow node
+  /// batches are hedged to the keys' alternate replicas when hedging is
+  /// enabled. Every wait runs under the call's one deadline. Returns one
+  /// entry per input key, in input order; absent keys yield nullopt. Any
+  /// key that no replica can serve (none live, failover exhausted,
+  /// deadline passed) fails the whole call.
   Result<std::vector<std::optional<SharedValue>>> MultiGet(
       std::string_view table, const std::vector<MultiGetKey>& keys,
       FetchStats* stats = nullptr);
 
-  /// All pairs of the partition whose key begins with `key_prefix`, in key
-  /// order, through Get's replica loop (retries, failover, checksum
-  /// verification, hedging, deadline). Keys returned are logical
+  /// A one-prefix MultiScan: all pairs of the partition whose key begins
+  /// with `key_prefix`, in key order. Keys returned are logical
   /// (table/token stripped); values are zero-copy views, as Get's.
   Result<std::vector<KVPair>> Scan(std::string_view table, uint64_t partition,
                                    std::string_view key_prefix,
                                    FetchStats* stats = nullptr);
 
-  /// Batched prefix scans, possibly over several tables: MultiGet's
-  /// batching, hedging, deadline and fallback applied to scans. Prefixes
-  /// are grouped by serving node and each group is one node request, so
-  /// the latency model charges one seek per node batch instead of one per
-  /// prefix. Returns one entry per input prefix, in input order, equal to
-  /// what Scan returns for it; a prefix its node batch could not settle
-  /// falls back to Scan's replica loop. Any prefix that no replica can
-  /// serve fails the whole call.
+  /// Batched prefix scans, possibly over several tables, through
+  /// MultiGet's replica loop: per round one node request per serving node,
+  /// so the latency model charges one seek per node batch instead of one
+  /// per prefix. A scan answer is never an absence, so any replica's
+  /// verified rows settle a prefix. Returns one entry per input prefix, in
+  /// input order. Any prefix that no replica can serve fails the whole
+  /// call.
   Result<std::vector<std::vector<KVPair>>> MultiScan(
       const std::vector<MultiScanPrefix>& prefixes,
       FetchStats* stats = nullptr);
@@ -372,15 +365,13 @@ class Cluster {
   /// with `codec` (or the cluster-wide compression when unset) under the
   /// writer-declared `schema`.
   std::shared_ptr<const std::string> SealForStorage(
-      std::string_view value, ValueSchema schema = ValueSchema::kOpaque,
-      std::optional<CompressionKind> codec = std::nullopt) const;
+      std::string_view value, ValueSchema schema,
+      std::optional<CompressionKind> codec) const;
 
-  /// Commits one row to one node with transient-error retries; a final
-  /// failure leaves the row to the caller (which hints it).
+  /// Commits one hinted row to one node with transient-error retries; a
+  /// final failure leaves the hint to ReplayHints, which requeues it.
   Status WriteRowToNode(size_t node, const std::string& phys,
                         const std::shared_ptr<const std::string>& value);
-  /// Ack-level bookkeeping shared by Put/MultiPut/Delete.
-  Status FinishWrite(size_t acks, size_t replicas, const char* what);
 
   void EnqueueHint(size_t node, std::string phys,
                    std::shared_ptr<const std::string> value);
@@ -395,35 +386,17 @@ class Cluster {
     std::string phys;
   };
 
-  /// Submits one read of `phys` (T is SharedValue for a point read,
-  /// std::vector<KVPair> for a scan) to `primary` with optional hedging: if
-  /// the primary has not answered within hedge_after_micros and another
-  /// live replica exists, fires a second-chance request there; the first
-  /// usable answer (ok or NotFound) wins. `*winner` reports which node's
-  /// answer was returned.
-  template <typename T>
-  Result<T> HedgedSubmit(size_t primary, const ReplicaSet& replicas,
-                         const std::string& phys, const Deadline& deadline,
-                         FetchStats* stats, size_t* winner);
-
-  /// The replica loop of one read: replicas in serving order, transient
-  /// errors retried with backoff, then failover; a checksum mismatch or a
-  /// dirty replica's NotFound falls through to the next replica, and a
-  /// clean replica's NotFound is the answer. Every request goes through
-  /// HedgedSubmit under `deadline`. Returns the verified, decompressed
-  /// answer.
-  template <typename T>
-  Result<T> ReadReplicas(const ReplicaSet& replicas, const std::string& phys,
-                         const Deadline& deadline, FetchStats* stats);
-
-  /// The batched read behind MultiGet and MultiScan. Each item is read
-  /// from its first replica in serving order, and the items of one node
-  /// go out as one node request. A batch still unanswered after
-  /// hedge_after_micros is hedged: its items regroup by their next live
-  /// replica into second-chance batches. An item whose answer is not a
-  /// verified value or a clean replica's NotFound goes through
-  /// ReadReplicas. Every wait honours the call's one deadline. Returns one
-  /// entry per item, nullopt for an absent key.
+  /// The one read loop behind every read (T is SharedValue for point
+  /// reads, std::vector<KVPair> for prefix scans), run in rounds. Each item
+  /// walks its own replicas in serving order; each round sends every
+  /// unsettled item to the replica it is on, the items bound for one node
+  /// as one node request, and moves each item along its loop by its answer
+  /// as MultiGet describes, with one capped backoff step per round that
+  /// retried an item. A batch still unanswered after hedge_after_micros is
+  /// hedged: its items regroup by their next live replica into
+  /// second-chance batches, and a hedge answer replaces the primary's only
+  /// when it is a value or an absence. Every wait honours the call's one
+  /// deadline. Returns one entry per item, nullopt for an absent key.
   template <typename T>
   Result<std::vector<std::optional<T>>> BatchedRead(
       const std::vector<BatchItem>& items, FetchStats* stats);

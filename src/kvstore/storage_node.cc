@@ -173,25 +173,10 @@ std::vector<Result<std::vector<KVPair>>> StorageNode::DoMultiScan(
   return out;
 }
 
-std::future<Result<SharedValue>> StorageNode::SubmitGet(std::string key) {
-  return servers_.Submit(
-      [this, keys = std::vector<std::string>{std::move(key)}]() {
-        return std::move(DoMultiGet(keys).front());
-      });
-}
-
 std::future<std::vector<Result<SharedValue>>> StorageNode::SubmitMultiGet(
     std::vector<std::string> keys) {
   return servers_.Submit(
       [this, keys = std::move(keys)]() { return DoMultiGet(keys); });
-}
-
-std::future<Result<std::vector<KVPair>>> StorageNode::SubmitScan(
-    std::string prefix) {
-  return servers_.Submit(
-      [this, prefixes = std::vector<std::string>{std::move(prefix)}]() {
-        return std::move(DoMultiScan(prefixes).front());
-      });
 }
 
 std::future<std::vector<Result<std::vector<KVPair>>>>

@@ -104,29 +104,21 @@ class StorageNode {
 
   int node_id() const { return node_id_; }
 
-  /// Point read: a one-key SubmitMultiGet. NotFound if the key is absent.
-  /// The returned value is a zero-copy view of the node's resident buffer;
-  /// the shared owner keeps it valid across overwrites and deletes of the
-  /// key.
-  std::future<Result<SharedValue>> SubmitGet(std::string key);
-
   /// Batched point reads served as ONE request: the seek cost is charged
   /// once for the whole batch (per-key and per-byte costs still apply), and
   /// the batch counts as one get request in the stats. One Result per input
   /// key, in input order; absent keys yield NotFound. Values are zero-copy
-  /// views of node memory, like SubmitGet's.
+  /// views of the node's resident buffers; the shared owner keeps a view
+  /// valid across overwrites and deletes of its key.
   std::future<std::vector<Result<SharedValue>>> SubmitMultiGet(
       std::vector<std::string> keys);
-
-  /// Prefix scan: a one-prefix SubmitMultiScan. All pairs whose key starts
-  /// with `prefix`, in key order. Values are zero-copy views of node memory.
-  std::future<Result<std::vector<KVPair>>> SubmitScan(std::string prefix);
 
   /// Batched prefix scans served as ONE request and charged like a
   /// SubmitMultiGet batch: one seek for the whole request, plus the per-key
   /// and per-byte costs of every pair it returns; the batch counts as one
   /// scan request in the stats. One Result per input prefix, in input
-  /// order, each holding that prefix's pairs in key order.
+  /// order, each holding that prefix's pairs in key order. Values are
+  /// zero-copy views of node memory, as SubmitMultiGet's.
   std::future<std::vector<Result<std::vector<KVPair>>>> SubmitMultiScan(
       std::vector<std::string> prefixes);
 

@@ -257,12 +257,10 @@ TEST(MultiPutTest, MatchesLoopedPutContentsAndCounters) {
       rows.push_back(PutRow{p, key, value});
     }
   }
-  size_t batches = 0;
-  ASSERT_TRUE(grouped.MultiPut("t", std::move(rows), &batches).ok());
+  ASSERT_TRUE(grouped.MultiPut("t", std::move(rows)).ok());
   // Group commit: no more batches than nodes, far fewer than rows.
-  EXPECT_GT(batches, 0u);
-  EXPECT_LE(batches, grouped.num_nodes());
-  EXPECT_EQ(grouped.TotalPutBatches(), batches);
+  EXPECT_GT(grouped.TotalPutBatches(), 0u);
+  EXPECT_LE(grouped.TotalPutBatches(), grouped.num_nodes());
   EXPECT_EQ(grouped.TotalRowsPut(), 40u);
   // Identical stored state either way.
   EXPECT_EQ(grouped.ContentFingerprint(), looped.ContentFingerprint());
@@ -1007,7 +1005,7 @@ TEST(MultiScanTest, OneRequestPerServingNodeSavesOnlySeeks) {
   const StorageNodeStats& st = node.stats();
   node.ResetStats();
   for (const std::string& prefix : prefixes) {
-    ASSERT_TRUE(node.SubmitScan(prefix).get().ok());
+    ASSERT_TRUE(node.SubmitMultiScan({prefix}).get().front().ok());
   }
   const uint64_t looped_micros = st.simulated_micros.load();
   const uint64_t keys = st.keys_read.load();
@@ -1092,16 +1090,15 @@ TEST(MultiScanTest, EveryPrefixGetsScansAnswerUnderFaults) {
   }
 }
 
-TEST(MultiScanTest, NodeCrashedMidCallFallsBackToScan) {
+TEST(MultiScanTest, NodeCrashedMidCallFailsEveryPrefixOverInOneRound) {
   // Nodes 1 and 2 rejoined dirty, so node 0, the only clean replica, is
   // every prefix's first choice. A slow read holds node 0's one server
   // thread while the MultiScan batch queues behind it; node 0 then
-  // crashes, the queued batch fails, and every prefix falls back to the
-  // replica loop, which reads a dirty replica. The ordering rests on
-  // sleeps, so a run where the batch was not queued before the crash is
-  // retried.
-  bool fell_back = false;
-  for (int attempt = 0; attempt < 5 && !fell_back; ++attempt) {
+  // crashes, the queued batch fails, and every prefix fails over to a
+  // dirty replica in the next round. The ordering rests on sleeps, so a
+  // run where the batch was not queued before the crash is retried.
+  bool failed_over = false;
+  for (int attempt = 0; attempt < 5 && !failed_over; ++attempt) {
     SCOPED_TRACE("attempt " + std::to_string(attempt));
     ClusterOptions opts = FastOptions(3, 3);
     opts.server_threads_per_node = 1;
@@ -1128,10 +1125,79 @@ TEST(MultiScanTest, NodeCrashedMidCallFallsBackToScan) {
     occupant.join();
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectSameRows(prefixes, *got, want);
-    // The failed batch, then one replica-loop request per prefix.
-    fell_back = call.kv_batches == 1 + prefixes.size();
+    // The failed batch, then one batch per dirty replica; each prefix
+    // counts its failover.
+    failed_over = call.failovers == prefixes.size() && call.kv_batches <= 3;
   }
-  EXPECT_TRUE(fell_back);
+  EXPECT_TRUE(failed_over);
+}
+
+TEST(MultiScanTest, FailingCleanReplicaCostsOneBatchPerRound) {
+  // Nodes 1 and 2 rejoined dirty and node 0, the only clean replica, fails
+  // every request. Each item retries node 0 max_retries times, then fails
+  // over to a dirty replica, which serves it: what a one-item read counts,
+  // per item. A batched read sends every item's attempt of one round as
+  // one request to node 0, then at most one request per dirty replica.
+  ClusterOptions opts = FastOptions(3, 3);
+  opts.write_ack = WriteAck::kOne;
+  opts.retry_backoff_micros = 10;
+  Cluster c(opts);
+  const std::vector<MultiScanPrefix> prefixes = LoadScanRows(&c, 4);
+  std::vector<MultiGetKey> keys;
+  for (uint64_t p = 0; p < 4; ++p) keys.push_back(MultiGetKey{p, "a1"});
+  for (size_t n : {1, 2}) {
+    c.SetNodeDown(n, true);
+    ASSERT_TRUE(c.Put("other", n, "k", "v").ok());
+    c.SetNodeDown(n, false);
+  }
+  FaultProfile failing;
+  failing.transient_error_prob = 1.0;
+  c.SetFaultProfile(0, failing);
+  const uint64_t retries = opts.max_retries;
+  const uint64_t node0_batches = opts.max_retries + 1;
+
+  std::vector<SharedValue> want_values;
+  for (const MultiGetKey& k : keys) {
+    FetchStats one;
+    auto got = c.Get("t", k.partition, k.key, &one);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    want_values.push_back(*got);
+    EXPECT_EQ(one.retries, retries);
+    EXPECT_EQ(one.failovers, 1u);
+    EXPECT_EQ(one.kv_batches, node0_batches + 1);
+  }
+  const auto want_rows = ScanEach(&c, prefixes);
+
+  // Node 0 fails every request it gets and serves none, so the call's
+  // batches minus the requests the nodes served are node 0's.
+  auto expect_rounds = [&](const FetchStats& call, size_t items,
+                           uint64_t served) {
+    EXPECT_EQ(call.retries, retries * items);
+    EXPECT_EQ(call.failovers, items);
+    EXPECT_EQ(call.kv_batches - served, node0_batches);
+    EXPECT_LE(served, 2u);
+  };
+  {
+    SCOPED_TRACE("MultiScan");
+    const uint64_t before = c.TotalReadRequests();
+    FetchStats call;
+    auto got = c.MultiScan(prefixes, &call);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameRows(prefixes, *got, want_rows);
+    expect_rounds(call, prefixes.size(), c.TotalReadRequests() - before);
+  }
+  {
+    SCOPED_TRACE("MultiGet");
+    const uint64_t before = c.TotalReadRequests();
+    FetchStats call;
+    auto got = c.MultiGet("t", keys, &call);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE((*got)[i].has_value());
+      EXPECT_EQ((*got)[i]->view(), want_values[i].view());
+    }
+    expect_rounds(call, keys.size(), c.TotalReadRequests() - before);
+  }
 }
 
 // Counted, not timed: the node's high-water mark of requests in service
@@ -1150,11 +1216,11 @@ TEST(LatencySimulationTest, ParallelRequestsOverlapOnServerThreads) {
     EXPECT_TRUE(node.PutBatch(std::move(rows)).ok());
     EXPECT_EQ(node.stats().max_serving.load(), 1u);
     // Four reads queued at once, each holding a server thread for 20 ms.
-    std::vector<std::future<Result<SharedValue>>> reads;
+    std::vector<std::future<std::vector<Result<SharedValue>>>> reads;
     for (int i = 0; i < 4; ++i) {
-      reads.push_back(node.SubmitGet("k" + std::to_string(i)));
+      reads.push_back(node.SubmitMultiGet({"k" + std::to_string(i)}));
     }
-    for (auto& r : reads) EXPECT_TRUE(r.get().ok());
+    for (auto& r : reads) EXPECT_TRUE(r.get().front().ok());
     EXPECT_EQ(node.stats().serving.load(), 0u);
     return node.stats().max_serving.load();
   };

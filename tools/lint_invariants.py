@@ -60,7 +60,7 @@ MUTABLE_OK_TYPES = re.compile(r"^(hgs::)?(Mutex|std::atomic\b.*)$")
 MUTABLE_WAIVER = "lint: mutable-ok"
 
 # The materializing decoder. `\(` directly after the name keeps
-# DecompressShared / DecompressCounted out of the match.
+# DecompressShared out of the match.
 MATERIALIZING_DECOMPRESS_RE = re.compile(r"\bDecompress\s*\(")
 # Read-path layers where every block decode must stay a window.
 ZERO_COPY_DIRS = ("src/tgi/", "src/kvstore/")
