@@ -866,7 +866,7 @@ TEST(ReadAccountingTest, PerCallCountsEqualClusterGrowth) {
   }
 }
 
-TEST(ReadAccountingTest, FaultFreeBatchesEqualNodeRequests) {
+TEST(ReadAccountingTest, FaultFreeBatchesEqualServedRequests) {
   // On a healthy cluster without hedging, kv_batches is exactly the number
   // of requests the storage nodes served for the call.
   constexpr uint64_t kPartitions = 5;
