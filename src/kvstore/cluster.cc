@@ -665,13 +665,16 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
     }
     std::vector<Batch> inflight = submit(
         pending, [&](size_t i) { return loops[i].order[loops[i].at]; });
+    const auto hedge_at = std::chrono::steady_clock::now() +
+                          std::chrono::microseconds(hedge_us);
     for (Batch& b : inflight) {
-      // A slow batch is hedged: its items regroup by each item's next live
-      // replica and second-chance batches go there.
+      // A batch still unanswered `hedge_after_micros` after its round was
+      // sent is hedged: its items regroup by each item's next live replica
+      // and second-chance batches go there. Every batch of a round shares
+      // the one timer, so k slow nodes cost one hedge delay, not k.
       std::vector<Batch> hedges;
       if (hedge_us > 0 &&
-          b.fut.wait_for(std::chrono::microseconds(hedge_us)) !=
-              std::future_status::ready) {
+          b.fut.wait_until(hedge_at) != std::future_status::ready) {
         hedges = submit(b.idxs, [&](size_t i) {
           return HedgeTarget(items[i].replicas, b.node);
         });

@@ -16,8 +16,8 @@
 //     seek) per node; an item retries transient errors with capped
 //     exponential backoff and fails over across replicas on its own; slow
 //     batches hedge a second-chance request to the items' next replicas
-//     after `hedge_after_micros`; one deadline bounds the call, and each
-//     call counts what it did into one FetchStats;
+//     `hedge_after_micros` after their round was sent; one deadline bounds
+//     the call, and each call counts what it did into one FetchStats;
 //   * writes honor an ack level (one/quorum/all) and queue hinted handoffs
 //     for replicas that miss a write or delete; ReplayHints/RepairNode
 //     bring a rejoined node back to byte-identical contents;
@@ -82,8 +82,9 @@ struct ClusterOptions {
   /// deadline.
   int64_t request_deadline_micros = 0;
   /// Hedged reads: when > 0 and a replica has not answered within this
-  /// budget, fire a second-chance request at another replica and take
-  /// whichever usable answer lands first. 0 disables hedging.
+  /// budget of its round being sent, fire a second-chance request at
+  /// another replica and take whichever usable answer lands first. 0
+  /// disables hedging.
   int64_t hedge_after_micros = 0;
   /// Per-node hinted-handoff queue bound. Overflow drops the oldest hint
   /// and pins the node dirty until a full RepairNode.
@@ -392,11 +393,11 @@ class Cluster {
   /// unsettled item to the replica it is on, the items bound for one node
   /// as one node request, and moves each item along its loop by its answer
   /// as MultiGet describes, with one capped backoff step per round that
-  /// retried an item. A batch still unanswered after hedge_after_micros is
-  /// hedged: its items regroup by their next live replica into
-  /// second-chance batches, and a hedge answer replaces the primary's only
-  /// when it is a value or an absence. Every wait honours the call's one
-  /// deadline. Returns one entry per item, nullopt for an absent key.
+  /// retried an item. A batch still unanswered hedge_after_micros after its
+  /// round was sent is hedged: its items regroup by their next live replica
+  /// into second-chance batches, and a hedge answer replaces the primary's
+  /// only when it is a value or an absence. Every wait honours the call's
+  /// one deadline. Returns one entry per item, nullopt for an absent key.
   template <typename T>
   Result<std::vector<std::optional<T>>> BatchedRead(
       const std::vector<BatchItem>& items, FetchStats* stats);

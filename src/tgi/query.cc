@@ -73,6 +73,22 @@ constexpr char kEventListKind = 'e';  // one EventList row
 constexpr char kScanKind = 'C';       // TGIQueryManager::DecodedScan
 constexpr char kChainKind = 'V';      // TGIQueryManager::MergedVersionChain
 constexpr char kMicropartKind = 'M';  // one Micropartitions bucket
+constexpr char kRootStateKind = 'R';  // TGIQueryManager::RootState
+
+// Decoded-tier key of a span's root state: the ReadCacheKey layout over the
+// span's first deltas scope, then the sub-epoch of each further one. The
+// span's deltas scopes are consecutive partitions (DeltaPlacement), so the
+// i-th trailing sub-epoch is that of the first partition + i. `sub` maps a
+// deltas partition to its sub-epoch under the reading query's pinned map.
+template <typename SubEpochOf>
+std::string RootStateKey(const tgi::TimespanMeta& span, size_t ns,
+                         SubEpochOf sub) {
+  const uint64_t first = tgi::DeltaPlacement(span.tsid, 0, ns);
+  std::string key =
+      ReadCacheKey(kRootStateKind, sub(first), tgi::kDeltasTable, first, "");
+  for (size_t sid = 1; sid < ns; ++sid) AppendOrdered64(&key, sub(first + sid));
+  return key;
+}
 
 using MicropartEntries = std::vector<std::pair<NodeId, MicroPartitionId>>;
 
@@ -270,8 +286,9 @@ Result<TGIQueryManager::MetaRef> TGIQueryManager::EnsureFresh(
   // Both LRU tiers key entries as kind(1) | sub-epoch(8) | table | '\0' |
   // partition(8) | row. An entry is still valid iff its stored sub-epoch
   // matches the scope's sub-epoch under the new map; everything else is
-  // swept. Entries from scopes a publish didn't touch keep their keys and
-  // stay warm.
+  // swept. A root state's row holds the sub-epochs of the partitions after
+  // its first (RootStateKey), and each of them must match too. Entries
+  // from scopes a publish didn't touch keep their keys and stay warm.
   auto entry_valid = [&](const std::string& key) {
     if (key.size() < 1 + 8 + 1 + 8) return false;
     uint64_t entry_epoch = ReadOrdered64(key.data() + 1);
@@ -281,7 +298,17 @@ Result<TGIQueryManager::MetaRef> TGIQueryManager::EnsureFresh(
     }
     std::string_view table(key.data() + 9, tab_end - 9);
     uint64_t partition = ReadOrdered64(key.data() + tab_end + 1);
-    return entry_epoch == epochs->SubEpoch(MakeEpochKey(table, partition));
+    if (entry_epoch != epochs->SubEpoch(MakeEpochKey(table, partition))) {
+      return false;
+    }
+    if (key[0] != kRootStateKind) return true;
+    for (size_t at = tab_end + 1 + 8; at + 8 <= key.size(); at += 8) {
+      if (ReadOrdered64(key.data() + at) !=
+          epochs->SubEpoch(MakeEpochKey(table, ++partition))) {
+        return false;
+      }
+    }
+    return true;
   };
   if (read_cache_ != nullptr) {
     auto swept = read_cache_->RetainIf(entry_valid);
@@ -334,7 +361,8 @@ const tgi::TimespanMeta* TGIQueryManager::SpanFor(const MetaState& meta,
 // -- the read executor -----------------------------------------------------
 
 Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
-    const MetaState& meta, const std::vector<Read>& reads, FetchStats* stats) {
+    const MetaState& meta, const std::vector<Read>& reads, FetchStats* stats,
+    std::vector<bool>* hits) {
   FetchStats discarded;
   if (stats == nullptr) stats = &discarded;
   const size_t parallelism = fetch_parallelism();
@@ -364,22 +392,7 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
     }
     out[i] = std::move(*hit);
     served[i] = true;
-    stats->bytes += out[i].raw_bytes;
-    if (r.kind == kScanKind) {
-      const size_t rows =
-          static_cast<const DecodedScan*>(out[i].obj.get())->rows.size();
-      stats->decode_hits += rows;
-      stats->micro_deltas += rows;
-    } else if (r.kind == kChainKind) {
-      ++stats->decode_hits;
-      stats->micro_deltas +=
-          static_cast<const MergedVersionChain*>(out[i].obj.get())
-              ->segment_count;
-    } else {
-      ++stats->kv_requests;
-      ++stats->decode_hits;
-      if (out[i].obj != nullptr) ++stats->micro_deltas;
-    }
+    CountDecodedHit(r, out[i], stats);
   }
 
   // (2a) Scans, deduplicated by their byte-tier key: a 'C' read scans its
@@ -597,7 +610,28 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
     stats->micro_deltas += rows;
     stats->bytes += out[i].raw_bytes;
   }
+  if (hits != nullptr) *hits = std::move(served);
   return out;
+}
+
+void TGIQueryManager::CountDecodedHit(const Read& read,
+                                      const DecodedEntry& entry,
+                                      FetchStats* stats) {
+  stats->bytes += entry.raw_bytes;
+  if (read.kind == kScanKind) {
+    const size_t rows =
+        static_cast<const DecodedScan*>(entry.obj.get())->rows.size();
+    stats->decode_hits += rows;
+    stats->micro_deltas += rows;
+  } else if (read.kind == kChainKind) {
+    ++stats->decode_hits;
+    stats->micro_deltas +=
+        static_cast<const MergedVersionChain*>(entry.obj.get())->segment_count;
+  } else {
+    ++stats->kv_requests;
+    ++stats->decode_hits;
+    if (entry.obj != nullptr) ++stats->micro_deltas;
+  }
 }
 
 void TGIQueryManager::MergeSlots::Add(const Read& read,
@@ -764,13 +798,58 @@ Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
   t = meta.Horizon(t);
   const tgi::TimespanMeta* span = SpanFor(meta, t);
   if (span == nullptr) return Delta();  // before all history
+  std::vector<DeltaId> dids = DidPath(*span, t);
+  // The root state stands in for the root's rows (dids[0], when the path
+  // has a tree part). Without a decoded tier the rows merge as they are.
+  std::string root_key;
+  std::shared_ptr<const RootState> root;
+  if (decoded_cache_ != nullptr && !dids.empty() && !IsEventlist(dids[0])) {
+    root_key = RootStateKey(
+        *span, meta.graph.num_horizontal_partitions, [&](uint64_t partition) {
+          return meta.SubEpochFor(tgi::kDeltasTable, partition);
+        });
+    if (std::optional<DecodedEntry> hit = decoded_cache_->Get(root_key)) {
+      root = std::static_pointer_cast<const RootState>(hit->obj);
+      if (stats != nullptr) stats->Merge(root->reads);
+      dids.erase(dids.begin());
+    }
+  }
   const std::vector<Read> reads =
-      PlanDeltaReads(meta.graph, *span, DidPath(*span, t), nullptr, false);
+      PlanDeltaReads(meta.graph, *span, dids, nullptr, false);
+  std::vector<bool> hits;
   HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
-                       Execute(meta, reads, stats));
-  // The reads are laid out in merge-slot order.
+                       Execute(meta, reads, stats, &hits));
+  // The reads are laid out in merge-slot order, [did][partition]. A state
+  // is built only from root rows the decoded tier served: a tier that did
+  // not keep the rows (a working set larger than the tier, or a sweep)
+  // would likely not keep their larger sum either, and then the rows merge
+  // as they are.
+  size_t k = 0;
+  const size_t root_reads =
+      root_key.empty() || root != nullptr ? 0 : reads.size() / dids.size();
+  if (root_reads > 0 &&
+      std::all_of(hits.begin(), hits.begin() + root_reads,
+                  [](bool hit) { return hit; })) {
+    auto built = std::make_shared<RootState>();
+    MergeSlots root_rows;
+    for (; k < root_reads; ++k) {
+      root_rows.Add(reads[k], rows[k]);
+      CountDecodedHit(reads[k], rows[k], &built->reads);
+      if (reads[k].kind == kScanKind) {
+        ++built->reads.kv_requests;  // one scan request, served from cache
+        ++built->reads.cache_hits;
+      }
+    }
+    built->state = Delta::SumAll(root_rows.deltas);
+    const size_t charge =
+        root_key.size() + built->state.SerializedSizeBytes() + 64;
+    decoded_cache_->Put(root_key, DecodedEntry{built, built->reads.bytes},
+                        charge);
+    root = std::move(built);
+  }
   MergeSlots slots;
-  for (size_t k = 0; k < reads.size(); ++k) slots.Add(reads[k], rows[k]);
+  if (root != nullptr) slots.deltas.push_back(&root->state);
+  for (; k < reads.size(); ++k) slots.Add(reads[k], rows[k]);
   return slots.Materialize(t);
 }
 

@@ -26,6 +26,9 @@
 // Cluster::MultiScan for partition scans (one round trip per storage node
 // instead of one per key or prefix), then parallel decode on
 // `fetch_parallelism` workers (the paper's c), then cache insert. A
+// snapshot starts from its span's root state, the summed root rows the
+// decoded tier keeps as one shared Delta, so a warm snapshot merges one
+// state and the rows below the root instead of every root row. A
 // re-publish (AppendBatch) sweeps only the cache entries of the (table,
 // partition) scopes it wrote.
 
@@ -269,6 +272,18 @@ class TGIQueryManager {
     size_t raw_bytes = 0;
   };
 
+  /// A timespan's root state (cache kind 'R'): Delta::SumAll over every
+  /// micro-partition row of the span's root did, which a snapshot sums with
+  /// the path rows below the root instead of those rows. Its key carries
+  /// the sub-epoch of each of the span's deltas scopes, so a publish of any
+  /// of them sweeps it. `reads` is what a warm read of the root rows counts
+  /// (requests, rows, bytes, decode hits), and a hit counts it, so warm and
+  /// cold FetchStats stay equal.
+  struct RootState {
+    Delta state;
+    FetchStats reads;
+  };
+
   /// One read of an executor batch. `kind` fixes what it yields and is the
   /// first byte of its decoded-tier key: 'd' / 'e' the Delta / EventList
   /// row at `key` (null when absent); 'C' a DecodedScan of every row under
@@ -277,6 +292,8 @@ class TGIQueryManager {
   /// placement; 'M' the decoded Micropartitions bucket row at `key`, which
   /// bypasses the decoded tier (micropart_cache_ holds those). `row_kind`
   /// is the decoded type of the deltas rows a 'd' / 'e' / 'C' read yields.
+  /// The root-state kind 'R' is not a read: GetSnapshotDeltaWith probes
+  /// and fills it around its executor batch.
   struct Read {
     std::string_view table;
     uint64_t partition = 0;
@@ -345,10 +362,17 @@ class TGIQueryManager {
   /// one — through the byte tier and then one Cluster::MultiScan; (3)
   /// decode every miss once, in parallel, straight off the shared views;
   /// (4) insert the results into the caches. The decode counters are
-  /// summed after the join from what each miss decoded.
-  Result<std::vector<DecodedEntry>> Execute(const MetaState& meta,
-                                            const std::vector<Read>& reads,
-                                            FetchStats* stats);
+  /// summed after the join from what each miss decoded. `hits`, when
+  /// given, receives which reads step (1) served.
+  Result<std::vector<DecodedEntry>> Execute(
+      const MetaState& meta, const std::vector<Read>& reads,
+      FetchStats* stats, std::vector<bool>* hits = nullptr);
+
+  /// Counts a decoded-tier hit on `read` the way the cold path counts the
+  /// read: its bytes, and its rows as decode hits and micro-deltas (a scan
+  /// request is counted where scans are deduplicated).
+  static void CountDecodedHit(const Read& read, const DecodedEntry& entry,
+                              FetchStats* stats);
 
   /// The decoded rows that rebuild one state, in merge-slot order (tree
   /// deltas root-to-leaf, then eventlists), borrowed from executor results
@@ -403,6 +427,10 @@ class TGIQueryManager {
 
   // Internal (no-refresh) bodies of the public primitives, so composite
   // queries run every leg against one metadata snapshot.
+  /// The snapshot at t starts from the span's root state: a hit skips the
+  /// root's reads. On a miss whose root rows the decoded tier served, the
+  /// rows are summed into the state, which is offered to the tier and
+  /// merged the same way; otherwise the rows merge as they are.
   Result<Delta> GetSnapshotDeltaWith(const MetaState& meta, Timestamp t,
                                      FetchStats* stats);
   Result<Delta> GetNodeStateDeltaWith(const MetaState& meta, NodeId id,
@@ -447,8 +475,8 @@ class TGIQueryManager {
   /// index tables, keyed by (kind, epoch, table, partition, row key).
   std::unique_ptr<ReadCache> read_cache_;
   /// Decoded-object cache over the same coordinates (distinct kind bytes),
-  /// holding immutable shared Delta / EventList / VersionChainSegment
-  /// values charged by their decoded footprint.
+  /// holding immutable shared rows, scans, merged version chains and span
+  /// root states; a Delta or EventList is charged its wire size.
   std::unique_ptr<DecodedCache> decoded_cache_;
   /// Serializes publish-triggered refreshes (metadata reload + cache
   /// sweep). Acquired before meta_mu_ / cache shard locks, never inside

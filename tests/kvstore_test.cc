@@ -625,6 +625,56 @@ TEST(FaultToleranceTest, HedgedReadBeatsSlowReplica) {
   }
 }
 
+TEST(FaultToleranceTest, SlowNodesOfOneRoundShareOneHedgeDelay) {
+  // Six nodes, replication 2: every key lives on one even and one odd node.
+  // The odd nodes rejoin dirty, so every key is read from its even replica
+  // first and hedged to its odd one, and the even nodes are slow: one
+  // MultiGet sends a batch to each of the three slow nodes in one round.
+  // Each batch's hedge timer starts when the round was sent, so the call
+  // pays one hedge delay; timed per batch in turn it would pay three.
+  constexpr int64_t kHedgeMicros = 50'000;
+  ClusterOptions opts = FastOptions(6, 2);
+  opts.write_ack = WriteAck::kOne;
+  opts.hedge_after_micros = kHedgeMicros;
+  Cluster c(opts);
+  std::vector<MultiGetKey> keys;
+  for (uint64_t p = 0; p < 36; ++p) {
+    ASSERT_TRUE(c.Put("t", p, "k", "v" + std::to_string(p)).ok());
+    keys.push_back(MultiGetKey{p, "k"});
+  }
+  for (size_t odd : {1, 3, 5}) c.SetNodeDown(odd, true);
+  for (uint64_t p = 0; p < 36; ++p) {
+    ASSERT_TRUE(c.Put("t", p, "missed", "hinted").ok());
+  }
+  FaultProfile slow;
+  slow.added_latency_micros = 500'000;
+  for (size_t node = 0; node < 6; ++node) {
+    if (node % 2 == 1) {
+      c.SetNodeDown(node, false);
+      ASSERT_TRUE(c.NodeDirty(node)) << "node " << node;
+    } else {
+      c.SetFaultProfile(node, slow);
+    }
+  }
+
+  FetchStats call;
+  auto start = std::chrono::steady_clock::now();
+  auto multi = c.MultiGet("t", keys, &call);
+  double ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  for (uint64_t p = 0; p < 36; ++p) {
+    ASSERT_TRUE((*multi)[p].has_value());
+    EXPECT_EQ(*(*multi)[p], "v" + std::to_string(p));
+  }
+  // One primary batch per slow node, each hedged, and every hedge answers.
+  EXPECT_EQ(call.kv_batches - call.hedges, 3u);
+  EXPECT_GE(call.hedges, 3u);
+  EXPECT_EQ(call.hedge_wins, call.hedges);
+  EXPECT_LT(ms, 2.0 * kHedgeMicros / 1'000);
+}
+
 TEST(FaultToleranceTest, DeadlineBoundsARequest) {
   // Every read API gives up at the call's deadline on a slow replica, with
   // hedging off and on (with one replica a hedge has nowhere to go).

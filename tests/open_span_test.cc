@@ -4,8 +4,11 @@
 // that an append never rewrites a stored deltas row other than the open
 // span's partial last eventlist; that BulkLoad leaves a trailing partial
 // span open exactly as BuildFrom does; that an append of whole eventlists
-// keeps the open span's rows cached; and that a query never sees events a
-// build has written but not yet published.
+// keeps the open span's rows cached; that a query never sees events a
+// build has written but not yet published; and that a snapshot's span root
+// state answers as the rows it sums do, cold, warm and uncached, survives
+// exactly the publishes that leave its deltas scopes alone, and is refused
+// by a shard too small for it.
 
 #include <gtest/gtest.h>
 
@@ -582,6 +585,336 @@ TEST(PublishOrderTest, SnapshotAndHistoryAgreeBeforeABuildIsPublished) {
   auto hist_after = qm->GetNodeHistory(n, 0, probe);
   ASSERT_TRUE(hist_after.ok());
   EXPECT_EQ(hist_after->events.events(), TouchingEvents(log, n, 0, probe));
+}
+
+// ---------------------------------------------------------------------------
+// Root states: a snapshot starts from its span's root state, the summed root
+// rows that the decoded tier keeps under the sub-epochs of every deltas
+// scope of the span.
+// ---------------------------------------------------------------------------
+
+// Every stored TimespanMeta, by tsid.
+std::map<TimespanId, tgi::TimespanMeta> SpanMetas(Cluster* cluster) {
+  std::map<TimespanId, tgi::TimespanMeta> out;
+  auto rows = cluster->Scan(tgi::kTimespansTable, 0, "");
+  EXPECT_TRUE(rows.ok());
+  if (!rows.ok()) return out;
+  for (const KVPair& kv : *rows) {
+    auto meta = tgi::TimespanMeta::Deserialize(kv.value.view());
+    EXPECT_TRUE(meta.ok());
+    if (meta.ok()) out[meta->tsid] = *meta;
+  }
+  return out;
+}
+
+// The reads a snapshot at t makes of its span's root: one scan per
+// horizontal partition under delta-major clustering, one point read per
+// micro-partition under partition-major. 0 before history.
+size_t RootReads(Cluster* cluster, const TGIOptions& opts, Timestamp t) {
+  const tgi::TimespanMeta* span = nullptr;
+  const auto metas = SpanMetas(cluster);
+  for (const auto& [tsid, meta] : metas) {
+    if (meta.start <= t) span = &meta;
+  }
+  if (span == nullptr) return 0;
+  return opts.clustering_order == ClusteringOrder::kDeltaMajor
+             ? opts.num_horizontal_partitions
+             : span->num_micro_partitions;
+}
+
+// Decoded-tier probes a call made: a warm snapshot makes one for the root
+// state and one per read below the root.
+struct Probes {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+template <typename Call>
+Probes CountProbes(TGIQueryManager* qm, Call&& call) {
+  const LruCacheCounters before = qm->DecodedCacheCounters();
+  call();
+  const LruCacheCounters after = qm->DecodedCacheCounters();
+  return Probes{after.hits - before.hits, after.misses - before.misses};
+}
+
+// Two snapshots at t: the first caches the root rows, and the second, which
+// finds them decoded, sums them into the span's root state.
+void WarmRootState(TGIQueryManager* qm, Timestamp t) {
+  ASSERT_TRUE(qm->GetSnapshot(t).ok());
+  ASSERT_TRUE(qm->GetSnapshot(t).ok());
+}
+
+// A warm snapshot at t was served by the root state: it made no round trip
+// and no decode, and one probe stood for every root read.
+void ExpectRootStateServed(TGIQueryManager* qm, Timestamp t, size_t root_reads,
+                           const Graph& want) {
+  FetchStats warm;
+  Result<Delta> delta = Delta();
+  const Probes probes =
+      CountProbes(qm, [&] { delta = qm->GetSnapshotDelta(t, &warm); });
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EXPECT_TRUE(delta->ToGraph() == want);
+  EXPECT_EQ(warm.kv_batches, 0u);
+  EXPECT_EQ(warm.decodes, 0u);
+  EXPECT_EQ(probes.misses, 0u);
+  ASSERT_GT(root_reads, 0u);
+  EXPECT_EQ(probes.hits + root_reads - 1, warm.kv_requests);
+}
+
+using RootStateConfig = std::tuple<PartitionStrategy, ClusteringOrder, bool>;
+
+class RootStateOracleTest : public ::testing::TestWithParam<RootStateConfig> {
+};
+
+TEST_P(RootStateOracleTest, SnapshotsMatchReplayColdWarmAndUncached) {
+  const auto [strategy, order, replicated] = GetParam();
+  TGIOptions opts = SpanOptions();
+  opts.partition_strategy = strategy;
+  opts.clustering_order = order;
+  opts.replicate_one_hop = replicated;
+  Cluster cluster(FastCluster());
+  TGI tgi(&cluster, opts);
+  // Three closed spans and an open one holding 150 events.
+  const std::vector<Event> log = History(241, 1'050);
+  ASSERT_TRUE(tgi.BuildFrom(log).ok());
+  const auto metas = SpanMetas(&cluster);
+  ASSERT_EQ(metas.size(), 4u);
+  ASSERT_GE(metas.at(1).checkpoints.size(), 3u);
+
+  const std::vector<Timestamp> times = {
+      metas.at(1).checkpoints[2],  // a checkpoint
+      metas.at(2).start,           // a span start
+      log[300 + 45].time,          // inside an eventlist
+      log.front().time - 1,        // before history
+      log.back().time,             // the newest time, in the open span
+  };
+  std::vector<Graph> want;
+  for (Timestamp t : times) want.push_back(workload::ReplayToGraph(log, t));
+
+  auto qm = tgi.OpenQueryManager(2).value();
+  TGIQueryManager uncached(&cluster, 2, opts.read_cache_bytes, 0);
+  ASSERT_TRUE(uncached.Open().ok());
+  for (size_t i = 0; i < times.size(); ++i) {
+    const Timestamp t = times[i];
+    SCOPED_TRACE("t=" + std::to_string(t));
+    FetchStats cold;
+    auto snap = qm->GetSnapshot(t, &cold);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_TRUE(*snap == want[i]);
+
+    const size_t root_reads = RootReads(&cluster, opts, t);
+    FetchStats warm;
+    auto delta = qm->GetSnapshotDelta(t, &warm);
+    ASSERT_TRUE(delta.ok());
+    EXPECT_TRUE(delta->ToGraph() == want[i]);
+    // A hit counts the logical reads the state stands for.
+    EXPECT_EQ(warm.kv_requests, cold.kv_requests);
+    EXPECT_EQ(warm.micro_deltas, cold.micro_deltas);
+    EXPECT_EQ(warm.bytes, cold.bytes);
+    if (root_reads > 0) ExpectRootStateServed(qm.get(), t, root_reads, want[i]);
+    auto warm_snap = qm->GetSnapshot(t);
+    ASSERT_TRUE(warm_snap.ok());
+    EXPECT_TRUE(*warm_snap == want[i]);
+
+    auto plain = uncached.GetSnapshot(t);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_TRUE(*plain == want[i]);
+    auto plain_delta = uncached.GetSnapshotDelta(t);
+    ASSERT_TRUE(plain_delta.ok());
+    EXPECT_TRUE(plain_delta->ToGraph() == want[i]);
+  }
+  EXPECT_EQ(uncached.DecodedCacheCounters().insertions, 0u);
+
+  // Multipoint chains: cold on a fresh manager, warm, and uncached.
+  auto fresh = tgi.OpenQueryManager(2).value();
+  for (TGIQueryManager* m : {fresh.get(), fresh.get(), qm.get(), &uncached}) {
+    auto multi = m->GetMultipointSnapshots(times);
+    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+    for (size_t i = 0; i < times.size(); ++i) {
+      EXPECT_TRUE((*multi)[i] == want[i]) << "t=" << times[i];
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, RootStateOracleTest,
+    ::testing::Combine(::testing::Values(PartitionStrategy::kRandom,
+                                         PartitionStrategy::kLocality),
+                       ::testing::Values(ClusteringOrder::kDeltaMajor,
+                                         ClusteringOrder::kPartitionMajor),
+                       ::testing::Bool()));
+
+TEST(RootStateTest, AppendsKeepOrSweepTheOpenSpansState) {
+  // Partition-major rows are point reads, one decoded probe each, so the
+  // probes a snapshot makes tell whether the state served it.
+  TGIOptions opts = SpanOptions();
+  opts.clustering_order = ClusteringOrder::kPartitionMajor;
+  Cluster cluster(FastCluster());
+  TGI tgi(&cluster, opts);
+  const std::vector<Event> events = History(243, 1'200);
+  std::vector<Event> log(events.begin(), events.begin() + kPrefix);
+  ASSERT_TRUE(tgi.BuildFrom(log).ok());
+  auto append = [&](size_t n) {
+    const auto begin = events.begin() + static_cast<long>(log.size());
+    const std::vector<Event> batch(begin, begin + static_cast<long>(n));
+    log.insert(log.end(), batch.begin(), batch.end());
+    return tgi.AppendBatch(batch);
+  };
+  ASSERT_TRUE(append(2 * opts.eventlist_size).ok());  // opens a span
+  auto qm = tgi.OpenQueryManager(2).value();
+  const Timestamp t = log[kPrefix + 30].time;  // inside the open span
+  const Graph want = workload::ReplayToGraph(log, t);
+  WarmRootState(qm.get(), t);
+
+  // Whole eventlists: no deltas scope moves, and the state survives.
+  ASSERT_TRUE(append(opts.eventlist_size).ok());
+  ExpectRootStateServed(qm.get(), t, RootReads(&cluster, opts, t), want);
+
+  // A rewrite of the partial eventlist publishes deltas scopes of the open
+  // span: the sweep takes the state, and the next snapshot probes it, misses
+  // and reads every root row again.
+  ASSERT_TRUE(append(7).ok());
+  const Timestamp t2 = log.back().time;
+  const Graph want2 = workload::ReplayToGraph(log, t2);
+  WarmRootState(qm.get(), t2);
+  ASSERT_TRUE(append(5).ok());
+  FetchStats refetch;
+  Result<Graph> snap = Graph();
+  const Probes probes =
+      CountProbes(qm.get(), [&] { snap = qm->GetSnapshot(t2, &refetch); });
+  ASSERT_TRUE(snap.ok());
+  EXPECT_TRUE(*snap == want2);
+  EXPECT_GT(refetch.cache_entries_invalidated, 0u);
+  EXPECT_GT(probes.misses, 0u);
+  EXPECT_EQ(probes.hits + probes.misses, refetch.kv_requests + 1);
+  WarmRootState(qm.get(), t2);
+  ExpectRootStateServed(qm.get(), t2, RootReads(&cluster, opts, t2), want2);
+
+  // Close the span: its checkpoints now read through the hierarchy below
+  // the stored root, cold and warm.
+  const TimespanId open_tsid = SpanMetas(&cluster).rbegin()->first;
+  ASSERT_TRUE(append(400).ok());
+  const auto metas = SpanMetas(&cluster);
+  const tgi::TimespanMeta& closed = metas.at(open_tsid);
+  ASSERT_GT(closed.checkpoints.size(), 1u);
+  ASSERT_GT(metas.size(), static_cast<size_t>(open_tsid) + 1);
+  for (Timestamp cp : closed.checkpoints) {
+    SCOPED_TRACE("checkpoint " + std::to_string(cp));
+    const Graph at_cp = workload::ReplayToGraph(log, cp);
+    auto got = qm->GetSnapshot(cp);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(*got == at_cp);
+    WarmRootState(qm.get(), cp);
+    ExpectRootStateServed(qm.get(), cp, RootReads(&cluster, opts, cp), at_cp);
+  }
+  auto multi = qm->GetMultipointSnapshots(closed.checkpoints);
+  ASSERT_TRUE(multi.ok());
+  for (size_t i = 0; i < closed.checkpoints.size(); ++i) {
+    EXPECT_TRUE((*multi)[i] ==
+                workload::ReplayToGraph(log, closed.checkpoints[i]));
+  }
+}
+
+TEST(RootStateTest, OnlyThePublishOfOneOfItsDeltasScopesSweepsIt) {
+  for (ClusteringOrder order :
+       {ClusteringOrder::kDeltaMajor, ClusteringOrder::kPartitionMajor}) {
+    SCOPED_TRACE("order " + std::to_string(static_cast<int>(order)));
+    TGIOptions opts = SpanOptions();
+    opts.clustering_order = order;
+    const size_t ns = opts.num_horizontal_partitions;
+    Cluster cluster(FastCluster());
+    TGI tgi(&cluster, opts);
+    const std::vector<Event> log = History(247, 900);
+    ASSERT_TRUE(tgi.BuildFrom(log).ok());
+    auto qm = tgi.OpenQueryManager(2).value();
+    const TimespanId tsid = 1;
+    const Timestamp t = log[300 + 150].time;
+    const size_t root_reads = RootReads(&cluster, opts, t);
+    Graph want = workload::ReplayToGraph(log, t);
+    WarmRootState(qm.get(), t);
+    ExpectRootStateServed(qm.get(), t, root_reads, want);
+
+    // Versions and timespans scopes: the state stays.
+    cluster.PublishTouched({MakeEpochKey(tgi::kVersionsTable, 7),
+                            MakeEpochKey(tgi::kTimespansTable, 0)});
+    ExpectRootStateServed(qm.get(), t, root_reads, want);
+    EXPECT_EQ(qm->CacheEntriesInvalidated(), 0u);
+
+    // One deltas scope at a time: a root row of that horizontal partition
+    // gains a node, the scope is published, and the snapshot shows the
+    // node, so the state holding the old row was swept.
+    const auto span = SpanMetas(&cluster).at(tsid);
+    for (size_t sid = 0; sid < ns; ++sid) {
+      SCOPED_TRACE("sid " + std::to_string(sid));
+      const uint64_t part =
+          tgi::DeltaPlacement(tsid, static_cast<PartitionId>(sid), ns);
+      std::optional<std::string> key;
+      Delta row;
+      for (MicroPartitionId pid = static_cast<MicroPartitionId>(sid);
+           pid < span.num_micro_partitions && !key.has_value(); pid += ns) {
+        const std::string k = tgi::DeltaRowKey(order, 0, pid, false);
+        auto got = cluster.Get(tgi::kDeltasTable, part, k);
+        if (!got.ok()) continue;
+        auto decoded = Delta::Deserialize(got->view());
+        ASSERT_TRUE(decoded.ok());
+        row = std::move(*decoded);
+        key = k;
+      }
+      ASSERT_TRUE(key.has_value()) << "no root row in this partition";
+      const NodeId added = 2'000'000'000 + sid;
+      row.PutNode(added, NodeRecord{});
+      ASSERT_TRUE(cluster.Put(tgi::kDeltasTable, part, *key, row.Serialize())
+                      .ok());
+      const uint64_t invalidated = qm->CacheEntriesInvalidated();
+      cluster.PublishTouched({MakeEpochKey(tgi::kDeltasTable, part)});
+      auto snap = qm->GetSnapshot(t);
+      ASSERT_TRUE(snap.ok());
+      EXPECT_TRUE(snap->HasNode(added));
+      EXPECT_GT(qm->CacheEntriesInvalidated(), invalidated);
+      want.AddNode(added);
+      WarmRootState(qm.get(), t);
+      ExpectRootStateServed(qm.get(), t, root_reads, want);
+    }
+  }
+}
+
+TEST(RootStateTest, AStateTooLargeForAShardIsRefusedAndAnswersStillMatch) {
+  // Partition-major rows are point reads of one micro-partition each, so
+  // the root rows fit a shard that their sum does not.
+  TGIOptions opts = SpanOptions();
+  opts.clustering_order = ClusteringOrder::kPartitionMajor;
+  const std::vector<Event> log = History(251, 900);
+  // A shard (a sixteenth of the budget) holds a quarter of the graph's wire
+  // size at the newest time: rows fit, the newest span's root state does
+  // not.
+  const Timestamp end = log.back().time;
+  const size_t graph_bytes =
+      Delta::FromGraph(workload::ReplayToGraph(log, end)).SerializedSizeBytes();
+  opts.decoded_cache_bytes = 16 * (graph_bytes / 4);
+  Cluster cluster(FastCluster());
+  TGI tgi(&cluster, opts);
+  ASSERT_TRUE(tgi.BuildFrom(log).ok());
+  auto qm = tgi.OpenQueryManager(2).value();
+  const std::vector<Timestamp> times = {log[299].time, log[450].time,
+                                        log[720].time, end};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (Timestamp t : times) {
+      SCOPED_TRACE("pass " + std::to_string(pass) + ", t=" +
+                   std::to_string(t));
+      const uint64_t rejects = qm->DecodedCacheCounters().admission_rejects;
+      auto snap = qm->GetSnapshot(t);
+      ASSERT_TRUE(snap.ok());
+      EXPECT_TRUE(*snap == workload::ReplayToGraph(log, t));
+      // The second pass finds the root rows decoded and offers their sum.
+      if (pass == 1 && t == end) {
+        EXPECT_GT(qm->DecodedCacheCounters().admission_rejects, rejects);
+      }
+    }
+  }
+  auto multi = qm->GetMultipointSnapshots(times);
+  ASSERT_TRUE(multi.ok());
+  for (size_t i = 0; i < times.size(); ++i) {
+    EXPECT_TRUE((*multi)[i] == workload::ReplayToGraph(log, times[i]));
+  }
 }
 
 }  // namespace
