@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -644,9 +645,11 @@ void WarmRootState(TGIQueryManager* qm, Timestamp t) {
 }
 
 // A warm snapshot at t was served by the root state: it made no round trip
-// and no decode, and one probe stood for every root read.
+// and no decode, and one probe stood for every root read. Given the stats of
+// a cold read at t, it also counted the same logical reads.
 void ExpectRootStateServed(TGIQueryManager* qm, Timestamp t, size_t root_reads,
-                           const Graph& want) {
+                           const Graph& want,
+                           const FetchStats* cold = nullptr) {
   FetchStats warm;
   Result<Delta> delta = Delta();
   const Probes probes =
@@ -658,6 +661,10 @@ void ExpectRootStateServed(TGIQueryManager* qm, Timestamp t, size_t root_reads,
   EXPECT_EQ(probes.misses, 0u);
   ASSERT_GT(root_reads, 0u);
   EXPECT_EQ(probes.hits + root_reads - 1, warm.kv_requests);
+  if (cold == nullptr) return;
+  EXPECT_EQ(warm.kv_requests, cold->kv_requests);
+  EXPECT_EQ(warm.micro_deltas, cold->micro_deltas);
+  EXPECT_EQ(warm.bytes, cold->bytes);
 }
 
 using RootStateConfig = std::tuple<PartitionStrategy, ClusteringOrder, bool>;
@@ -701,16 +708,15 @@ TEST_P(RootStateOracleTest, SnapshotsMatchReplayColdWarmAndUncached) {
     ASSERT_TRUE(snap.ok()) << snap.status().ToString();
     EXPECT_TRUE(*snap == want[i]);
 
-    const size_t root_reads = RootReads(&cluster, opts, t);
-    FetchStats warm;
-    auto delta = qm->GetSnapshotDelta(t, &warm);
+    // The second read finds the root rows decoded and builds the state;
+    // the third is served by it.
+    auto delta = qm->GetSnapshotDelta(t);
     ASSERT_TRUE(delta.ok());
     EXPECT_TRUE(delta->ToGraph() == want[i]);
-    // A hit counts the logical reads the state stands for.
-    EXPECT_EQ(warm.kv_requests, cold.kv_requests);
-    EXPECT_EQ(warm.micro_deltas, cold.micro_deltas);
-    EXPECT_EQ(warm.bytes, cold.bytes);
-    if (root_reads > 0) ExpectRootStateServed(qm.get(), t, root_reads, want[i]);
+    const size_t root_reads = RootReads(&cluster, opts, t);
+    if (root_reads > 0) {
+      ExpectRootStateServed(qm.get(), t, root_reads, want[i], &cold);
+    }
     auto warm_snap = qm->GetSnapshot(t);
     ASSERT_TRUE(warm_snap.ok());
     EXPECT_TRUE(*warm_snap == want[i]);
@@ -724,7 +730,8 @@ TEST_P(RootStateOracleTest, SnapshotsMatchReplayColdWarmAndUncached) {
   }
   EXPECT_EQ(uncached.DecodedCacheCounters().insertions, 0u);
 
-  // Multipoint chains: cold on a fresh manager, warm, and uncached.
+  // Multipoint chains: cold on a fresh manager, again there (building the
+  // states), served by the states, and uncached.
   auto fresh = tgi.OpenQueryManager(2).value();
   for (TGIQueryManager* m : {fresh.get(), fresh.get(), qm.get(), &uncached}) {
     auto multi = m->GetMultipointSnapshots(times);
@@ -878,39 +885,65 @@ TEST(RootStateTest, OnlyThePublishOfOneOfItsDeltasScopesSweepsIt) {
 }
 
 TEST(RootStateTest, AStateTooLargeForAShardIsRefusedAndAnswersStillMatch) {
-  // Partition-major rows are point reads of one micro-partition each, so
-  // the root rows fit a shard that their sum does not.
+  // Partition-major rows are point reads of one micro-partition each, and
+  // small micro-partitions make each root row a small part of their sum,
+  // so the rows of a read fit shards that the sum does not.
   TGIOptions opts = SpanOptions();
   opts.clustering_order = ClusteringOrder::kPartitionMajor;
-  const std::vector<Event> log = History(251, 900);
-  // A shard (a sixteenth of the budget) holds a quarter of the graph's wire
-  // size at the newest time: rows fit, the newest span's root state does
-  // not.
-  const Timestamp end = log.back().time;
-  const size_t graph_bytes =
-      Delta::FromGraph(workload::ReplayToGraph(log, end)).SerializedSizeBytes();
-  opts.decoded_cache_bytes = 16 * (graph_bytes / 4);
+  opts.micro_delta_size = 8;
+  const size_t ns = opts.num_horizontal_partitions;
   Cluster cluster(FastCluster());
   TGI tgi(&cluster, opts);
+  const std::vector<Event> log = History(251, 900);
   ASSERT_TRUE(tgi.BuildFrom(log).ok());
-  auto qm = tgi.OpenQueryManager(2).value();
+
+  // The wire size of the root state of the span covering the newest time.
+  const Timestamp end = log.back().time;
+  std::optional<tgi::TimespanMeta> span;
+  for (const auto& [tsid, meta] : SpanMetas(&cluster)) {
+    if (meta.start <= end) span = meta;
+  }
+  ASSERT_TRUE(span.has_value());
+  std::vector<Delta> rows;
+  for (MicroPartitionId pid = 0; pid < span->num_micro_partitions; ++pid) {
+    auto got = cluster.Get(
+        tgi::kDeltasTable,
+        tgi::DeltaPlacement(span->tsid, tgi::SidOf(pid, ns), ns),
+        tgi::DeltaRowKey(opts.clustering_order, 0, pid, false));
+    if (!got.ok()) continue;
+    auto row = Delta::Deserialize(got->view());
+    ASSERT_TRUE(row.ok());
+    rows.push_back(std::move(*row));
+  }
+  ASSERT_GT(rows.size(), 1u);
+  std::vector<const Delta*> operands;
+  for (const Delta& row : rows) operands.push_back(&row);
+  const size_t state_bytes = Delta::SumAll(operands).SerializedSizeBytes();
+
+  // A shard (a sixteenth of the budget) holds the state's wire size: less
+  // than its charge, which adds its key, and more than any one row's.
+  TGIQueryManager qm(&cluster, 2, opts.read_cache_bytes, 16 * state_bytes);
+  ASSERT_TRUE(qm.Open().ok());
+  const Graph at_end = workload::ReplayToGraph(log, end);
+  for (int pass = 0; pass < 3; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    const uint64_t rejects = qm.DecodedCacheCounters().admission_rejects;
+    auto snap = qm.GetSnapshot(end);
+    ASSERT_TRUE(snap.ok());
+    EXPECT_TRUE(*snap == at_end);
+    // The first read caches the root rows; every later one sums them and
+    // offers the tier a state it refuses.
+    EXPECT_EQ(qm.DecodedCacheCounters().admission_rejects - rejects,
+              pass == 0 ? 0u : 1u);
+  }
   const std::vector<Timestamp> times = {log[299].time, log[450].time,
                                         log[720].time, end};
-  for (int pass = 0; pass < 2; ++pass) {
-    for (Timestamp t : times) {
-      SCOPED_TRACE("pass " + std::to_string(pass) + ", t=" +
-                   std::to_string(t));
-      const uint64_t rejects = qm->DecodedCacheCounters().admission_rejects;
-      auto snap = qm->GetSnapshot(t);
-      ASSERT_TRUE(snap.ok());
-      EXPECT_TRUE(*snap == workload::ReplayToGraph(log, t));
-      // The second pass finds the root rows decoded and offers their sum.
-      if (pass == 1 && t == end) {
-        EXPECT_GT(qm->DecodedCacheCounters().admission_rejects, rejects);
-      }
-    }
+  for (Timestamp t : times) {
+    auto snap = qm.GetSnapshot(t);
+    ASSERT_TRUE(snap.ok());
+    EXPECT_TRUE(*snap == workload::ReplayToGraph(log, t)) << "t=" << t;
   }
-  auto multi = qm->GetMultipointSnapshots(times);
+  auto multi = qm.GetMultipointSnapshots(times);
   ASSERT_TRUE(multi.ok());
   for (size_t i = 0; i < times.size(); ++i) {
     EXPECT_TRUE((*multi)[i] == workload::ReplayToGraph(log, times[i]));

@@ -106,7 +106,7 @@ def main():
                     records[w].append(json.load(f))
 
     headers = [r["header"] for rs in records.values() for r in rs]
-    host = {k: sorted({str(h[k]) for h in headers}) for k in HOST_FIELDS}
+    host = {k: sorted({h[k] for h in headers}, key=str) for k in HOST_FIELDS}
     row = {"commit": commit, "label": args.label,
            "date": datetime.date.today().isoformat(),
            "host": {k: v[0] if len(v) == 1 else v for k, v in host.items()},
