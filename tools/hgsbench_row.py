@@ -8,7 +8,7 @@ Run from the repository root:
       [--seconds 15] [--commit <sha>] [--runs <dir>] [--out BENCH_hgs.json]
 
 Each (workload, seed) runs `hgsbench/run.py` untraced for --seconds, which
-builds the driver from the source in the working directory. The row holds
+builds hgs_bench from the source in the working directory. The row holds
 the commit, the label, the host fields of the runs' headers (nproc, build
 type), the seeds and window, and per workload the run count, whether every
 run was correct, the failed operations, and the median and quartiles of
