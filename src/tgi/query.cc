@@ -361,8 +361,7 @@ const tgi::TimespanMeta* TGIQueryManager::SpanFor(const MetaState& meta,
 // -- the read executor -----------------------------------------------------
 
 Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
-    const MetaState& meta, const std::vector<Read>& reads, FetchStats* stats,
-    std::vector<bool>* hits) {
+    const MetaState& meta, const std::vector<Read>& reads, FetchStats* stats) {
   FetchStats discarded;
   if (stats == nullptr) stats = &discarded;
   const size_t parallelism = fetch_parallelism();
@@ -610,7 +609,6 @@ Result<std::vector<TGIQueryManager::DecodedEntry>> TGIQueryManager::Execute(
     stats->micro_deltas += rows;
     stats->bytes += out[i].raw_bytes;
   }
-  if (hits != nullptr) *hits = std::move(served);
   return out;
 }
 
@@ -816,36 +814,39 @@ Result<Delta> TGIQueryManager::GetSnapshotDeltaWith(const MetaState& meta,
   }
   const std::vector<Read> reads =
       PlanDeltaReads(meta.graph, *span, dids, nullptr, false);
-  std::vector<bool> hits;
   HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
-                       Execute(meta, reads, stats, &hits));
-  // The reads are laid out in merge-slot order, [did][partition]. A state
-  // is built only from root rows the decoded tier served: a tier that did
-  // not keep the rows (a working set larger than the tier, or a sweep)
-  // would likely not keep their larger sum either, and then the rows merge
-  // as they are.
+                       Execute(meta, reads, stats));
+  // The reads are laid out in merge-slot order, [did][partition]. On a
+  // miss the root rows are summed into the state only when the tier can
+  // keep it: a root of one row would only be copied, and a state whose
+  // rows' stored bytes alone exceed a shard would be refused (the tier's
+  // oversize rule). Otherwise the rows merge as they are.
   size_t k = 0;
-  const size_t root_reads =
-      root_key.empty() || root != nullptr ? 0 : reads.size() / dids.size();
-  if (root_reads > 0 &&
-      std::all_of(hits.begin(), hits.begin() + root_reads,
-                  [](bool hit) { return hit; })) {
-    auto built = std::make_shared<RootState>();
+  if (!root_key.empty() && root == nullptr) {
+    const size_t root_reads = reads.size() / dids.size();
     MergeSlots root_rows;
-    for (; k < root_reads; ++k) {
-      root_rows.Add(reads[k], rows[k]);
-      CountDecodedHit(reads[k], rows[k], &built->reads);
-      if (reads[k].kind == kScanKind) {
-        ++built->reads.kv_requests;  // one scan request, served from cache
-        ++built->reads.cache_hits;
-      }
+    size_t root_bytes = root_key.size() + 64;
+    for (size_t i = 0; i < root_reads; ++i) {
+      root_rows.Add(reads[i], rows[i]);
+      root_bytes += rows[i].raw_bytes;
     }
-    built->state = Delta::SumAll(root_rows.deltas);
-    const size_t charge =
-        root_key.size() + built->state.SerializedSizeBytes() + 64;
-    decoded_cache_->Put(root_key, DecodedEntry{built, built->reads.bytes},
-                        charge);
-    root = std::move(built);
+    if (root_rows.deltas.size() > 1 &&
+        root_bytes <= decoded_cache_->capacity_bytes() / kCacheShards) {
+      auto built = std::make_shared<RootState>();
+      for (; k < root_reads; ++k) {
+        CountDecodedHit(reads[k], rows[k], &built->reads);
+        if (reads[k].kind == kScanKind) {
+          ++built->reads.kv_requests;  // one scan request, served from cache
+          ++built->reads.cache_hits;
+        }
+      }
+      built->state = Delta::SumAll(root_rows.deltas);
+      const size_t charge =
+          root_key.size() + built->state.SerializedSizeBytes() + 64;
+      decoded_cache_->Put(root_key, DecodedEntry{built, built->reads.bytes},
+                          charge);
+      root = std::move(built);
+    }
   }
   MergeSlots slots;
   if (root != nullptr) slots.deltas.push_back(&root->state);

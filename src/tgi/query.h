@@ -362,11 +362,10 @@ class TGIQueryManager {
   /// one — through the byte tier and then one Cluster::MultiScan; (3)
   /// decode every miss once, in parallel, straight off the shared views;
   /// (4) insert the results into the caches. The decode counters are
-  /// summed after the join from what each miss decoded. `hits`, when
-  /// given, receives which reads step (1) served.
-  Result<std::vector<DecodedEntry>> Execute(
-      const MetaState& meta, const std::vector<Read>& reads,
-      FetchStats* stats, std::vector<bool>* hits = nullptr);
+  /// summed after the join from what each miss decoded.
+  Result<std::vector<DecodedEntry>> Execute(const MetaState& meta,
+                                            const std::vector<Read>& reads,
+                                            FetchStats* stats);
 
   /// Counts a decoded-tier hit on `read` the way the cold path counts the
   /// read: its bytes, and its rows as decode hits and micro-deltas (a scan
@@ -428,9 +427,10 @@ class TGIQueryManager {
   // Internal (no-refresh) bodies of the public primitives, so composite
   // queries run every leg against one metadata snapshot.
   /// The snapshot at t starts from the span's root state: a hit skips the
-  /// root's reads. On a miss whose root rows the decoded tier served, the
-  /// rows are summed into the state, which is offered to the tier and
-  /// merged the same way; otherwise the rows merge as they are.
+  /// root's reads. On a miss the root rows are summed into the state, which
+  /// is offered to the tier and merged the same way, unless the root is one
+  /// row or its rows' stored bytes exceed a shard; then the rows merge as
+  /// they are.
   Result<Delta> GetSnapshotDeltaWith(const MetaState& meta, Timestamp t,
                                      FetchStats* stats);
   Result<Delta> GetNodeStateDeltaWith(const MetaState& meta, NodeId id,

@@ -1235,9 +1235,6 @@ TEST(TGITest, WarmDeltaMajorScanCostsOneDecodedProbePerPrefix) {
 
   FetchStats cold;
   ASSERT_TRUE(qm->GetSnapshotDelta(t, &cold).ok());
-  // The first read that finds the root rows decoded sums them into the
-  // span's root state.
-  ASSERT_TRUE(qm->GetSnapshotDelta(t).ok());
 
   LruCacheCounters decoded_before = qm->DecodedCacheCounters();
   LruCacheCounters bytes_before = qm->ReadCacheCounters();
