@@ -5,18 +5,22 @@ Run from the repository root:
 
   python3 tools/hgsbench_row.py --label <text> --seeds 9401-9405 \\
       [--workloads warm-snapshots,cold-history,live-ingest,taf-evolution] \\
-      [--seconds 15] [--commit <sha>] [--runs <dir>] [--out BENCH_hgs.json]
+      [--commit <sha>] [--runs <dir>]
 
-Each (workload, seed) runs `hgsbench/run.py` untraced for --seconds, which
-builds hgs_bench from the source in the working directory. The row holds
-the commit, the label, the host fields of the runs' headers (nproc, build
-type), the seeds and window, and per workload the run count, whether every
-run was correct, the failed operations, and the median and quartiles of
-each end-to-end metric of BENCHMARK.json (quartiles as compare.py computes
-them). --runs keeps the per-run records in <dir> (a temporary directory
-otherwise); a record already there is read instead of run again, so a row
-can summarize the runs of a compare.py comparison. The commit defaults to
-`git rev-parse HEAD`. Exit status 1 when a run fails or reads wrong.
+Each (workload, seed) runs `hgsbench/run.py` untraced for BENCHMARK.json's
+run_seconds, which builds hgs_bench from the source in the working
+directory. The row holds the commit, the label, the host fields of the
+runs' headers (nproc, build type), the seeds and window, and per workload
+the run count, whether every run was correct, the failed operations, and
+the median and quartiles of each end-to-end metric of BENCHMARK.json
+(quartiles as compare.py computes them). --runs keeps the per-run records
+in <dir> (a temporary directory otherwise); a record already there is read
+instead of run again, so a row can summarize the runs of a compare.py
+comparison. Every record must be untraced, of the benchmark's window, and
+of the row's commit (or of commit "unknown"). The commit defaults to
+`git rev-parse HEAD`. The row is appended to BENCH_hgs.json at the
+repository root. Exit status 1 when a run fails or reads wrong, or a
+record does not fit the row.
 """
 
 import argparse
@@ -55,6 +59,17 @@ def run_once(workload, seed, seconds, commit, path):
     return subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
 
 
+def header_mismatch(header, seconds, commit):
+    """Why a run record cannot be summarized into the row, or None."""
+    if header["trace"] != 0:
+        return "traced"
+    if header["window_s"] != seconds:
+        return f"window {header['window_s']} s, not {seconds} s"
+    if header["commit"] not in (commit, "unknown"):
+        return f"commit {header['commit']}, not {commit}"
+    return None
+
+
 def summarize(records, end_to_end):
     out = {"runs": len(records),
            "correct": all(r["correct"] for r in records),
@@ -76,18 +91,17 @@ def main():
     parser.add_argument("--label", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--commit")
     parser.add_argument("--runs")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_hgs.json"))
     args = parser.parse_args()
 
     commit = args.commit or subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
         text=True, check=True).stdout.strip()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        end_to_end = [(m["name"], m["unit"])
-                      for m in json.load(f)["end_to_end"]]
+        benchmark = json.load(f)
+    seconds = benchmark["run_seconds"]
+    end_to_end = [(m["name"], m["unit"]) for m in benchmark["end_to_end"]]
     workloads = args.workloads.split(",")
 
     with tempfile.TemporaryDirectory() as scratch:
@@ -97,29 +111,35 @@ def main():
         for seed in args.seeds:
             for w in workloads:
                 path = os.path.join(runs_dir, f"{w}-seed{seed}.json")
-                code = run_once(w, seed, args.seconds, commit, path)
+                code = run_once(w, seed, seconds, commit, path)
                 if code != 0 or not os.path.exists(path):
                     print(f"hgsbench_row: {w} seed {seed} exited {code}",
                           file=sys.stderr)
                     return 1
                 with open(path) as f:
-                    records[w].append(json.load(f))
+                    record = json.load(f)
+                why = header_mismatch(record["header"], seconds, commit)
+                if why is not None:
+                    print(f"hgsbench_row: {path}: {why}", file=sys.stderr)
+                    return 1
+                records[w].append(record)
 
     headers = [r["header"] for rs in records.values() for r in rs]
     host = {k: sorted({h[k] for h in headers}, key=str) for k in HOST_FIELDS}
     row = {"commit": commit, "label": args.label,
            "date": datetime.date.today().isoformat(),
            "host": {k: v[0] if len(v) == 1 else v for k, v in host.items()},
-           "window_s": args.seconds, "seeds": args.seeds,
+           "window_s": seconds, "seeds": args.seeds,
            "workloads": {w: summarize(rs, end_to_end)
                          for w, rs in records.items()}}
 
+    out = os.path.join(ROOT, "BENCH_hgs.json")
     table = {"benchmark": "hgsbench", "rows": []}
-    if os.path.exists(args.out):
-        with open(args.out) as f:
+    if os.path.exists(out):
+        with open(out) as f:
             table = json.load(f)
     table["rows"].append(row)
-    with open(args.out, "w") as f:
+    with open(out, "w") as f:
         json.dump(table, f, indent=1)
         f.write("\n")
     bad = [w for w, s in row["workloads"].items()
