@@ -2,7 +2,9 @@
 // caching (the TGI partition-delta cache). Keys hash to one of N shards,
 // each guarded by its own mutex, so concurrent fetch clients rarely
 // contend. Eviction is least-recently-used within a shard, driven by the
-// per-entry byte charge supplied at insert time.
+// per-entry byte charge supplied at insert time. Each shard counts into
+// one LruCacheCounters, whose counters are named once, in
+// HGS_LRU_CACHE_COUNTERS (common/counters.h), and Counters() merges them.
 
 #ifndef HGS_COMMON_LRU_CACHE_H_
 #define HGS_COMMON_LRU_CACHE_H_
@@ -15,23 +17,35 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/mutex.h"
+
+// clang-format off
+#define HGS_LRU_CACHE_COUNTERS(X) \
+  X(hits)                         \
+  X(misses)                       \
+  X(insertions)                   \
+  X(evictions)                    \
+  X(admission_rejects)  /* puts larger than a shard budget */
+// clang-format on
 
 namespace hgs {
 
-/// Aggregated counters of a ShardedLruCache (summed across shards).
+/// Counters of a ShardedLruCache: one shard's, or all shards' summed, with
+/// the resident levels.
 struct LruCacheCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  uint64_t admission_rejects = 0;  ///< puts larger than a shard budget
+  HGS_LRU_CACHE_COUNTERS(HGS_COUNTER_FIELD)
   uint64_t bytes_used = 0;
   uint64_t entries = 0;
 
   double HitRate() const {
     uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
+  }
+
+  /// Adds the counters of `o`; the levels are the caller's to set.
+  void Merge(const LruCacheCounters& o) {
+    HGS_LRU_CACHE_COUNTERS(HGS_MERGE_COUNTER)
   }
 };
 
@@ -58,10 +72,10 @@ class ShardedLruCache {
     MutexLock lock(shard.mu);
     auto it = shard.map.find(key);
     if (it == shard.map.end()) {
-      ++shard.misses;
+      ++shard.counters.misses;
       return std::nullopt;
     }
-    ++shard.hits;
+    ++shard.counters.hits;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return it->second->value;
   }
@@ -82,27 +96,14 @@ class ShardedLruCache {
       shard.map.erase(it);
     }
     if (charge > shard_capacity_) {
-      ++shard.admission_rejects;
+      ++shard.counters.admission_rejects;
       return;
     }
     EvictToFitLocked(shard, charge);
     shard.lru.push_front(Entry{key, std::move(value), charge});
     shard.map[key] = shard.lru.begin();
     shard.bytes += charge;
-    ++shard.insertions;
-  }
-
-  /// Removes `key` if present.
-  bool Erase(const Key& key) {
-    if (capacity_bytes_ == 0) return false;
-    Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) return false;
-    shard.bytes -= it->second->charge;
-    shard.lru.erase(it->second);
-    shard.map.erase(it);
-    return true;
+    ++shard.counters.insertions;
   }
 
   /// Result of a RetainIf sweep.
@@ -113,8 +114,8 @@ class ShardedLruCache {
 
   /// Keeps only the entries for which `pred(key)` is true, dropping the
   /// rest (counted as evictions). The precision-invalidation primitive:
-  /// a publish evicts exactly the scopes it touched instead of Clear()ing
-  /// the whole cache. Each shard is swept under its own mutex.
+  /// a publish evicts exactly the scopes it touched, not the whole cache.
+  /// Each shard is swept under its own mutex.
   template <typename Pred>
   RetainResult RetainIf(Pred pred) {
     RetainResult result;
@@ -130,22 +131,11 @@ class ShardedLruCache {
         shard.bytes -= it->charge;
         shard.map.erase(it->key);
         it = shard.lru.erase(it);
-        ++shard.evictions;
+        ++shard.counters.evictions;
         ++result.evicted;
       }
     }
     return result;
-  }
-
-  /// Drops every entry (hit/miss counters are retained).
-  void Clear() {
-    for (auto& shard_ptr : shards_) {
-      Shard& shard = *shard_ptr;
-      MutexLock lock(shard.mu);
-      shard.lru.clear();
-      shard.map.clear();
-      shard.bytes = 0;
-    }
   }
 
   LruCacheCounters Counters() const {
@@ -153,11 +143,7 @@ class ShardedLruCache {
     for (const auto& shard_ptr : shards_) {
       Shard& shard = *shard_ptr;
       MutexLock lock(shard.mu);
-      out.hits += shard.hits;
-      out.misses += shard.misses;
-      out.insertions += shard.insertions;
-      out.evictions += shard.evictions;
-      out.admission_rejects += shard.admission_rejects;
+      out.Merge(shard.counters);
       out.bytes_used += shard.bytes;
       out.entries += shard.map.size();
     }
@@ -165,7 +151,6 @@ class ShardedLruCache {
   }
 
   size_t capacity_bytes() const { return capacity_bytes_; }
-  bool enabled() const { return capacity_bytes_ > 0; }
 
  private:
   struct Entry {
@@ -180,11 +165,7 @@ class ShardedLruCache {
     std::unordered_map<Key, typename std::list<Entry>::iterator, Hash> map
         GUARDED_BY(mu);
     size_t bytes GUARDED_BY(mu) = 0;
-    uint64_t hits GUARDED_BY(mu) = 0;
-    uint64_t misses GUARDED_BY(mu) = 0;
-    uint64_t insertions GUARDED_BY(mu) = 0;
-    uint64_t evictions GUARDED_BY(mu) = 0;
-    uint64_t admission_rejects GUARDED_BY(mu) = 0;
+    LruCacheCounters counters GUARDED_BY(mu);  // its levels stay 0
   };
 
   /// Evicts LRU entries until `charge` more bytes fit in the shard budget.
@@ -194,7 +175,7 @@ class ShardedLruCache {
       shard.bytes -= victim.charge;
       shard.map.erase(victim.key);
       shard.lru.pop_back();
-      ++shard.evictions;
+      ++shard.counters.evictions;
     }
   }
 

@@ -39,7 +39,7 @@ Status Unseal(std::vector<KVPair>* rows) {
 /// counts one value copy.
 Status DecompressInPlace(SharedValue* value, FetchStats* stats) {
   HGS_ASSIGN_OR_RETURN(SharedValue out, DecompressShared(*value));
-  if (stats != nullptr && out.owner() != value->owner()) ++stats->value_copies;
+  if (out.owner() != value->owner()) ++stats->value_copies;
   *value = std::move(out);
   return Status::OK();
 }
@@ -181,31 +181,6 @@ void Cluster::Backoff(size_t attempt, const Deadline& deadline) const {
     us = std::min(us, remain);
   }
   if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
-
-void Cluster::CountFailover(FetchStats* s) {
-  resilience_.failovers.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->failovers;
-}
-
-void Cluster::CountRetry(FetchStats* s) {
-  resilience_.retries.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->retries;
-}
-
-void Cluster::CountChecksumFailure(FetchStats* s) {
-  resilience_.checksum_failures.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->checksum_failures;
-}
-
-void Cluster::CountHedge(FetchStats* s) {
-  resilience_.hedges.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->hedges;
-}
-
-void Cluster::CountHedgeWin(FetchStats* s) {
-  resilience_.hedge_wins.fetch_add(1, std::memory_order_relaxed);
-  if (s != nullptr) ++s->hedge_wins;
 }
 
 std::shared_ptr<const std::string> Cluster::SealForStorage(
@@ -368,7 +343,7 @@ Status Cluster::WriteRowToNode(
     Status st = n->PutBatch(std::move(rows));
     if (st.ok()) return st;
     if (n->IsDown() || attempt >= options_.max_retries) return st;
-    CountRetry(nullptr);
+    resilience_.retries.fetch_add(1, std::memory_order_relaxed);
     Backoff(attempt + 1, std::nullopt);
   }
 }
@@ -380,7 +355,7 @@ Status Cluster::DeleteRowFromNode(size_t node, const std::string& phys,
     Status st = n->Delete(phys, existed);
     if (st.ok()) return st;
     if (n->IsDown() || attempt >= options_.max_retries) return st;
-    CountRetry(nullptr);
+    resilience_.retries.fetch_add(1, std::memory_order_relaxed);
     Backoff(attempt + 1, std::nullopt);
   }
 }
@@ -446,7 +421,7 @@ Status Cluster::MultiPut(std::string_view table, std::vector<PutRow> rows) {
     for (size_t attempt = 0;
          !st.ok() && !nodes_[node]->IsDown() && attempt < options_.max_retries;
          ++attempt) {
-      CountRetry(nullptr);
+      resilience_.retries.fetch_add(1, std::memory_order_relaxed);
       Backoff(attempt + 1, std::nullopt);
       st = nodes_[node]->PutBatch(build_batch(idxs));
     }
@@ -556,6 +531,16 @@ size_t Cluster::HedgeTarget(const ReplicaSet& replicas, size_t primary) const {
 
 template <typename T>
 Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
+    const std::vector<BatchItem>& items, FetchStats* caller) {
+  FetchStats call;
+  Result<std::vector<std::optional<T>>> out = ReadRounds<T>(items, &call);
+  resilience_.AddReadEvents(call);
+  if (caller != nullptr) caller->Merge(call);
+  return out;
+}
+
+template <typename T>
+Result<std::vector<std::optional<T>>> Cluster::ReadRounds(
     const std::vector<BatchItem>& items, FetchStats* stats) {
   std::vector<std::optional<T>> out(items.size());
   Deadline deadline = MakeDeadline();
@@ -599,7 +584,7 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
       std::vector<std::string> phys;
       phys.reserve(by_node[node].size());
       for (size_t i : by_node[node]) phys.push_back(items[i].phys);
-      if (stats != nullptr) ++stats->kv_batches;
+      ++stats->kv_batches;
       std::future<std::vector<Result<T>>> fut;
       if constexpr (std::is_same_v<T, SharedValue>) {
         fut = nodes_[node]->SubmitMultiGet(std::move(phys));
@@ -633,7 +618,7 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
       }
       // Corrupt bytes (one bad row spoils a whole scan): a replica
       // failure, not a query error. Fail over.
-      CountChecksumFailure(stats);
+      ++stats->checksum_failures;
     } else {
       l.last = res.status();
       if (l.last.IsNotFound()) {
@@ -643,7 +628,7 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
       } else if (!nodes_[l.order[l.at]]->IsDown() &&
                  l.attempt < options_.max_retries) {
         // A transient error on a live replica: retry it next round.
-        CountRetry(stats);
+        ++stats->retries;
         backoff = std::max(backoff, ++l.attempt);
         next.push_back(i);
         return Status::OK();
@@ -652,7 +637,7 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
     if (++l.at == l.candidates) {
       return l.last.IsNotFound() ? Status::OK() : l.last;
     }
-    CountFailover(stats);
+    ++stats->failovers;
     l.attempt = 0;
     next.push_back(i);
     return Status::OK();
@@ -678,7 +663,7 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
         hedges = submit(b.idxs, [&](size_t i) {
           return HedgeTarget(items[i].replicas, b.node);
         });
-        for (size_t h = 0; h < hedges.size(); ++h) CountHedge(stats);
+        stats->hedges += hedges.size();
       }
 
       // Wait for the primary batch, or for every hedge batch to answer
@@ -704,7 +689,7 @@ Result<std::vector<std::optional<T>>> Cluster::BatchedRead(
             answered_by[h.idxs[j]] = h.node;
             won = true;
           }
-          if (won) CountHedgeWin(stats);
+          if (won) ++stats->hedge_wins;
         }
       }
       // The other items take the primary's answer; when every item has a
@@ -794,10 +779,11 @@ void Cluster::SetFaultProfile(size_t node, const FaultProfile& profile) {
   if (node < nodes_.size()) nodes_[node]->SetFaultProfile(profile);
 }
 
-uint64_t Cluster::TotalStoredBytes() const {
+uint64_t Cluster::SumNodeStat(
+    std::atomic<uint64_t> StorageNodeStats::*member) const {
   uint64_t total = 0;
   for (const auto& n : nodes_) {
-    total += n->stats().bytes_stored.load(std::memory_order_relaxed);
+    total += (n->stats().*member).load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -805,47 +791,6 @@ uint64_t Cluster::TotalStoredBytes() const {
 uint64_t Cluster::TotalKeys() const {
   uint64_t total = 0;
   for (const auto& n : nodes_) total += n->NumKeys();
-  return total;
-}
-
-uint64_t Cluster::TotalReadRequests() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().get_requests.load(std::memory_order_relaxed) +
-             n->stats().scan_requests.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Cluster::TotalBytesRead() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().bytes_read.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Cluster::TotalPutBatches() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().put_batches.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Cluster::TotalRowsPut() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().rows_put.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t Cluster::TotalBytesPut() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->stats().bytes_put.load(std::memory_order_relaxed);
-  }
   return total;
 }
 
@@ -864,17 +809,7 @@ uint64_t Cluster::NodeContentFingerprint(size_t node) const {
 
 void Cluster::ResetStats() {
   for (auto& n : nodes_) n->ResetStats();
-  resilience_.failovers.store(0);
-  resilience_.retries.store(0);
-  resilience_.hedges.store(0);
-  resilience_.hedge_wins.store(0);
-  resilience_.checksum_failures.store(0);
-  resilience_.degraded_writes.store(0);
-  resilience_.failed_writes.store(0);
-  resilience_.hints_queued.store(0);
-  resilience_.hints_replayed.store(0);
-  resilience_.hints_dropped.store(0);
-  resilience_.repair_rows.store(0);
+  resilience_.Reset();
 }
 
 void Cluster::PublishTouched(std::vector<EpochKey> touched) {

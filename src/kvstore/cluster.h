@@ -136,24 +136,31 @@ struct ReplicaSet {
   const uint32_t* end() const { return nodes.data() + count; }
 };
 
-/// Cluster-lifetime resilience counters (atomic, aggregated like the
-/// per-node read/write stats). Every read event counted here is also
-/// counted into the FetchStats of the call it happened in.
+// The cluster-lifetime resilience counters: the read events a FetchStats
+// counts (the list both records share), then the write path's.
+// clang-format off
+#define HGS_CLUSTER_RESILIENCE_COUNTERS(X)                            \
+  HGS_READ_RESILIENCE_COUNTERS(X)                                     \
+  X(degraded_writes)  /* acked writes that missed a replica */        \
+  X(failed_writes)    /* writes (rows) that missed their ack level */ \
+  X(hints_queued)                                                     \
+  X(hints_replayed)                                                   \
+  X(hints_dropped)                                                    \
+  X(repair_rows)      /* rows RepairNode streamed (restored or erased) */
+// clang-format on
+
+/// Cluster-lifetime resilience counters (atomic, like the per-node
+/// read/write stats). A read call counts its events into a FetchStats of
+/// its own and adds them here when it returns; write-path events are
+/// added as they happen.
 struct ClusterResilienceStats {
-  std::atomic<uint64_t> failovers{0};
-  std::atomic<uint64_t> retries{0};
-  std::atomic<uint64_t> hedges{0};
-  std::atomic<uint64_t> hedge_wins{0};
-  std::atomic<uint64_t> checksum_failures{0};
-  /// Writes that met their ack level but missed at least one replica.
-  std::atomic<uint64_t> degraded_writes{0};
-  /// Writes (rows) that failed to meet their ack level.
-  std::atomic<uint64_t> failed_writes{0};
-  std::atomic<uint64_t> hints_queued{0};
-  std::atomic<uint64_t> hints_replayed{0};
-  std::atomic<uint64_t> hints_dropped{0};
-  /// Rows streamed (restored or erased) by RepairNode.
-  std::atomic<uint64_t> repair_rows{0};
+  HGS_CLUSTER_RESILIENCE_COUNTERS(HGS_ATOMIC_COUNTER_FIELD)
+
+  /// Adds one read call's resilience events.
+  void AddReadEvents(const FetchStats& o) {
+    HGS_READ_RESILIENCE_COUNTERS(HGS_ACCUMULATE_COUNTER)
+  }
+  void Reset() { HGS_CLUSTER_RESILIENCE_COUNTERS(HGS_ZERO_COUNTER) }
 };
 
 /// The publish-epoch map: an immutable snapshot of the index's visibility
@@ -202,11 +209,12 @@ class Cluster {
   /// Fails when any row misses its ack level.
   Status MultiPut(std::string_view table, std::vector<PutRow> rows);
 
-  // Every read call adds what it did to `stats` when non-null, never
-  // resetting it: one kv_batches per node request it submits, the value
-  // copies of the answer it returns, and the failovers, retries, hedges,
-  // hedge wins and checksum failures it caused (each also counted in
-  // resilience()).
+  // Every read call counts what it did into a FetchStats of its own: one
+  // kv_batches per node request it submits, the value copies of the answer
+  // it returns, and the failovers, retries, hedges, hedge wins and checksum
+  // failures it caused. When it returns, errors included, it adds that
+  // record to `stats` when non-null, never resetting it, and its
+  // resilience events to resilience().
 
   /// A one-key MultiGet: NotFound when no replica holds the key. The
   /// returned value is a zero-copy view of the serving node's buffer
@@ -294,16 +302,29 @@ class Cluster {
   const ClusterOptions& options() const { return options_; }
 
   /// Total stored bytes across nodes (replicas counted once each).
-  uint64_t TotalStoredBytes() const;
+  uint64_t TotalStoredBytes() const {
+    return SumNodeStat(&StorageNodeStats::bytes_stored);
+  }
   uint64_t TotalKeys() const;
   /// Aggregate read requests (gets + scans) across nodes.
-  uint64_t TotalReadRequests() const;
-  uint64_t TotalBytesRead() const;
+  uint64_t TotalReadRequests() const {
+    return SumNodeStat(&StorageNodeStats::get_requests) +
+           SumNodeStat(&StorageNodeStats::scan_requests);
+  }
+  uint64_t TotalBytesRead() const {
+    return SumNodeStat(&StorageNodeStats::bytes_read);
+  }
   /// Aggregate write-side counters across nodes (replica writes counted at
   /// every replica): write submissions, rows written, value bytes written.
-  uint64_t TotalPutBatches() const;
-  uint64_t TotalRowsPut() const;
-  uint64_t TotalBytesPut() const;
+  uint64_t TotalPutBatches() const {
+    return SumNodeStat(&StorageNodeStats::put_batches);
+  }
+  uint64_t TotalRowsPut() const {
+    return SumNodeStat(&StorageNodeStats::rows_put);
+  }
+  uint64_t TotalBytesPut() const {
+    return SumNodeStat(&StorageNodeStats::bytes_put);
+  }
   /// Order-stable fingerprint of all resident contents, per node. Two
   /// clusters loaded with byte-identical data compare equal regardless of
   /// the order or batching of the writes that produced them.
@@ -315,6 +336,7 @@ class Cluster {
   /// Lifetime resilience counters (failovers, retries, hedges, checksum
   /// failures, degraded writes, hint traffic).
   const ClusterResilienceStats& resilience() const { return resilience_; }
+  /// Zeroes the nodes' counters and the resilience counters.
   void ResetStats();
 
   /// The current publish-epoch map. The returned snapshot is immutable;
@@ -387,6 +409,13 @@ class Cluster {
     std::string phys;
   };
 
+  /// Every read: runs ReadRounds with a FetchStats of its own, then, on
+  /// success and error alike, merges that record into `caller` (when
+  /// non-null) and adds its resilience events to resilience_.
+  template <typename T>
+  Result<std::vector<std::optional<T>>> BatchedRead(
+      const std::vector<BatchItem>& items, FetchStats* caller);
+
   /// The one read loop behind every read (T is SharedValue for point
   /// reads, std::vector<KVPair> for prefix scans), run in rounds. Each item
   /// walks its own replicas in serving order; each round sends every
@@ -397,9 +426,10 @@ class Cluster {
   /// round was sent is hedged: its items regroup by their next live replica
   /// into second-chance batches, and a hedge answer replaces the primary's
   /// only when it is a value or an absence. Every wait honours the call's
-  /// one deadline. Returns one entry per item, nullopt for an absent key.
+  /// one deadline. Returns one entry per item, nullopt for an absent key,
+  /// and counts what it did into `stats`.
   template <typename T>
-  Result<std::vector<std::optional<T>>> BatchedRead(
+  Result<std::vector<std::optional<T>>> ReadRounds(
       const std::vector<BatchItem>& items, FetchStats* stats);
 
   /// The first live replica other than `primary` (where a hedge goes), or
@@ -412,11 +442,8 @@ class Cluster {
   size_t ServingOrder(const ReplicaSet& replicas,
                       std::array<uint32_t, kMaxReplicas>* order) const;
 
-  void CountFailover(FetchStats* s);
-  void CountRetry(FetchStats* s);
-  void CountChecksumFailure(FetchStats* s);
-  void CountHedge(FetchStats* s);
-  void CountHedgeWin(FetchStats* s);
+  /// One StorageNodeStats member summed over the nodes.
+  uint64_t SumNodeStat(std::atomic<uint64_t> StorageNodeStats::*member) const;
 
   /// Delete one row on one node with transient-error retries.
   Status DeleteRowFromNode(size_t node, const std::string& phys,

@@ -283,18 +283,4 @@ uint64_t StorageNode::ContentFingerprint() const {
   return h;
 }
 
-void StorageNode::ResetStats() {
-  stats_.get_requests.store(0);
-  stats_.scan_requests.store(0);
-  stats_.keys_read.store(0);
-  stats_.bytes_read.store(0);
-  stats_.simulated_micros.store(0);
-  stats_.put_batches.store(0);
-  stats_.rows_put.store(0);
-  stats_.bytes_put.store(0);
-  stats_.injected_faults.store(0);
-  stats_.injected_corruptions.store(0);
-  stats_.max_serving.store(0);
-}
-
 }  // namespace hgs

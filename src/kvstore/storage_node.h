@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -67,27 +68,34 @@ struct LatencyModel {
   }
 };
 
+// The node's counters, which ResetStats zeroes. The write-side ones are the
+// ingest path's FetchStats analogue: every write submission is one batch,
+// so group-committed ingest shows put_batches << rows_put. max_serving
+// counts reads and write batches alike, and is at most the node's server
+// thread count.
+// clang-format off
+#define HGS_STORAGE_NODE_COUNTERS(X)                                      \
+  X(get_requests)                                                         \
+  X(scan_requests)                                                        \
+  X(keys_read)                                                            \
+  X(bytes_read)                                                           \
+  X(simulated_micros)                                                     \
+  X(put_batches)                                                          \
+  X(rows_put)                                                             \
+  X(bytes_put)                                                            \
+  X(injected_faults)       /* requests the injector failed transiently */ \
+  X(injected_corruptions)  /* values it corrupted on the way out */       \
+  X(max_serving)           /* most requests ever in service at once */
+// clang-format on
+
 struct StorageNodeStats {
-  std::atomic<uint64_t> get_requests{0};
-  std::atomic<uint64_t> scan_requests{0};
-  std::atomic<uint64_t> keys_read{0};
-  std::atomic<uint64_t> bytes_read{0};
+  HGS_STORAGE_NODE_COUNTERS(HGS_ATOMIC_COUNTER_FIELD)
+  // Levels, outside the list: the resident value bytes, and the requests
+  // in service right now.
   std::atomic<uint64_t> bytes_stored{0};
-  std::atomic<uint64_t> simulated_micros{0};
-  // Write-side counters (the ingest path's FetchStats analogue): every
-  // write submission is one batch, so group-committed ingest shows
-  // put_batches << rows_put.
-  std::atomic<uint64_t> put_batches{0};
-  std::atomic<uint64_t> rows_put{0};
-  std::atomic<uint64_t> bytes_put{0};
-  // Fault accounting: requests the injector failed transiently, and values
-  // it corrupted on the way out.
-  std::atomic<uint64_t> injected_faults{0};
-  std::atomic<uint64_t> injected_corruptions{0};
-  // Requests (reads and write batches) in service right now, and the most
-  // this node ever served at once: at most its server thread count.
   std::atomic<uint64_t> serving{0};
-  std::atomic<uint64_t> max_serving{0};
+
+  void Reset() { HGS_STORAGE_NODE_COUNTERS(HGS_ZERO_COUNTER) }
 };
 
 /// One row of a group-committed write batch. The value buffer is shared:
@@ -173,7 +181,7 @@ class StorageNode {
   bool EraseRow(const std::string& key);
 
   const StorageNodeStats& stats() const { return stats_; }
-  void ResetStats();
+  void ResetStats() { stats_.Reset(); }
 
  private:
   std::vector<Result<SharedValue>> DoMultiGet(

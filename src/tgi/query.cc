@@ -736,7 +736,8 @@ Result<std::vector<MicroPartitionId>> TGIQueryManager::PidsOf(
   std::vector<std::pair<size_t, size_t>> pending;  // (id index, read index)
   {
     std::unordered_map<uint64_t, size_t> read_of;
-    uint64_t hits = 0;
+    std::unordered_set<uint64_t> served;
+    FetchStats hits;
     MutexLock lock(micropart_mu_);
     for (size_t i = 0; i < ids.size(); ++i) {
       const uint64_t bucket = tgi::NodePlacement(ids[i]) % buckets;
@@ -746,8 +747,14 @@ Result<std::vector<MicroPartitionId>> TGIQueryManager::PidsOf(
           it->second.epoch == meta.SubEpochFor(tgi::kMicropartsTable, part)) {
         // The bucket's decoded node→pid map is already in memory at this
         // scope's sub-epoch: zero fetch and zero deserialization. A stale
-        // bucket (filled by an in-flight old-snapshot query) is a miss.
-        ++hits;
+        // bucket (filled by an in-flight old-snapshot query) is a miss. A
+        // hit counts, once per bucket, what the bucket's cold read counts.
+        if (served.insert(part).second) {
+          ++hits.kv_requests;
+          ++hits.decode_hits;
+          hits.bytes += it->second.raw_bytes;
+          if (it->second.raw_bytes > 0) ++hits.micro_deltas;
+        }
         out[i] = pid_in(it->second.map, ids[i]);
         continue;
       }
@@ -760,7 +767,7 @@ Result<std::vector<MicroPartitionId>> TGIQueryManager::PidsOf(
       }
       pending.emplace_back(i, r->second);
     }
-    if (stats != nullptr) stats->decode_hits += hits;
+    if (stats != nullptr) stats->Merge(hits);
   }
   if (reads.empty()) return out;
   HGS_ASSIGN_OR_RETURN(std::vector<DecodedEntry> rows,
@@ -769,11 +776,20 @@ Result<std::vector<MicroPartitionId>> TGIQueryManager::PidsOf(
   for (size_t r = 0; r < reads.size(); ++r) {
     fetched[r].epoch = meta.SubEpochFor(tgi::kMicropartsTable,
                                         reads[r].partition);
+    fetched[r].raw_bytes = rows[r].raw_bytes;
     if (rows[r].obj == nullptr) continue;  // no bucket row: all hashed
     const auto& entries =
         *static_cast<const MicropartEntries*>(rows[r].obj.get());
     fetched[r].map.reserve(entries.size());
-    for (const auto& [nid, pid] : entries) fetched[r].map[nid] = pid;
+    for (const auto& [nid, pid] : entries) {
+      if (pid >= span.num_micro_partitions) {
+        return Status::Corruption(
+            "micropartition bucket maps node " + std::to_string(nid) +
+            " to pid " + std::to_string(pid) + " of a span with " +
+            std::to_string(span.num_micro_partitions) + " micro-partitions");
+      }
+      fetched[r].map[nid] = pid;
+    }
   }
   for (const auto& [i, r] : pending) out[i] = pid_in(fetched[r].map, ids[i]);
   MutexLock lock(micropart_mu_);

@@ -410,7 +410,10 @@ class TGIQueryManager {
 
   /// Micro-partition of each of `ids` during a span (Micropartitions table
   /// lookup for locality spans, hash for random spans). Buckets missing
-  /// from micropart_cache_ are fetched as one batch.
+  /// from micropart_cache_ are fetched as one batch; a fetched bucket that
+  /// names a pid outside the span is Corruption. Each distinct bucket
+  /// served from micropart_cache_ counts what its cold read counts, as
+  /// CountDecodedHit counts a point read.
   Result<std::vector<MicroPartitionId>> PidsOf(const MetaState& meta,
                                                const std::vector<NodeId>& ids,
                                                const tgi::TimespanMeta& span,
@@ -489,6 +492,7 @@ class TGIQueryManager {
   /// racing a publish) is treated as a miss rather than served.
   struct MicropartBucket {
     uint64_t epoch = 0;
+    size_t raw_bytes = 0;  ///< the bucket row's size; 0 when it is absent
     std::unordered_map<NodeId, MicroPartitionId> map;
   };
   // (tsid * buckets + bucket) -> decoded bucket; the key is the bucket

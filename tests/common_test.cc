@@ -434,10 +434,9 @@ TEST(LruCacheTest, ZeroCapacityDisables) {
   ShardedLruCache<std::string, int> cache(0);
   cache.Put("a", 1, 1);
   EXPECT_FALSE(cache.Get("a").has_value());
-  EXPECT_FALSE(cache.enabled());
 }
 
-TEST(LruCacheTest, PutReplacesAndClearKeepsCounters) {
+TEST(LruCacheTest, PutReplacesValueAndCharge) {
   ShardedLruCache<std::string, int> cache(100, 1);
   cache.Put("a", 1, 10);
   cache.Put("a", 2, 20);
@@ -445,11 +444,6 @@ TEST(LruCacheTest, PutReplacesAndClearKeepsCounters) {
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, 2);
   EXPECT_EQ(cache.Counters().bytes_used, 20u);
-  cache.Clear();
-  EXPECT_EQ(cache.Counters().entries, 0u);
-  EXPECT_EQ(cache.Counters().bytes_used, 0u);
-  EXPECT_EQ(cache.Counters().hits, 1u);  // retained across Clear
-  EXPECT_FALSE(cache.Get("a").has_value());
 }
 
 TEST(LruCacheTest, ConcurrentReadersAndWritersDoNotRace) {

@@ -806,6 +806,41 @@ TEST(FaultToleranceTest, RepairRestoresKilledNodeToTwinContents) {
   EXPECT_GT(faulty.resilience().repair_rows.load(), 0u);
 }
 
+TEST(FaultToleranceTest, HintOverflowPinsNodeDirtyUntilRepair) {
+  // A full hint queue drops its oldest hint, so replaying the rest cannot
+  // make the node whole: it stays dirty until RepairNode streams it back.
+  ClusterOptions opts = FastOptions(2, 2);
+  opts.write_ack = WriteAck::kOne;
+  opts.hint_limit_per_node = 2;
+  Cluster faulty(opts);
+  Cluster twin(opts);
+  faulty.SetNodeDown(1, true);
+  for (int k = 0; k < 3; ++k) {
+    const std::string key = "k" + std::to_string(k);
+    ASSERT_TRUE(faulty.Put("t", 1, key, "v" + key).ok());
+    ASSERT_TRUE(twin.Put("t", 1, key, "v" + key).ok());
+  }
+  EXPECT_EQ(faulty.PendingHints(1), 2u);
+  EXPECT_EQ(faulty.resilience().hints_dropped.load(), 1u);
+  EXPECT_EQ(faulty.resilience().hints_queued.load(), 3u);
+
+  faulty.SetNodeDown(1, false);
+  ASSERT_TRUE(faulty.ReplayHints(1).ok());
+  EXPECT_TRUE(faulty.NodeDirty(1));
+  EXPECT_NE(faulty.NodeContentFingerprint(1), twin.NodeContentFingerprint(1));
+
+  ASSERT_TRUE(faulty.RepairNode(1).ok());
+  EXPECT_FALSE(faulty.NodeDirty(1));
+  EXPECT_EQ(faulty.NodeContentFingerprint(1), twin.NodeContentFingerprint(1));
+  faulty.SetNodeDown(0, true);
+  for (int k = 0; k < 3; ++k) {
+    const std::string key = "k" + std::to_string(k);
+    auto got = faulty.Get("t", 1, key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+    EXPECT_EQ(*got, "v" + key);
+  }
+}
+
 // -- Per-call accounting ------------------------------------------------------
 
 constexpr const char* kEventNames[] = {"failovers", "retries", "hedges",
@@ -838,37 +873,27 @@ std::vector<MultiGetKey> LoadRows(Cluster* c, uint64_t partitions) {
 
 /// One read call counted into `call`: a Get of a random key (api 0), a
 /// MultiGet of every key (api 1), a Scan of a random partition (api 2) or
-/// a MultiScan of every partition and one absent prefix (api 3). Checks
-/// that the call succeeded.
-void ReadOnce(Cluster* c, const std::vector<MultiGetKey>& keys,
-              uint64_t partitions, size_t api, Rng* rng, FetchStats* call) {
+/// a MultiScan of every partition and one absent prefix (api 3). Returns
+/// the call's status, a Get's NotFound as OK.
+Status ReadOnce(Cluster* c, const std::vector<MultiGetKey>& keys,
+                uint64_t partitions, size_t api, Rng* rng, FetchStats* call) {
   switch (api) {
     case 0: {
       const MultiGetKey& k = keys[rng->Uniform(keys.size())];
-      auto got = c->Get("t", k.partition, k.key, call);
-      EXPECT_TRUE(got.ok() || got.status().IsNotFound())
-          << "Get: " << got.status().ToString();
-      break;
+      Status st = c->Get("t", k.partition, k.key, call).status();
+      return st.IsNotFound() ? Status::OK() : st;
     }
-    case 1: {
-      auto got = c->MultiGet("t", keys, call);
-      EXPECT_TRUE(got.ok()) << "MultiGet: " << got.status().ToString();
-      break;
-    }
-    case 2: {
-      auto got = c->Scan("t", rng->Uniform(partitions), "", call);
-      EXPECT_TRUE(got.ok()) << "Scan: " << got.status().ToString();
-      break;
-    }
+    case 1:
+      return c->MultiGet("t", keys, call).status();
+    case 2:
+      return c->Scan("t", rng->Uniform(partitions), "", call).status();
     default: {
       std::vector<MultiScanPrefix> prefixes;
       for (uint64_t p = 0; p < partitions; ++p) {
         prefixes.push_back(MultiScanPrefix{"t", p, ""});
       }
       prefixes.push_back(MultiScanPrefix{"t", 0, "absent"});
-      auto got = c->MultiScan(prefixes, call);
-      EXPECT_TRUE(got.ok()) << "MultiScan: " << got.status().ToString();
-      break;
+      return c->MultiScan(prefixes, call).status();
     }
   }
 }
@@ -900,7 +925,8 @@ TEST(ReadAccountingTest, PerCallCountsEqualClusterGrowth) {
       for (int i = 0; i < 15; ++i) {
         const std::array<uint64_t, 5> before = ClusterEvents(c);
         FetchStats call;
-        ReadOnce(&c, keys, kPartitions, i % 4, &rng, &call);
+        const Status st = ReadOnce(&c, keys, kPartitions, i % 4, &rng, &call);
+        EXPECT_TRUE(st.ok()) << "call " << i << ": " << st.ToString();
         const std::array<uint64_t, 5> after = ClusterEvents(c);
         const std::array<uint64_t, 5> counted = CallEvents(call);
         for (size_t f = 0; f < 5; ++f) {
@@ -916,6 +942,53 @@ TEST(ReadAccountingTest, PerCallCountsEqualClusterGrowth) {
   }
 }
 
+TEST(ReadAccountingTest, FailedCallsCountLikeSucceededOnes) {
+  // A call that fails still reports what it did, to its FetchStats and to
+  // the cluster's lifetime counters alike. Every read API fails once where
+  // the only replica fails every request (each item retries, then the
+  // call gives up), and once where both replicas fail slowly, so the
+  // deadline passes after retries and a failover.
+  constexpr uint64_t kPartitions = 4;
+  for (bool deadline : {false, true}) {
+    SCOPED_TRACE(deadline ? "deadline passes" : "only replica fails");
+    ClusterOptions opts = deadline ? FastOptions(2, 2) : FastOptions(3, 1);
+    opts.retry_backoff_micros = 10;
+    FaultProfile failing;
+    failing.transient_error_prob = 1.0;
+    if (deadline) {
+      // An item's six attempts (three per replica) take 6 ms or more.
+      opts.request_deadline_micros = 5'000;
+      failing.added_latency_micros = 1'000;
+    }
+    Cluster c(opts);
+    std::vector<MultiGetKey> keys = LoadRows(&c, kPartitions);
+    for (size_t n = 0; n < c.num_nodes(); ++n) c.SetFaultProfile(n, failing);
+    Rng rng(deadline ? 301 : 302);
+    std::array<uint64_t, 5> total{};
+    for (size_t api = 0; api < 4; ++api) {
+      const std::array<uint64_t, 5> before = ClusterEvents(c);
+      FetchStats call;
+      const Status st = ReadOnce(&c, keys, kPartitions, api, &rng, &call);
+      EXPECT_FALSE(st.ok()) << "api " << api;
+      if (deadline) {
+        EXPECT_NE(st.message().find("deadline"), std::string::npos)
+            << "api " << api << ": " << st.ToString();
+      }
+      const std::array<uint64_t, 5> after = ClusterEvents(c);
+      const std::array<uint64_t, 5> counted = CallEvents(call);
+      for (size_t f = 0; f < 5; ++f) {
+        EXPECT_EQ(counted[f], after[f] - before[f])
+            << kEventNames[f] << " in api " << api;
+        total[f] += counted[f];
+      }
+    }
+    EXPECT_GT(total[1], 0u);  // retries
+    if (deadline) {
+      EXPECT_GT(total[0], 0u);  // failovers
+    }
+  }
+}
+
 TEST(ReadAccountingTest, FaultFreeBatchesEqualServedRequests) {
   // On a healthy cluster without hedging, kv_batches is exactly the number
   // of requests the storage nodes served for the call.
@@ -928,7 +1001,8 @@ TEST(ReadAccountingTest, FaultFreeBatchesEqualServedRequests) {
     for (int i = 0; i < 20; ++i) {
       const uint64_t before = c.TotalReadRequests();
       FetchStats call;
-      ReadOnce(&c, keys, kPartitions, i % 4, &rng, &call);
+      const Status st = ReadOnce(&c, keys, kPartitions, i % 4, &rng, &call);
+      EXPECT_TRUE(st.ok()) << "call " << i << ": " << st.ToString();
       EXPECT_EQ(call.kv_batches, c.TotalReadRequests() - before)
           << "call " << i;
       EXPECT_GT(call.kv_batches, 0u);

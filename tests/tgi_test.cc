@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -1345,6 +1346,106 @@ TEST(TGITest, ReplicationReducesOneHopFetches) {
   uint64_t with_replication = run(true);
   uint64_t without_replication = run(false);
   EXPECT_LT(with_replication, without_replication);
+}
+
+TEST(TGITest, WarmLocalityReadsCountWhatColdReadsCount) {
+  // On a locality-partitioned index a node read first looks its node up in
+  // a Micropartitions bucket. A warm read serves the bucket from memory,
+  // and still counts the request, row and bytes the cold read counted, as
+  // every other decoded hit does.
+  const std::vector<Event> events = SmallHistory(59, 6'000);
+  const Timestamp t = workload::EndTime(events);
+  std::vector<NodeId> ids = workload::ReplayToGraph(events, t).NodeIds();
+  ASSERT_GE(ids.size(), 8u);
+  ids.resize(8);
+  for (bool replicate : {false, true}) {
+    SCOPED_TRACE(replicate ? "replicate_one_hop" : "no replication");
+    Cluster cluster(FastCluster());
+    TGIOptions opts = SmallOptions();
+    opts.partition_strategy = PartitionStrategy::kLocality;
+    opts.replicate_one_hop = replicate;
+    TGI tgi(&cluster, opts);
+    ASSERT_TRUE(tgi.BuildFrom(events).ok());
+    // Runs `call` twice on a fresh query manager: cold, then warm.
+    auto cold_then_warm = [&](const char* api, const auto& call) {
+      SCOPED_TRACE(api);
+      auto qm = tgi.OpenQueryManager().value();
+      FetchStats cold;
+      ASSERT_TRUE(call(*qm, &cold).ok());
+      FetchStats warm;
+      ASSERT_TRUE(call(*qm, &warm).ok());
+      EXPECT_EQ(warm.kv_batches, 0u);  // served from memory
+      EXPECT_EQ(warm.kv_requests, cold.kv_requests);
+      EXPECT_EQ(warm.micro_deltas, cold.micro_deltas);
+      EXPECT_EQ(warm.bytes, cold.bytes);
+    };
+    cold_then_warm("GetNodeHistories", [&](auto& qm, auto* stats) {
+      return qm.GetNodeHistories(ids, 0, t, stats).status();
+    });
+    cold_then_warm("GetNodeStateDelta", [&](auto& qm, auto* stats) {
+      return qm.GetNodeStateDelta(ids[0], t, stats).status();
+    });
+    cold_then_warm("GetKHopNeighborhood", [&](auto& qm, auto* stats) {
+      return qm.GetKHopNeighborhood(ids[0], t, 2, stats).status();
+    });
+  }
+}
+
+TEST(TGITest, MicropartBucketWithOutOfRangePidIsCorruption) {
+  // A checksummed Micropartitions bucket row that maps a node to a pid its
+  // span does not have is Corruption for every read that looks the node
+  // up: a node-set fetch indexes the span's states by that pid.
+  const std::vector<Event> events = SmallHistory(61, 6'000);
+  Cluster cluster(FastCluster());
+  TGIOptions opts = SmallOptions();
+  opts.partition_strategy = PartitionStrategy::kLocality;
+  TGI tgi(&cluster, opts);
+  ASSERT_TRUE(tgi.BuildFrom(events).ok());
+
+  // A node that the first span (tsid 0) adds after its first event, and
+  // its bucket row with the node mapped to pid 9,999.
+  const Timestamp from = events.front().time;
+  const size_t buckets = opts.micropartition_buckets;
+  std::optional<Event> arrival;
+  uint32_t bucket = 0;
+  std::vector<std::pair<NodeId, MicroPartitionId>> entries;
+  for (size_t i = 0; i < opts.events_per_timespan / 2 && !arrival; ++i) {
+    const Event& e = events[i];
+    if (e.type != EventType::kAddNode || e.time <= from) continue;
+    bucket = static_cast<uint32_t>(tgi::NodePlacement(e.u) % buckets);
+    auto row = cluster.Get(tgi::kMicropartsTable, bucket,
+                           tgi::MicropartBucketRowKey(bucket));
+    if (!row.ok()) continue;
+    auto decoded = tgi::DeserializeMicropartBucket(row->view());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    entries = std::move(*decoded);
+    for (auto& [nid, pid] : entries) {
+      if (nid != e.u) continue;
+      pid = 9'999;
+      arrival = e;
+    }
+  }
+  ASSERT_TRUE(arrival.has_value());
+  const Status put = cluster.Put(tgi::kMicropartsTable, bucket,
+                                 tgi::MicropartBucketRowKey(bucket),
+                                 tgi::SerializeMicropartBucket(entries));
+  ASSERT_TRUE(put.ok()) << put.ToString();
+
+  TGIQueryManager qm(&cluster);
+  ASSERT_TRUE(qm.Open().ok());
+  const NodeId id = arrival->u;
+  const Timestamp t = arrival->time;
+  const auto keep_all = [](NodeId, const NodeRecord*) { return true; };
+  auto expect_corruption = [](const char* api, const Status& st) {
+    EXPECT_TRUE(st.IsCorruption()) << api << ": " << st.ToString();
+  };
+  expect_corruption("GetNodeHistoriesWhere",
+                    qm.GetNodeHistoriesWhere(from, t, keep_all).status());
+  expect_corruption("GetNodeHistories",
+                    qm.GetNodeHistories({id}, from, t).status());
+  expect_corruption("GetNodeStateDelta", qm.GetNodeStateDelta(id, t).status());
+  expect_corruption("GetKHopNeighborhood",
+                    qm.GetKHopNeighborhood(id, t, 1).status());
 }
 
 }  // namespace
