@@ -50,10 +50,11 @@ int main() {
 
   // A churny community graph span: Friendster-analogue structure plus
   // add/delete churn, so the collapse functions actually disagree.
-  auto events = workload::GenerateFriendster({.num_nodes = hgs::bench::Scaled(4'000),
-                                              .num_edges = hgs::bench::Scaled(16'000),
-                                              .community_size = 100,
-                                              .seed = 31});
+  auto events = workload::GenerateFriendster(
+      {.num_nodes = hgs::bench::Scaled(4'000),
+       .num_edges = hgs::bench::Scaled(16'000),
+       .community_size = 100,
+       .seed = 31});
   events = workload::AugmentWithChurn(
       std::move(events),
       {.num_events = hgs::bench::Scaled(12'000), .delete_prob = 0.5,

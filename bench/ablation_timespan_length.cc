@@ -21,10 +21,11 @@ int main() {
       "cheaper long-range version queries (fewer span crossings)");
 
   // Community graph with churn so the partitioning actually drifts.
-  auto events = workload::GenerateFriendster({.num_nodes = hgs::bench::Scaled(8'000),
-                                              .num_edges = hgs::bench::Scaled(24'000),
-                                              .community_size = 100,
-                                              .seed = 51});
+  auto events = workload::GenerateFriendster(
+      {.num_nodes = hgs::bench::Scaled(8'000),
+       .num_edges = hgs::bench::Scaled(24'000),
+       .community_size = 100,
+       .seed = 51});
   events = workload::AugmentWithChurn(
       std::move(events),
       {.num_events = hgs::bench::Scaled(24'000), .delete_prob = 0.35,

@@ -32,7 +32,8 @@ void BM_Snapshot(benchmark::State& state) {
   }
   auto iters = static_cast<double>(state.iterations());
   state.counters["snapshot_nodes"] = static_cast<double>(nodes);
-  state.counters["micro_deltas"] = static_cast<double>(agg.micro_deltas) / iters;
+  state.counters["micro_deltas"] =
+      static_cast<double>(agg.micro_deltas) / iters;
   state.counters["MB_fetched"] =
       static_cast<double>(agg.bytes) / iters / 1e6;
 }

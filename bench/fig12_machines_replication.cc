@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
   const int64_t c_values[3][4] = {{1, 2, 4, 8}, {1, 2, 4, 8}, {1, 4, 8, 16}};
   for (int64_t p = 0; p < 3; ++p) {
     for (int64_t c : c_values[p]) {
-      std::string name = std::string("snapshot/") + panels[static_cast<size_t>(p)].label +
-                         "/c:" + std::to_string(c);
+      std::string name = std::string("snapshot/") +
+                         panels[static_cast<size_t>(p)].label + "/c:" +
+                         std::to_string(c);
       benchmark::RegisterBenchmark(name.c_str(), BM_Snapshot)
           ->Args({p, c})
           ->Unit(benchmark::kMillisecond)

@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   for (int64_t b = 0; b < static_cast<int64_t>(bundles.size()); ++b) {
     for (int64_t p = 0; p < static_cast<int64_t>(g_probes.size()); ++p) {
       std::string name =
-          "snapshot/ps:" + std::to_string(bundles[static_cast<size_t>(b)].first) +
+          "snapshot/ps:" +
+          std::to_string(bundles[static_cast<size_t>(b)].first) +
           "/t_pct:" + std::to_string((p + 1) * 25);
       benchmark::RegisterBenchmark(name.c_str(), BM_Snapshot)
           ->Args({b, p})

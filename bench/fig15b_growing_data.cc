@@ -47,11 +47,12 @@ int main(int argc, char** argv) {
 
   std::vector<DatasetRun> runs;
   auto add = [&](const char* label, std::vector<hgs::Event> events) {
-    runs.push_back({label,
-                    hgs::bench::BuildBundle(std::move(events),
-                                            hgs::bench::DefaultTGIOptions(),
-                                            hgs::bench::MakeClusterOptions(4, 1)),
-                    {}});
+    runs.push_back(
+        {label,
+         hgs::bench::BuildBundle(std::move(events),
+                                 hgs::bench::DefaultTGIOptions(),
+                                 hgs::bench::MakeClusterOptions(4, 1)),
+         {}});
   };
   add("dataset1", hgs::bench::Dataset1());
   add("dataset2", hgs::bench::Dataset2());

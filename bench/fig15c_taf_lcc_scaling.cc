@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   hgs::taf::TAFContext fetch_ctx(bundle.qm.get(), 4);
   std::vector<std::pair<size_t, hgs::taf::SoN>> sons;
   for (double frac : {0.4, 0.7, 1.0}) {
-    auto t = static_cast<hgs::Timestamp>(static_cast<double>(bundle.end) * frac);
+    auto t =
+        static_cast<hgs::Timestamp>(static_cast<double>(bundle.end) * frac);
     hgs::FetchStats fetch_stats;
     auto son = fetch_ctx.Nodes().TimeRange(t, t).Fetch(&fetch_stats);
     if (!son.ok()) {

@@ -23,7 +23,8 @@ int main() {
   copts.latency.enabled = false;
   Cluster cluster(copts);
 
-  auto events = workload::GenerateWikiGrowth({.num_events = 12'000, .seed = 21});
+  auto events =
+      workload::GenerateWikiGrowth({.num_events = 12'000, .seed = 21});
   events = workload::AugmentWithChurn(std::move(events),
                                       {.num_events = 8'000, .seed = 22});
   Timestamp end = workload::EndTime(events);

@@ -1216,8 +1216,9 @@ Result<std::string> ColumnarReencodeDelta(std::string_view payload) {
 }  // namespace
 
 Result<Delta> Delta::DeserializeColumnar(std::string_view payload) {
-  HGS_ASSIGN_OR_RETURN(ColumnarBlockReader block,
-                       ColumnarBlockReader::Parse(payload, ValueSchema::kDelta));
+  HGS_ASSIGN_OR_RETURN(
+      ColumnarBlockReader block,
+      ColumnarBlockReader::Parse(payload, ValueSchema::kDelta));
   HGS_ASSIGN_OR_RETURN(std::string_view head_col, block.Column(kDelColHead));
   HGS_ASSIGN_OR_RETURN(std::string_view nid_col,
                        block.Column(kDelColNodeIds));

@@ -191,7 +191,9 @@ Status StorageNode::PutBatch(std::vector<NodePutRow> rows) {
   if (IsDown()) return DownError();
   FaultDecision fault = faults_.OnRequest();
   if (fault.fail) {
-    if (latency_.charge_writes) ChargeLatency(rows.size(), 0, fault.extra_micros);
+    if (latency_.charge_writes) {
+      ChargeLatency(rows.size(), 0, fault.extra_micros);
+    }
     return TransientFault();
   }
   size_t bytes = 0;

@@ -50,8 +50,8 @@ struct NodeAccum {
   bool alive = false;
 
   void TouchDegree(Timestamp t, int delta) {
-    degree_time_integral +=
-        static_cast<double>(current_degree) * static_cast<double>(t - degree_since);
+    degree_time_integral += static_cast<double>(current_degree) *
+                            static_cast<double>(t - degree_since);
     degree_since = t;
     current_degree = static_cast<size_t>(
         std::max<int64_t>(0, static_cast<int64_t>(current_degree) + delta));
@@ -113,7 +113,8 @@ WeightedGraph CollapseTemporalGraph(const Graph& start_state,
     acc.degree_since = span.start;
   });
   start_state.ForEachEdge([&](const EdgeKey& key, const EdgeRecord& rec) {
-    edge_acc[key].Open(span.start, EdgeWeightOf(rec.attrs, options.weight_attr));
+    edge_acc[key].Open(span.start,
+                       EdgeWeightOf(rec.attrs, options.weight_attr));
     touch_node(key.u).current_degree++;
     touch_node(key.v).current_degree++;
   });
@@ -174,7 +175,8 @@ WeightedGraph CollapseTemporalGraph(const Graph& start_state,
   for (const auto& [id, acc] : node_acc) {
     if (acc.ever_existed) out.AddNode(id);
   }
-  double span_len = std::max<double>(1.0, static_cast<double>(span.end - span.start));
+  double span_len =
+      std::max<double>(1.0, static_cast<double>(span.end - span.start));
   for (const auto& [key, acc] : edge_acc) {
     if (!acc.ever_existed) continue;
     double w = options.edge_fn == CollapseFn::kUnionMax

@@ -108,7 +108,8 @@ Result<VersionChainSegment> DecodeColumnarSegment(std::string_view payload) {
 }
 
 std::optional<std::string> ColumnarEncodeSegment(std::string_view payload) {
-  Result<VersionChainSegment> parsed = VersionChainSegment::Deserialize(payload);
+  Result<VersionChainSegment> parsed =
+      VersionChainSegment::Deserialize(payload);
   if (!parsed.ok()) return std::nullopt;
   // Only canonical serializations are eligible (see the eventlist codec).
   if (parsed->Serialize() != payload) return std::nullopt;
@@ -141,7 +142,8 @@ std::vector<DeltaId> TimespanMeta::PathToCheckpoint(
   }
   std::vector<DeltaId> path;
   if (leaf < 0) return path;
-  for (int32_t cur = leaf; cur >= 0; cur = tree[static_cast<size_t>(cur)].parent) {
+  for (int32_t cur = leaf; cur >= 0;
+       cur = tree[static_cast<size_t>(cur)].parent) {
     path.push_back(static_cast<DeltaId>(cur));
   }
   std::reverse(path.begin(), path.end());

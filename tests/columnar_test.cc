@@ -124,8 +124,10 @@ TEST(ColumnarDeltaTest, SnapshotAndTombstoneDeltasRoundTrip) {
   Delta d;
   d.PutNode(1, NodeRecord{.attrs = Attributes{{"role", "hub"}}});
   d.TombstoneNode(2);
-  d.PutEdge(EdgeKey(3, 4), EdgeRecord{.src = 4, .dst = 3, .directed = true, .attrs = {}});
-  d.PutEdge(EdgeKey(5, 5), EdgeRecord{.src = 5, .dst = 5, .directed = false, .attrs = {}});
+  d.PutEdge(EdgeKey(3, 4),
+            EdgeRecord{.src = 4, .dst = 3, .directed = true, .attrs = {}});
+  d.PutEdge(EdgeKey(5, 5),
+            EdgeRecord{.src = 5, .dst = 5, .directed = false, .attrs = {}});
   d.TombstoneEdge(EdgeKey(1, 9));
   d.Compact();
   ExpectColumnarRoundTrip(d, ValueSchema::kDelta);

@@ -234,7 +234,8 @@ TEST(CompressionTest, EmptyInput) {
 }
 
 TEST(CompressionTest, CorruptBlockRejected) {
-  std::string packed = Compress("hello world hello world", CompressionKind::kLz);
+  std::string packed =
+      Compress("hello world hello world", CompressionKind::kLz);
   packed.resize(packed.size() / 2);
   auto out = Decompress(packed);
   EXPECT_FALSE(out.ok());

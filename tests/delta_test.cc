@@ -73,7 +73,8 @@ Delta MakeDelta(std::initializer_list<NodeId> nodes,
   Delta d;
   for (NodeId n : nodes) d.PutNode(n, NodeRecord{});
   for (auto [u, v] : edges) {
-    d.PutEdge(EdgeKey(u, v), EdgeRecord{.src = u, .dst = v, .directed = false, .attrs = {}});
+    d.PutEdge(EdgeKey(u, v),
+              EdgeRecord{.src = u, .dst = v, .directed = false, .attrs = {}});
   }
   return d;
 }
@@ -260,7 +261,8 @@ TEST(DeltaTest, FilterByNodesKeepsIncidentEdges) {
 
 TEST(DeltaTest, ToGraphDropsDanglingEdges) {
   Delta d;
-  d.PutEdge(EdgeKey(1, 2), EdgeRecord{.src = 1, .dst = 2, .directed = false, .attrs = {}});
+  d.PutEdge(EdgeKey(1, 2),
+            EdgeRecord{.src = 1, .dst = 2, .directed = false, .attrs = {}});
   d.PutNode(1, NodeRecord{});
   EXPECT_EQ(d.ToGraph().NumEdges(), 0u);
 }
@@ -969,7 +971,8 @@ TEST_P(FlatMapPropertyTest, ToGraphMatchesIncrementalBuild) {
       std::vector<EdgeKey> keys;
       got.ForEachEdge(
           [&](const EdgeKey& key, const EdgeRecord&) { keys.push_back(key); });
-      EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << "round " << round;
+      EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()))
+          << "round " << round;
       ++own_keyed;
     }
   }

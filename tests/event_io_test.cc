@@ -120,7 +120,10 @@ TEST_P(FuzzDeserializers, MutatedValidPayloadsFailCleanlyOrRoundTrip) {
     d.PutNode(i, NodeRecord{.attrs = Attributes{{"a", std::to_string(i)}}});
   }
   for (NodeId i = 0; i + 1 < 40; ++i) {
-    d.PutEdge(EdgeKey(i, i + 1), EdgeRecord{.src = i, .dst = i + 1, .directed = false, .attrs = {}});
+    d.PutEdge(EdgeKey(i, i + 1), EdgeRecord{.src = i,
+                                            .dst = i + 1,
+                                            .directed = false,
+                                            .attrs = {}});
   }
   std::string base = d.Serialize();
   for (int i = 0; i < 300; ++i) {

@@ -201,7 +201,10 @@ TEST(DynamicPartitionerTest, RandomStrategyHasNoExplicitMap) {
   Graph start;
   Partitioning p = PartitionTimespan(
       start, {}, TimeInterval{0, 10},
-      {.strategy = PartitionStrategy::kRandom, .num_partitions = 4, .collapse = {}, .locality = {}});
+      {.strategy = PartitionStrategy::kRandom,
+       .num_partitions = 4,
+       .collapse = {},
+       .locality = {}});
   EXPECT_TRUE(p.assignment().empty());
   EXPECT_EQ(p.k(), 4u);
 }

@@ -201,9 +201,10 @@ TEST_F(TafFixture, NodeComputeDegreeMatchesBruteForce) {
   auto degrees = son->NodeCompute(final_degree);
   for (size_t i = 0; i < son->size(); ++i) {
     NodeId id = son->nodes()[i].id();
-    double expected = final_state.HasNode(id)
-                          ? static_cast<double>(final_state.Neighbors(id).size())
-                          : 0.0;
+    double expected =
+        final_state.HasNode(id)
+            ? static_cast<double>(final_state.Neighbors(id).size())
+            : 0.0;
     EXPECT_DOUBLE_EQ(degrees[i], expected) << "node " << id;
   }
 }
