@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -503,18 +504,31 @@ void RunRemovalReplay(size_t num_edges, size_t num_removals, size_t rounds) {
               num_edges, num_removals);
 }
 
-// Live-heap footprint of one snapshot-scale delta per representation.
+// Live-heap footprint of one snapshot-scale delta per representation: a
+// copy (which shares its records' attribute blocks with the snapshot), a
+// decode of the snapshot's serialization (what a decoded-cache row holds:
+// every record owns its blocks), and the hash-map baseline's copy.
 void RunResidency(const Delta& snapshot, const HashDelta& hash_snapshot) {
   if (!HGS_HEAP_ACCOUNTING) {
     std::printf("residency      (n/a under sanitizers)\n");
     return;
   }
   const size_t entries = snapshot.Cardinality();
-  long long flat_bytes = 0, hash_bytes = 0;
+  long long flat_bytes = 0, decoded_bytes = 0, hash_bytes = 0;
   {
     long long before = g_live_bytes.load();
     Delta copy = snapshot;
     flat_bytes = g_live_bytes.load() - before;
+  }
+  {
+    const std::string wire = snapshot.Serialize();
+    long long before = g_live_bytes.load();
+    Result<Delta> decoded = Delta::Deserialize(wire);
+    decoded_bytes = g_live_bytes.load() - before;
+    if (!decoded.ok() || !(*decoded == snapshot)) {
+      std::fprintf(stderr, "residency: decoded snapshot differs\n");
+      std::exit(1);
+    }
   }
   {
     long long before = g_live_bytes.load();
@@ -523,15 +537,21 @@ void RunResidency(const Delta& snapshot, const HashDelta& hash_snapshot) {
   }
   const double flat_per = static_cast<double>(flat_bytes) /
                           static_cast<double>(entries);
+  const double decoded_per = static_cast<double>(decoded_bytes) /
+                             static_cast<double>(entries);
   const double hash_per = static_cast<double>(hash_bytes) /
                           static_cast<double>(entries);
   std::printf(
       "residency      flat           entries=%zu bytes=%lld (%.1f B/entry)\n",
       entries, flat_bytes, flat_per);
   std::printf(
+      "residency      flat-decoded   entries=%zu bytes=%lld (%.1f B/entry)\n",
+      entries, decoded_bytes, decoded_per);
+  std::printf(
       "residency      hash           entries=%zu bytes=%lld (%.1f B/entry)\n",
       entries, hash_bytes, hash_per);
   JsonRow("delta_merge", "residency_flat_B_per_entry", flat_per, "B");
+  JsonRow("delta_merge", "residency_decoded_B_per_entry", decoded_per, "B");
   JsonRow("delta_merge", "residency_hash_B_per_entry", hash_per, "B");
 }
 

@@ -5,11 +5,17 @@
 // embedded in the node record; edges are separate components keyed by their
 // canonical endpoint pair, and partitioned snapshots replicate an edge into
 // every partition holding one of its endpoints (Example 5).
+//
+// A record's attributes are one pointer to a shared, immutable block (see
+// attributes.h), so copying a record — into a sum, a filter, a Graph, a
+// decoded-cache row or a TAF view — copies a pointer: a NodeRecord is 8 B
+// and an EdgeRecord 32 B, and a Delta's node and edge entries (key plus
+// optional record) take 24 B and 56 B.
 
 #ifndef HGS_GRAPH_COMPONENTS_H_
 #define HGS_GRAPH_COMPONENTS_H_
 
-#include <string>
+#include <optional>
 
 #include "common/types.h"
 #include "graph/attributes.h"
@@ -34,6 +40,10 @@ struct EdgeRecord {
 
   bool operator==(const EdgeRecord& o) const = default;
 };
+
+static_assert(sizeof(NodeRecord) == sizeof(void*));
+static_assert(sizeof(std::optional<NodeRecord>) == 16);
+static_assert(sizeof(EdgeRecord) == 32);
 
 }  // namespace hgs
 

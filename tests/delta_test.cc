@@ -513,7 +513,7 @@ TEST(EventListTest, FilterByNodeReservesOutputAndDoesNotReallocate) {
   EventList list(0, 10'000);
   for (int i = 0; i < 200; ++i) {
     // Attribute-free edge events: copying one allocates nothing (SSO
-    // strings, empty attribute vectors), so the only allocation in
+    // strings, empty attributes), so the only allocation in
     // FilterByNode is the reserved output buffer.
     list.Append(Event::AddEdge(i + 1, 1, static_cast<NodeId>(2 + i % 7)));
   }
@@ -532,6 +532,57 @@ TEST(EventListTest, FilterByNodeReservesOutputAndDoesNotReallocate) {
   EventList moved = std::move(doomed).FilterByNode(1);
   EXPECT_TRUE(moved == out);
   EXPECT_TRUE(doomed.empty());
+}
+
+// A delta of `n` nodes, each with its own `kind=article` block, on a path of
+// n - 1 attribute-free edges.
+Delta AttributedPath(NodeId n) {
+  Delta d;
+  for (NodeId i = 0; i < n; ++i) {
+    d.PutNode(i, NodeRecord{.attrs = {{"kind", "article"}}});
+  }
+  for (NodeId i = 1; i < n; ++i) {
+    d.PutEdge(EdgeKey(i - 1, i),
+              EdgeRecord{.src = i - 1, .dst = i, .directed = false,
+                         .attrs = {}});
+  }
+  d.Compact();
+  return d;
+}
+
+TEST(DeltaAllocationTest, CopyAndSumShareAttributeBlocks) {
+  if (!HGS_ALLOC_COUNTING) {
+    GTEST_SKIP() << "allocation counting disabled under sanitizers";
+  }
+  // Allocations of a copy and of a self-sum, at 1,000 and 4,000 nodes:
+  // records share their attribute blocks, so neither count may grow with
+  // the node count.
+  size_t copy_allocs[2] = {};
+  size_t sum_allocs[2] = {};
+  const NodeId sizes[2] = {1'000, 4'000};
+  for (int i = 0; i < 2; ++i) {
+    const Delta d = AttributedPath(sizes[i]);
+    {
+      ScopedAllocCounter counter;
+      Delta copy = d;
+      copy_allocs[i] = counter.count();
+      EXPECT_EQ(copy, d);
+    }
+    const Delta* rows[] = {&d, &d};
+    {
+      ScopedAllocCounter counter;
+      Delta sum = Delta::SumAll(rows);
+      sum_allocs[i] = counter.count();
+      EXPECT_EQ(sum, d);
+    }
+    const auto* rec = d.FindNode(7);
+    ASSERT_TRUE(rec != nullptr && rec->has_value());
+    EXPECT_EQ((*rec)->attrs.use_count(), 1u);
+  }
+  EXPECT_EQ(copy_allocs[0], copy_allocs[1]);
+  EXPECT_EQ(sum_allocs[0], sum_allocs[1]);
+  EXPECT_LE(copy_allocs[0], 2u);
+  EXPECT_LE(sum_allocs[0], 16u);
 }
 
 // ---------------------------------------------------------------------------

@@ -57,6 +57,92 @@ TEST(AttributesTest, IntersectKeepsEqualEntries) {
   EXPECT_EQ(*i.Get("x"), "1");
 }
 
+TEST(AttributesTest, EmptyHoldsNoBlock) {
+  Attributes a;
+  EXPECT_EQ(a.use_count(), 0u);
+  EXPECT_TRUE(a.entries().empty());
+  EXPECT_EQ(Attributes{}, Attributes());
+  a.Set("k", "v");
+  a.Set("j", "w");
+  EXPECT_TRUE(a.Erase("k"));
+  EXPECT_TRUE(a.Erase("j"));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.use_count(), 0u);
+  EXPECT_EQ(a, Attributes());
+  EXPECT_FALSE(a.Erase("j"));
+}
+
+TEST(AttributesTest, CopiesShareOneBlock) {
+  Attributes a{{"kind", "article"}};
+  Attributes b = a;
+  EXPECT_EQ(a.use_count(), 2u);
+  EXPECT_EQ(&a.entries(), &b.entries());
+  Attributes c = std::move(b);
+  EXPECT_EQ(a.use_count(), 2u);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  // Setting an equal value changes nothing, so the block stays shared.
+  c.Set("kind", "article");
+  EXPECT_EQ(a.use_count(), 2u);
+}
+
+TEST(AttributesTest, ChangingASharedCopyLeavesTheOriginal) {
+  const Attributes original{{"a", "1"}, {"c", "3"}};
+  Attributes set = original;
+  set.Set("b", "2");
+  Attributes erased = original;
+  EXPECT_TRUE(erased.Erase("a"));
+  Attributes appended = original;
+  appended.AppendSorted("d", "4");
+  EXPECT_EQ(original, (Attributes{{"a", "1"}, {"c", "3"}}));
+  EXPECT_EQ(original.use_count(), 1u);
+  EXPECT_EQ(set, (Attributes{{"a", "1"}, {"b", "2"}, {"c", "3"}}));
+  EXPECT_EQ(erased, (Attributes{{"c", "3"}}));
+  EXPECT_EQ(appended, (Attributes{{"a", "1"}, {"c", "3"}, {"d", "4"}}));
+}
+
+TEST(AttributesTest, SoleOwnerChangesInPlace) {
+  Attributes original{{"a", "1"}};
+  Attributes copy = original;
+  original = Attributes();  // `copy` is now the block's only owner
+  ASSERT_EQ(copy.use_count(), 1u);
+  const auto* block = &copy.entries();
+  copy.Set("b", "2");
+  copy.AppendSorted("c", "3");
+  EXPECT_TRUE(copy.Erase("a"));
+  EXPECT_EQ(&copy.entries(), block);
+  EXPECT_EQ(copy, (Attributes{{"b", "2"}, {"c", "3"}}));
+  EXPECT_TRUE(original.empty());
+}
+
+TEST(AttributesTest, OutOfOrderAppendKeepsKeysSorted) {
+  Attributes a;
+  a.AppendSorted("m", "1");
+  a.AppendSorted("c", "2");
+  a.AppendSorted("x", "3");
+  a.AppendSorted("m", "4");
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a.entries()[0], Attributes::Entry("c", "2"));
+  EXPECT_EQ(a.entries()[1], Attributes::Entry("m", "4"));
+  EXPECT_EQ(a.entries()[2], Attributes::Entry("x", "3"));
+}
+
+TEST(AttributesTest, IntersectAndEqualityAcrossBlocks) {
+  const Attributes a{{"x", "1"}, {"y", "2"}};
+  const Attributes copy = a;
+  EXPECT_EQ(Attributes::Intersect(a, a), a);
+  const Attributes shared = Attributes::Intersect(a, copy);
+  EXPECT_EQ(shared, a);
+  EXPECT_EQ(&shared.entries(), &a.entries());
+  // Equal content in two blocks compares equal, and intersects to itself.
+  const Attributes twin{{"y", "2"}, {"x", "1"}};
+  EXPECT_NE(&twin.entries(), &a.entries());
+  EXPECT_EQ(twin, a);
+  EXPECT_EQ(Attributes::Intersect(a, twin), a);
+  EXPECT_NE(a, (Attributes{{"x", "1"}}));
+  EXPECT_NE(a, Attributes());
+  EXPECT_TRUE(Attributes::Intersect(a, Attributes{{"x", "9"}}).empty());
+}
+
 TEST(GraphTest, AddRemoveNodes) {
   Graph g;
   EXPECT_TRUE(g.AddNode(1));

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "delta/delta.h"
 #include "kvstore/cluster.h"
 #include "tgi/layout.h"
 #include "tgi/tgi.h"
@@ -485,6 +488,62 @@ TEST(SharedValueLifetimeTest, ParallelIngestRacesReadersUnderTinyCaches) {
   stop.store(true);
   appender.join();
   EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(SharedAttributesTest, CopiesChangeWhileReadersCompareTheSharedRow) {
+  // Four threads copy every node record out of one decoded delta, as the
+  // decoded tier shares a row with its readers, apply attribute events to
+  // their copies and drop them; copy-on-write must leave every shared block
+  // untouched. Under TSan this is the proof that the reference counts and
+  // the sole-owner check race cleanly with readers of the shared blocks.
+  constexpr NodeId kNodes = 300;
+  Delta built;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    built.PutNode(i, NodeRecord{.attrs = {{"kind", "article"},
+                                          {"rank", std::to_string(i)}}});
+  }
+  built.Compact();
+  const std::string wire = built.Serialize();
+  auto decoded = Delta::Deserialize(wire);
+  auto deep = Delta::Deserialize(wire);  // its own blocks
+  ASSERT_TRUE(decoded.ok() && deep.ok());
+  const Delta& shared = *decoded;
+
+  std::atomic<int> running{4};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&, t] {
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      for (int round = 0; round < 40; ++round) {
+        Delta mine = shared;
+        for (int j = 0; j < 200; ++j) {
+          const auto id = static_cast<NodeId>(rng.Uniform(kNodes));
+          if (rng.Uniform(2) == 0) {
+            mine.ApplyEvent(Event::SetNodeAttr(1, id, "kind", "edited"));
+          } else {
+            mine.ApplyEvent(Event::DelNodeAttr(1, id, "rank"));
+          }
+        }
+        const auto* rec = mine.FindNode(static_cast<NodeId>(t));
+        if (rec == nullptr || !rec->has_value()) ++bad;
+      }
+      running--;
+    });
+  }
+  int checks = 0;
+  do {
+    if (!(shared == *deep)) ++bad;
+    ++checks;
+  } while (running.load() > 0);
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(checks, 0);
+  EXPECT_TRUE(shared == *deep);
+  const auto* rec = shared.FindNode(5);
+  ASSERT_TRUE(rec != nullptr && rec->has_value());
+  EXPECT_EQ((*rec)->attrs, (Attributes{{"kind", "article"}, {"rank", "5"}}));
+  EXPECT_EQ((*rec)->attrs.use_count(), 1u);
 }
 
 TEST(UpdateStressTest, ManySmallBatchesEqualOneBigBuild) {

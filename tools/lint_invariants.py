@@ -20,6 +20,13 @@ src/common/mutex.h and README.md ("Concurrency invariants"):
      stored-form blocks (kColumnar especially) decode as zero-copy windows
      and value_copies stays an honest counter. Decompress() is for tests
      and byte-exact round-trip checks only.
+  5. No line longer than .clang-format's 80 columns in src/, tests/,
+     bench/ or examples/, outside `// clang-format off` / `on` blocks,
+     counted in code points (comments hold `—` or `Ω`). The CI format job
+     checks this with clang-format; this rule checks it where clang-format
+     is not installed.
+
+Rules 1-4 apply to src/ only.
 
 Exit status 0 when clean, 1 when violations were found (they are printed
 as file:line: message, one per line). Run locally with:
@@ -65,6 +72,13 @@ MATERIALIZING_DECOMPRESS_RE = re.compile(r"\bDecompress\s*\(")
 # Read-path layers where every block decode must stay a window.
 ZERO_COPY_DIRS = ("src/tgi/", "src/kvstore/")
 
+# Rule 5's trees and file types, and .clang-format's ColumnLimit.
+COLUMN_DIRS = ("src", "tests", "bench", "examples")
+COLUMN_SUFFIXES = {".h", ".cc", ".cpp"}
+COLUMN_LIMIT = 80
+FORMAT_OFF_RE = re.compile(r"//\s*clang-format\s+off\b")
+FORMAT_ON_RE = re.compile(r"//\s*clang-format\s+on\b")
+
 COMMENT_RE = re.compile(r"//.*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
@@ -81,7 +95,19 @@ def lint_file(path: pathlib.Path, rel: str) -> list[str]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         return [f"{rel}:1: not valid UTF-8"]
+    format_off = False
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        if FORMAT_OFF_RE.search(raw_line):
+            format_off = True
+        elif FORMAT_ON_RE.search(raw_line):
+            format_off = False
+        elif not format_off and len(raw_line) > COLUMN_LIMIT:
+            problems.append(
+                f"{rel}:{lineno}: {len(raw_line)} columns — wrap to "
+                f"{COLUMN_LIMIT} (.clang-format's ColumnLimit)"
+            )
+        if not rel.startswith("src/"):
+            continue
         line = strip_noise(raw_line)
         if not allow_raw:
             m = RAW_PRIMITIVE_RE.search(line)
@@ -122,12 +148,12 @@ def lint_file(path: pathlib.Path, rel: str) -> list[str]:
 
 def lint_tree(root: pathlib.Path) -> list[str]:
     problems = []
-    src = root / "src"
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in {".h", ".cc"}:
-            continue
-        rel = path.relative_to(root).as_posix()
-        problems.extend(lint_file(path, rel))
+    for tree in COLUMN_DIRS:
+        for path in sorted((root / tree).rglob("*")):
+            if path.suffix not in COLUMN_SUFFIXES:
+                continue
+            rel = path.relative_to(root).as_posix()
+            problems.extend(lint_file(path, rel))
     return problems
 
 
@@ -158,6 +184,11 @@ SELF_TEST_CASES = [
     ("auto view = DecompressShared(value);", None, "src/tgi/selftest.cc"),
     # Outside the read-path layers the materializing form stays legal.
     ("auto raw = Decompress(value);", None, "src/common/selftest.cc"),
+    # Rule 5 counts code points: 81 of them fail, in any linted tree, and 80
+    # pass although `Ω` takes two bytes each.
+    ("// " + "—" * 78, "81 columns", "tests/selftest.cc"),
+    ("// " + "Ω" * 77, None, "bench/selftest.cc"),
+    ("// clang-format off\n" + "x" * 90 + "\n// clang-format on", None),
 ]
 
 
@@ -190,7 +221,8 @@ def self_test() -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--self-test", action="store_true",
-                        help="run the built-in lint corpus, then lint src/")
+                        help="run the built-in lint corpus, then lint the "
+                        "tree")
     parser.add_argument("--root", type=pathlib.Path,
                         default=pathlib.Path(__file__).resolve().parent.parent,
                         help="repository root (default: parent of tools/)")
